@@ -10,7 +10,9 @@ instances round-robin for ``--seconds`` seconds.  Each execution is timed
 (runner plus the row facts ``beepsim bench`` computes) and then checked
 outside the timed region: oracle checks, the round floor, OR reception
 re-derived from adjacency, and every exact count and trace digest equal to
-the instance's first execution.
+the instance's first execution.  Host times are scaled to a nominal host
+speed measured by a probe sampled through every timed region (see
+hostspeed.py); the raw times are printed too.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced executions and prints the per-layer metrics taken from
@@ -34,8 +36,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import hostspeed
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 SETUP_REPEATS = 9
+SETUP_SECONDS = 2.0
 
 END_TO_END = {
     "setup_s": "s",
@@ -92,6 +97,8 @@ PER_LAYER: dict[str, str] = {
     **{f"share.{cat}": "ratio" for cat in SHARES},
     "trace.wall_s": "s",
     "trace.overhead_s": "s",
+    "host.wall_raw_s": "s",
+    "host.probe_s": "s",
 }
 
 # Metrics that must repeat exactly for the same seed: simulated counts and
@@ -126,7 +133,9 @@ class State:
     """Everything measured about one instance during a run."""
 
     inst: Any
-    times: list[float] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)  # host seconds at nominal speed
+    raw_times: list[float] = field(default_factory=list)  # host seconds as measured
+    probes: list[float] = field(default_factory=list)  # mean probe seconds per execution
     traced_times: list[float] = field(default_factory=list)
     layers: list[Layer] = field(default_factory=list)
     facts: dict[str, Any] | None = None
@@ -155,9 +164,8 @@ def execute(st: State, traced: bool) -> None:
                 run, row = tracer.call("instance", body)
             elapsed = tracer.inclusive("instance")
         else:
-            run = instances.run_protocol(st.inst)
-            row = instances.row_facts(st.inst, run)
-            elapsed = time.perf_counter() - start
+            timing = hostspeed.timed(_run_and_row, st.inst)
+            run, row = timing.result
         checker = tracing.Tracer()
         with tracing.traced(checker):
             error = instances.check(st.inst, run, row)
@@ -182,8 +190,17 @@ def execute(st: State, traced: bool) -> None:
                       checker.inclusive("engine.verify_reception"))
             )
         else:
-            st.times.append(elapsed)
+            st.times.append(timing.nominal_s)
+            st.raw_times.append(timing.host_s)
+            st.probes.append(timing.probe_s)
     st.cost = time.perf_counter() - start
+
+
+def _run_and_row(inst: Any) -> tuple[Any, Any]:
+    import instances
+
+    run = instances.run_protocol(inst)
+    return run, instances.row_facts(inst, run)
 
 
 def _mean_per_instance(states: list[State], get: Any) -> float:
@@ -234,7 +251,9 @@ def per_layer(states: list[State], generate_s: float) -> dict[str, float]:
         cat_s = _mean_per_instance(states, lambda x: x.by_cat.get(cat, 0.0))
         out[f"share.{cat}"] = cat_s / traced_total
     out["trace.wall_s"] = _sum_median([st.traced_times for st in states])
-    out["trace.overhead_s"] = out["trace.wall_s"] - _sum_median([st.times for st in states])
+    out["host.wall_raw_s"] = _sum_median([st.raw_times for st in states])
+    out["trace.overhead_s"] = out["trace.wall_s"] - out["host.wall_raw_s"]
+    out["host.probe_s"] = statistics.median(p for st in states for p in st.probes)
     return {name: out[name] for name in PER_LAYER}
 
 
@@ -256,16 +275,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {sorted(instances.WORKLOADS)}")
 
-    setups = []
+    # Set up at least SETUP_REPEATS times and for at least SETUP_SECONDS, so
+    # that the median of a set-up of a few milliseconds is steady too.
+    setups: list[float] = []
     insts = None
     same_inputs = True
-    for _ in range(SETUP_REPEATS):
+    setup_end = time.perf_counter() + SETUP_SECONDS
+    while len(setups) < SETUP_REPEATS or time.perf_counter() < setup_end:
         gc.collect()
-        start = time.perf_counter()
-        built = instances.set_up(args.workload, args.seed, args.tiny)
-        setups.append(time.perf_counter() - start)
-        same_inputs = same_inputs and (insts is None or built == insts)
-        insts = built
+        timing = hostspeed.timed(instances.set_up, args.workload, args.seed, args.tiny)
+        setups.append(timing.nominal_s)
+        same_inputs = same_inputs and (insts is None or timing.result == insts)
+        insts = timing.result
     generate_s = 0.0
     if args.trace:
         tracer = tracing.Tracer()
@@ -294,6 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         "".join(st.facts["digest"] if st.facts else "-" for st in states).encode()
     ).hexdigest()
     print(f"# trace digest {digest}")
+    probes = [p for st in states for p in st.probes]
+    if probes:
+        print(f"# host raw_wall_s {_sum_median([st.raw_times for st in states]):.4f}"
+              f" probe_s {statistics.median(probes):.5f} probes {len(probes)}")
 
     attempted = sum(st.attempted for st in states)
     failed = sum(st.failed for st in states)
