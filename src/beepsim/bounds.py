@@ -14,6 +14,7 @@ import math
 
 from .multicast import lower_bound
 from .waves import (
+    ceil_log2,
     collect_phase_len,
     election_len,
     estimate_len,
@@ -42,29 +43,25 @@ FITTED = {
 }
 
 
-def _clog2(x: int) -> int:
-    return (x - 1).bit_length() if x > 1 else 0
-
-
 def dfs_bound(n: int, lhat: int) -> float:
-    return FITTED["dfs"] * n * (max(1, _clog2(lhat)) + max(1, _clog2(n)))
+    return FITTED["dfs"] * n * (max(1, ceil_log2(lhat)) + max(1, ceil_log2(n)))
 
 
 def gossip_bound(n: int, p: int, lhat: int, d: int) -> float:
-    return FITTED["gossip"] * n * (max(1, _clog2(lhat)) + p) + FITTED["gossip_d"] * (d + 1)
+    return FITTED["gossip"] * n * (max(1, ceil_log2(lhat)) + p) + FITTED["gossip_d"] * (d + 1)
 
 
 def mb_prov_bound(k: int, p: int, lhat: int, d: int) -> float:
     m = 2**p
     return FITTED["mb_prov"] * (
-        k * math.log2(2 * lhat * m / k) + max(1, d) * max(1, _clog2(lhat))
+        k * math.log2(2 * lhat * m / k) + max(1, d) * max(1, ceil_log2(lhat))
     )
 
 
 def mb_noprov_bound(k: int, p: int, lhat: int, d: int) -> float:
     m = 2**p
     core = k * math.log2(2 * m / k) if m > k else float(m)
-    return FITTED["mb_noprov"] * (core + max(1, d) * max(1, _clog2(lhat)))
+    return FITTED["mb_noprov"] * (core + max(1, d) * max(1, ceil_log2(lhat)))
 
 
 def upper_rounds(
@@ -78,12 +75,11 @@ def upper_rounds(
 ) -> float:
     """Upper-bound expression value for one run configuration."""
     dhat = dhat if dhat is not None else n
-    bit_width = (lhat - 1).bit_length() if lhat > 1 else 0
     dt_cap = 2 * d + 7
     if protocol == "broadcast":
         return 3 * (2 * p + 4) + d + 1
     if protocol == "elect":
-        return election_len(bit_width, dhat)
+        return election_len(ceil_log2(lhat), dhat)
     if protocol == "diameter":
         return estimate_len(dt_cap)
     if protocol == "collect":

@@ -63,7 +63,7 @@ def encode(m: str) -> str:
 def decode(w: str) -> str:
     """Decode a single well-formed codeword, rejecting trailing data."""
     check_bits(w, "codeword")
-    payload, end = _parse_one(w, 0)
+    payload, end = _parse_at(w, 0)
     if end != len(w):
         raise DecodeError("trailing data after end marker", end)
     return payload
@@ -79,38 +79,32 @@ def decode_stream(s: str) -> list[str]:
             i += 1
             continue
         try:
-            payload, i = _parse_one(s, i)
+            payload, i = _parse_at(s, i)
         except DecodeError as err:
             raise DecodeError(err.reason, err.offset, message_index=len(messages)) from None
         messages.append(payload)
     return messages
 
 
-def _parse_one(s: str, start: int) -> tuple[str, int]:
-    """Parse one codeword beginning at ``start`` (which must hold a 1).
+def _parse_at(s: str, start: int) -> tuple[str, int]:
+    """Feed ``s`` from ``start`` to a CodewordParser until its codeword ends.
 
     Returns (payload, index just past the end marker).
     """
     if start + 1 >= len(s):
         raise DecodeError("truncated start marker", start)
-    if s[start] != "1" or s[start + 1] != "0":
-        bad = start if s[start] != "1" else start + 1
-        raise DecodeError("missing 10 start marker", bad)
-    bits: list[str] = []
-    i = start + 2
-    while True:
-        if i + 1 >= len(s):
-            raise DecodeError("no terminating 10 at pair boundary", len(s))
-        pair = s[i : i + 2]
-        if pair == "10":
-            return "".join(bits), i + 2
-        if pair == "00":
-            bits.append("0")
-        elif pair == "11":
-            bits.append("1")
-        else:  # "01" cannot appear pair-aligned in a codeword
-            raise DecodeError("invalid 01 pair", i)
-        i += 2
+    parser = CodewordParser()
+    for i in range(start, len(s)):
+        try:
+            payload = parser.push(1 if s[i] == "1" else 0)
+        except MalformedWord as bad:
+            if bad.position <= 2:
+                raise DecodeError("missing 10 start marker", i) from None
+            # report the invalid pair by its first bit
+            raise DecodeError(bad.reason, i - 1) from None
+        if payload is not None:
+            return payload, i + 1
+    raise DecodeError("no terminating 10 at pair boundary", len(s))
 
 
 class CodewordParser:
@@ -127,7 +121,6 @@ class CodewordParser:
         self._pos = 0
         self._pending: int | None = None
         self._payload: list[str] = []
-        self._in_body = False
 
     def push(self, bit: int) -> str | None:
         self._pos += 1
@@ -138,7 +131,6 @@ class CodewordParser:
         if self._pos == 2:
             if bit != 0:
                 raise MalformedWord(self._pos, "start marker must be 10")
-            self._in_body = True
             return None
         if self._pending is None:
             self._pending = bit
@@ -150,10 +142,6 @@ class CodewordParser:
             self._payload.append("1" if bit else "0")
             return None
         raise MalformedWord(self._pos, "invalid 01 pair")
-
-    @property
-    def positions_seen(self) -> int:
-        return self._pos
 
 
 class MalformedWord(Exception):

@@ -31,13 +31,22 @@ class SimulationError(RuntimeError):
 
 
 class ProtocolError(SimulationError):
-    """A node program observed something its protocol forbids."""
+    """A node program observed something its protocol forbids.
 
-    def __init__(self, node: int, round_: int, reason: str):
-        self.node = node
-        self.round = round_
+    Programs raise it with a reason only; ``simulate`` fills in the node
+    whose program raised it and the round the kernel was running.
+    """
+
+    def __init__(self, reason: str):
         self.reason = reason
-        super().__init__(f"node {node}, round {round_}: {reason}")
+        self.node: int | None = None
+        self.round: int | None = None
+        super().__init__(reason)
+
+    def __str__(self) -> str:
+        if self.node is None:
+            return self.reason
+        return f"node {self.node}, round {self.round}: {self.reason}"
 
 
 class SimulationTimeout(SimulationError):
@@ -137,6 +146,28 @@ def diameter(graph: Graph) -> int:
     return max(max(distances(graph, u).values()) for u in graph.nodes)
 
 
+# The round ``simulate`` is running: 0 while it primes the programs, r while
+# it hands them round r's reception.  Only the kernel writes it.
+_round = 0
+
+
+@dataclass
+class ProtocolRecorder:
+    """Optional side-channel protocols use to expose internal events to
+    invariant tests (token tenures, decoded words, per-node schedules).
+
+    Events are (event, node, round, data) tuples; ``round`` is the round the
+    kernel was running when the node program logged the event."""
+
+    events: list[tuple] = field(default_factory=list)
+
+    def log(self, event: str, node: int, **data: Any) -> None:
+        self.events.append((event, node, _round, data))
+
+    def of_kind(self, event: str) -> list[tuple]:
+        return [e for e in self.events if e[0] == event]
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     round: int
@@ -191,49 +222,50 @@ def simulate(
     report = RunReport()
     trace: Trace = []
 
-    # Prime every generator to obtain its round-1 action; a program may
-    # terminate immediately, contributing an output but no rounds.
-    actions: dict[int, Action] = {}
-    live: dict[int, NodeProgram] = {}
-    for node in graph.nodes:
-        gen = programs[node]
-        try:
-            actions[node] = _checked_action(next(gen), node, 1)
-        except StopIteration as stop:
-            report.outputs[node] = stop.value
-        else:
-            live[node] = gen
-
+    # Round 0 primes every program with None, as if it had beeped, to get
+    # its round-1 action; a program may terminate there, contributing an
+    # output but no rounds.
+    global _round
+    live: dict[int, NodeProgram] = {node: programs[node] for node in graph.nodes}
+    beepers: frozenset[int] = frozenset(live)
+    heard: set[int] = set()
     round_no = 0
-    while live:
-        if round_no >= max_rounds:
-            report.total_rounds = round_no
-            raise SimulationTimeout(max_rounds, trace, set(live))
-        round_no += 1
-        beepers = frozenset(u for u, a in actions.items() if a == BEEP)
-        heard: set[int] = set()
-        for b in beepers:
-            heard.update(adj[b])
-        heard -= beepers
-        trace.append(RoundRecord(round_no, beepers, frozenset(heard)))
-
-        next_actions: dict[int, Action] = {}
-        for node, gen in list(live.items()):
-            feedback = None if node in beepers else (node in heard)
-            try:
-                next_actions[node] = _checked_action(gen.send(feedback), node, round_no + 1)
-            except StopIteration as stop:
-                report.outputs[node] = stop.value
-                del live[node]
-        actions = next_actions
+    try:
+        while True:
+            _round = round_no
+            actions: dict[int, Action] = {}
+            for node, gen in list(live.items()):
+                feedback = None if node in beepers else (node in heard)
+                try:
+                    actions[node] = _checked_action(gen.send(feedback))
+                except StopIteration as stop:
+                    report.outputs[node] = stop.value
+                    del live[node]
+                except ProtocolError as err:
+                    err.node, err.round = node, round_no
+                    raise
+            if not live:
+                break
+            if round_no >= max_rounds:
+                report.total_rounds = round_no
+                raise SimulationTimeout(max_rounds, trace, set(live))
+            round_no += 1
+            beepers = frozenset(u for u, a in actions.items() if a == BEEP)
+            heard = set()
+            for b in beepers:
+                heard.update(adj[b])
+            heard -= beepers
+            trace.append(RoundRecord(round_no, beepers, frozenset(heard)))
+    finally:
+        _round = 0
 
     report.total_rounds = round_no
     return trace, report
 
 
-def _checked_action(action: Any, node: int, round_no: int) -> Action:
+def _checked_action(action: Any) -> Action:
     if action is not BEEP and action is not LISTEN and action not in (0, 1):
-        raise ProtocolError(node, round_no, f"invalid action {action!r}")
+        raise ProtocolError(f"invalid action {action!r}")
     return action
 
 

@@ -20,17 +20,15 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from . import codec
-from .engine import Graph, ProtocolError, simulate
+from .engine import Graph, ProtocolError, ProtocolRecorder, simulate
 from .waves import (
-    Phase,
-    ProtocolRecorder,
     ProtocolRun,
-    _pump,
+    _bounds,
+    _cap,
     broadcast_value_phase,
     ceil_log2,
     collect_phase,
     collect_phase_len,
-    default_bounds,
     diameter_phase,
     election_len,
     election_phase,
@@ -102,7 +100,7 @@ def compute_schedule(
     no-provenance fallback; ``final_k`` schedules the closing table wave.
     Identical inputs yield identical schedules, which is the whole point.
     """
-    elect_width = ceil_log2(lhat) if lhat > 1 else 0
+    elect_width = ceil_log2(lhat)
     spans: list[PhaseSpan] = []
     cursor = 1
 
@@ -150,7 +148,6 @@ def _expand(prefixes: list[str], z: str) -> list[str]:
 
 
 def _prefix_round(
-    node: int,
     is_leader: bool,
     dtilde: int,
     prefixes: list[str],
@@ -160,11 +157,11 @@ def _prefix_round(
     width = 2 * len(prefixes)
     own_ind = _indicator(prefixes, own_prefix) if own_prefix is not None else None
     if is_leader:
-        z = yield from collect_phase(node, dtilde, width, None, True, own_ind)
-        z = yield from broadcast_value_phase(node, dtilde, width, z)
+        z = yield from collect_phase(dtilde, width, None, True, own_ind)
+        z = yield from broadcast_value_phase(dtilde, width, z)
     else:
-        yield from collect_phase(node, dtilde, width, own_ind, False)
-        z = yield from broadcast_value_phase(node, dtilde, width, None)
+        yield from collect_phase(dtilde, width, own_ind, False)
+        z = yield from broadcast_value_phase(dtilde, width, None)
     return z
 
 
@@ -176,16 +173,14 @@ def _mb_program(
     lhat: int,
     provenance: bool,
     recorder: ProtocolRecorder,
-    clock: list[int],
 ) -> Generator[Any, Any, MbOutput]:
-    elect_width = ceil_log2(lhat) if lhat > 1 else 0
-    leader = yield from election_phase(node, elect_width, dhat)
+    leader = yield from election_phase(node, ceil_log2(lhat), dhat)
     is_leader = node == leader
-    dtilde = yield from diameter_phase(node, is_leader)
+    dtilde = yield from diameter_phase(is_leader)
     own_len = len(my_msg) if is_source else 0
-    p = yield from msglen_phase(node, dtilde, own_len, is_leader)
+    p = yield from msglen_phase(dtilde, own_len, is_leader)
     if is_source and len(my_msg) != p:
-        raise ProtocolError(node, clock[0], "multi-broadcast needs uniform-width messages")
+        raise ProtocolError("multi-broadcast needs uniform-width messages")
     id_width = leader.bit_length()
     my_id_bits = codec.fixed_width_bits(node, id_width) if is_source else None
 
@@ -196,13 +191,13 @@ def _mb_program(
     for i in range(1, id_width + 1):
         id_round_ks.append(len(prefixes))
         own = my_id_bits[:i] if is_source else None
-        z = yield from _prefix_round(node, is_leader, dtilde, prefixes, own)
+        z = yield from _prefix_round(is_leader, dtilde, prefixes, own)
         decode_count += 1
         new_prefixes = _expand(prefixes, z)
         if not 0 < len(new_prefixes) <= 2 * len(prefixes):
-            raise ProtocolError(node, clock[0], "prefix count outside the doubling cap")
+            raise ProtocolError("prefix count outside the doubling cap")
         prefixes = new_prefixes
-        recorder.log("id_prefixes", node, clock[0], round=i, value=tuple(prefixes))
+        recorder.log("id_prefixes", node, round=i, value=tuple(prefixes))
         if not provenance and len(prefixes) > dtilde:
             aborted = True
             break
@@ -216,11 +211,11 @@ def _mb_program(
             rank = ids.index(node)
             own_table = "0" * (rank * p) + my_msg + "0" * ((k - rank - 1) * p)
         if is_leader:
-            table = yield from collect_phase(node, dtilde, table_width, None, True, own_table)
-            table = yield from broadcast_value_phase(node, dtilde, table_width, table)
+            table = yield from collect_phase(dtilde, table_width, None, True, own_table)
+            table = yield from broadcast_value_phase(dtilde, table_width, table)
         else:
-            yield from collect_phase(node, dtilde, table_width, own_table, False)
-            table = yield from broadcast_value_phase(node, dtilde, table_width, None)
+            yield from collect_phase(dtilde, table_width, own_table, False)
+            table = yield from broadcast_value_phase(dtilde, table_width, None)
         decode_count += 1
         pairs = frozenset(
             (ids[j], table[j * p : (j + 1) * p]) for j in range(k)
@@ -229,7 +224,6 @@ def _mb_program(
         recorder.log(
             "schedule",
             node,
-            clock[0],
             spans=tuple(
                 compute_schedule(dhat, lhat, dtilde, p, tuple(id_round_ks), final_k=k)
             ),
@@ -241,14 +235,13 @@ def _mb_program(
     for i in range(1, p + 1):
         msg_round_ks.append(len(msg_prefixes))
         own = my_msg[:i] if is_source else None
-        z = yield from _prefix_round(node, is_leader, dtilde, msg_prefixes, own)
+        z = yield from _prefix_round(is_leader, dtilde, msg_prefixes, own)
         decode_count += 1
         msg_prefixes = _expand(msg_prefixes, z)
-        recorder.log("msg_prefixes", node, clock[0], round=i, value=tuple(msg_prefixes))
+        recorder.log("msg_prefixes", node, round=i, value=tuple(msg_prefixes))
     recorder.log(
         "schedule",
         node,
-        clock[0],
         spans=tuple(
             compute_schedule(
                 dhat, lhat, dtilde, p, tuple(id_round_ks), None, tuple(msg_round_ks)
@@ -286,25 +279,17 @@ def multi_broadcast(
             "provide nonempty messages of one common width"
         )
     p = widths.pop()
-    dhat0, lhat0 = default_bounds(graph)
-    dhat = dhat if dhat is not None else dhat0
-    lhat = lhat if lhat is not None else lhat0
-    if lhat < graph.max_id + 1:
-        raise ValueError(f"lhat {lhat} below max id {graph.max_id} + 1")
+    dhat, lhat = _bounds(graph, dhat, lhat)
     recorder = recorder if recorder is not None else ProtocolRecorder()
-
-    programs = {}
-    for u in graph.nodes:
-        clock = [0]
-        inner = _mb_program(
-            u, u in sources, msgs.get(u), dhat, lhat, provenance, recorder, clock
-        )
-        programs[u] = _pump(inner, clock)
+    programs = {
+        u: _mb_program(u, u in sources, msgs.get(u), dhat, lhat, provenance, recorder)
+        for u in graph.nodes
+    }
 
     k = len(sources)
     dt_cap = 2 * max(1, graph.n) + 9
     est = (
-        election_len(ceil_log2(lhat) if lhat > 1 else 0, dhat)
+        election_len(ceil_log2(lhat), dhat)
         + estimate_len(dt_cap)
         + msglen_phase_len(p, dt_cap)
         + (graph.max_id.bit_length() + p + 1)
@@ -313,7 +298,7 @@ def multi_broadcast(
         + wave_phase_len(k * p, dt_cap)
         + 200
     )
-    trace, report = simulate(graph, programs, max_rounds if max_rounds else 4 * est)
+    trace, report = simulate(graph, programs, _cap(est, max_rounds))
 
     if provenance:
         expected: frozenset = frozenset((s, msgs[s]) for s in sources)

@@ -36,17 +36,17 @@ from .engine import (
     LISTEN,
     Graph,
     ProtocolError,
+    ProtocolRecorder,
     simulate,
 )
 from .graphs import reference_dfs
 from .waves import (
     Phase,
-    ProtocolRecorder,
     ProtocolRun,
-    _pump,
+    _bounds,
+    _cap,
     ceil_log2,
     codeword_rounds,
-    default_bounds,
     election_phase,
     election_len,
     relay_decode_one,
@@ -116,22 +116,55 @@ def _transmit(bits: str) -> Phase:
         yield BEEP if b == "1" else LISTEN
 
 
-def _listen_word(node: int, bit_width: int) -> Generator[Any, Any, tuple[str, dict[str, int]]]:
+def _parsed(payload: str, bit_width: int) -> tuple[str, dict[str, int]]:
+    try:
+        return parse_control_payload(payload, bit_width)
+    except ValueError as bad:
+        raise ProtocolError(str(bad)) from None
+
+
+def _listen_word(bit_width: int) -> Generator[Any, Any, tuple[str, dict[str, int]]]:
     """Decode one control word that is guaranteed to start next round."""
     parser = codec.CodewordParser()
-    r = 0
     while True:
-        r += 1
         fb = yield LISTEN
         try:
             done = parser.push(1 if fb is True else 0)
         except codec.MalformedWord as bad:
-            raise ProtocolError(node, r, f"control word parse: {bad}") from None
+            raise ProtocolError(f"control word parse: {bad}") from None
         if done is not None:
-            try:
-                return parse_control_payload(done, bit_width)
-            except ValueError as bad:
-                raise ProtocolError(node, r, str(bad)) from None
+            return _parsed(done, bit_width)
+
+
+def _overheard_word(
+    ctx: _DfsShared, flood: int | None = None
+) -> Generator[Any, Any, tuple[str, dict[str, int]] | None]:
+    """Listen until an overheard control word completes, log and return it.
+
+    Locks on the first heard beep and starts over whenever the bits stop
+    forming a codeword.  With ``flood``, returns None instead once that many
+    consecutive rounds carried a beep."""
+    parser: codec.CodewordParser | None = None
+    streak = 0
+    while True:
+        heard = (yield LISTEN) is True
+        streak = streak + 1 if heard else 0
+        if flood is not None and streak >= flood:
+            return None
+        if parser is None:
+            if heard:
+                parser = codec.CodewordParser()
+                parser.push(1)
+            continue
+        try:
+            done = parser.push(1 if heard else 0)
+        except codec.MalformedWord:
+            parser = None
+            continue
+        if done is not None:
+            kind, fields = _parsed(done, ctx.bit_width)
+            ctx.recorder.log("word", ctx.node, kind=kind, **fields)
+            return kind, fields
 
 
 @dataclass
@@ -141,7 +174,6 @@ class _DfsShared:
     node: int
     bit_width: int
     recorder: ProtocolRecorder
-    clock: list[int]  # [current absolute round], advanced by the pump
 
 
 def _token_script(ctx: _DfsShared, my_count: int, is_root: bool) -> Generator[Any, Any, int]:
@@ -149,7 +181,7 @@ def _token_script(ctx: _DfsShared, my_count: int, is_root: bool) -> Generator[An
 
     A non-root's tenure extends through the RETURN word it transmits after
     this script ends, so its final release is logged by the caller."""
-    ctx.recorder.log("token_acquire", ctx.node, ctx.clock[0])
+    ctx.recorder.log("token_acquire", ctx.node)
     count = my_count
     while True:
         yield from _transmit(control_word("CHILD_ACK"))
@@ -170,38 +202,18 @@ def _token_script(ctx: _DfsShared, my_count: int, is_root: bool) -> Generator[An
             control_word("HANDOFF", ctx.bit_width, sender=ctx.node, target=target,
                          count=count + 1)
         )
-        ctx.recorder.log("token_release", ctx.node, ctx.clock[0])
+        ctx.recorder.log("token_release", ctx.node)
         count = yield from _await_return(ctx, target)
-        ctx.recorder.log("token_acquire", ctx.node, ctx.clock[0])
+        ctx.recorder.log("token_acquire", ctx.node)
     if is_root:
-        ctx.recorder.log("token_release", ctx.node, ctx.clock[0])
+        ctx.recorder.log("token_release", ctx.node)
     return count
 
 
 def _await_return(ctx: _DfsShared, child: int) -> Generator[Any, Any, int]:
     """Parent waits for RETURN(child); ignores the child's own exchanges."""
-    parser: codec.CodewordParser | None = None
     while True:
-        fb = yield LISTEN
-        heard = fb is True
-        if parser is None:
-            if heard:
-                parser = codec.CodewordParser()
-                parser.push(1)
-            continue
-        try:
-            done = parser.push(1 if heard else 0)
-        except codec.MalformedWord:
-            parser = None
-            continue
-        if done is None:
-            continue
-        parser = None
-        try:
-            kind, fields = parse_control_payload(done, ctx.bit_width)
-        except ValueError as bad:
-            raise ProtocolError(ctx.node, ctx.clock[0], str(bad)) from None
-        ctx.recorder.log("word", ctx.node, ctx.clock[0], kind=kind, **fields)
+        kind, fields = yield from _overheard_word(ctx)
         if kind == "RETURN" and fields["sender"] == child:
             return fields["count"]
 
@@ -212,31 +224,31 @@ def _candidate_block(ctx: _DfsShared, my_bits: str) -> Generator[Any, Any, tuple
     Returns (won, my_number_if_won, parent_id)."""
     yield BEEP
     yield BEEP
-    kind, _ = yield from _listen_word(ctx.node, ctx.bit_width)
+    kind, _ = yield from _listen_word(ctx.bit_width)
     if kind != "CHILD_SEARCH":
-        raise ProtocolError(ctx.node, ctx.clock[0], f"expected CHILD_SEARCH, got {kind}")
+        raise ProtocolError(f"expected CHILD_SEARCH, got {kind}")
     in_running = True
     for i in range(ctx.bit_width):
         my_bit = my_bits[i] == "1"
         bid = in_running and my_bit
         yield BEEP if bid else LISTEN
         yield BEEP if bid else LISTEN
-        kind, _ = yield from _listen_word(ctx.node, ctx.bit_width)
+        kind, _ = yield from _listen_word(ctx.bit_width)
         if kind == "ACK1":
             if not my_bit:
                 in_running = False
         elif kind == "ACK0":
             if bid:
-                raise ProtocolError(ctx.node, ctx.clock[0], "token missed an adjacent bid")
+                raise ProtocolError("token missed an adjacent bid")
         else:
-            raise ProtocolError(ctx.node, ctx.clock[0], f"expected verdict word, got {kind}")
-    kind, fields = yield from _listen_word(ctx.node, ctx.bit_width)
+            raise ProtocolError(f"expected verdict word, got {kind}")
+    kind, fields = yield from _listen_word(ctx.bit_width)
     if kind != "HANDOFF":
-        raise ProtocolError(ctx.node, ctx.clock[0], f"expected HANDOFF, got {kind}")
-    ctx.recorder.log("word", ctx.node, ctx.clock[0], kind=kind, **fields)
+        raise ProtocolError(f"expected HANDOFF, got {kind}")
+    ctx.recorder.log("word", ctx.node, kind=kind, **fields)
     won = fields["target"] == ctx.node
     if won != in_running:
-        raise ProtocolError(ctx.node, ctx.clock[0], "handoff target disagrees with bidding")
+        raise ProtocolError("handoff target disagrees with bidding")
     return won, fields["count"], fields["sender"]
 
 
@@ -244,7 +256,7 @@ def _dfs_root(ctx: _DfsShared, threshold: int) -> Generator[Any, Any, tuple[int,
     """Root side: run the token from count 1, then start the done-flood."""
     final_count = yield from _token_script(ctx, 1, is_root=True)
     yield LISTEN  # one quiet boundary round after the last silent probe
-    ctx.recorder.log("flood_start", ctx.node, ctx.clock[0])
+    ctx.recorder.log("flood_start", ctx.node)
     for _ in range(threshold):
         yield BEEP
     return 1, final_count
@@ -257,33 +269,11 @@ def _dfs_non_root(ctx: _DfsShared, my_bits: str, threshold: int) -> Generator[An
     and re-broadcast."""
     visited = False
     number = -1
-    parser: codec.CodewordParser | None = None
-    streak = 0
     while True:
-        fb = yield LISTEN
-        heard = fb is True
-        streak = streak + 1 if heard else 0
-        if streak >= threshold:
+        word = yield from _overheard_word(ctx, flood=threshold)
+        if word is None:
             break
-        if parser is None:
-            if heard:
-                parser = codec.CodewordParser()
-                parser.push(1)
-            continue
-        try:
-            done = parser.push(1 if heard else 0)
-        except codec.MalformedWord:
-            parser = None
-            continue
-        if done is None:
-            continue
-        parser = None
-        try:
-            kind, fields = parse_control_payload(done, ctx.bit_width)
-        except ValueError as bad:
-            raise ProtocolError(ctx.node, ctx.clock[0], str(bad)) from None
-        ctx.recorder.log("word", ctx.node, ctx.clock[0], kind=kind, **fields)
-        if kind == "CHILD_ACK" and not visited:
+        if word[0] == "CHILD_ACK" and not visited:
             won, cnt, _parent = yield from _candidate_block(ctx, my_bits)
             if won:
                 visited = True
@@ -292,10 +282,9 @@ def _dfs_non_root(ctx: _DfsShared, my_bits: str, threshold: int) -> Generator[An
                 yield from _transmit(
                     control_word("RETURN", ctx.bit_width, sender=ctx.node, count=final)
                 )
-                ctx.recorder.log("token_release", ctx.node, ctx.clock[0])
-            streak = 0
+                ctx.recorder.log("token_release", ctx.node)
     if number < 0:
-        raise ProtocolError(ctx.node, ctx.clock[0], "done-flood before this node was visited")
+        raise ProtocolError("done-flood before this node was visited")
     for _ in range(threshold):
         yield BEEP
     return number
@@ -322,26 +311,21 @@ def dfs(
     leader = leader if leader is not None else graph.max_id
     if leader not in graph.nodes:
         raise ValueError(f"unknown leader {leader}")
-    _, lhat0 = default_bounds(graph)
-    lhat = lhat if lhat is not None else lhat0
-    if lhat < graph.max_id + 1:
-        raise ValueError(f"lhat {lhat} below max id {graph.max_id} + 1")
-    width = ceil_log2(lhat) if lhat > 1 else 0
+    _, lhat = _bounds(graph, None, lhat)
+    width = ceil_log2(lhat)
     threshold = flood_threshold(width)
     recorder = recorder if recorder is not None else ProtocolRecorder()
 
     programs = {}
     for u in graph.nodes:
-        clock = [0]
-        ctx = _DfsShared(u, width, recorder, clock)
+        ctx = _DfsShared(u, width, recorder)
         if u == leader:
-            inner = _dfs_root(ctx, threshold)
+            programs[u] = _dfs_root(ctx, threshold)
         else:
-            inner = _dfs_non_root(ctx, codec.fixed_width_bits(u, width), threshold)
-        programs[u] = _pump(inner, clock)
+            programs[u] = _dfs_non_root(ctx, codec.fixed_width_bits(u, width), threshold)
 
     est = _dfs_round_estimate(graph.n, width, graph.n)
-    trace, report = simulate(graph, programs, _cap_rounds(est, max_rounds))
+    trace, report = simulate(graph, programs, _cap(est, max_rounds))
     numbering = {
         u: (out[0] if u == leader else out) for u, out in report.outputs.items()
     }
@@ -366,10 +350,6 @@ def _dfs_round_estimate(n: int, width: int, dhat: int) -> int:
     return 2 * n * per_move + flood_threshold(width) * (dhat + 4) + 100
 
 
-def _cap_rounds(estimate: int, override: int | None) -> int:
-    return override if override is not None else max(2000, 4 * estimate)
-
-
 def _gossip_root(
     ctx: _DfsShared, threshold: int, dhat: int, message: str
 ) -> Generator[Any, Any, GossipOutput]:
@@ -380,8 +360,8 @@ def _gossip_root(
     yield from source_wave_phase(message)
     decoded: list[str] = []
     for _ in range(n - 1):
-        payload, _, _ = yield from relay_decode_one(ctx.node)
-        ctx.recorder.log("gossip_decode", ctx.node, ctx.clock[0], bits=payload)
+        payload, _, _ = yield from relay_decode_one()
+        ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
         decoded.append(payload)
     pairs = [(1, message)] + [(i + 2, m) for i, m in enumerate(decoded)]
     return GossipOutput(tuple(pairs), len(decoded))
@@ -395,21 +375,21 @@ def _gossip_non_root(
     while silent < ARM_SILENCE:
         fb = yield LISTEN
         silent = silent + 1 if fb is not True else 0
-    count_bits, _, _ = yield from relay_decode_one(ctx.node)
-    ctx.recorder.log("gossip_decode", ctx.node, ctx.clock[0], bits=count_bits)
+    count_bits, _, _ = yield from relay_decode_one()
+    ctx.recorder.log("gossip_decode", ctx.node, bits=count_bits)
     n = codec.bits_to_int(count_bits)
     if not 1 <= g <= n:
-        raise ProtocolError(ctx.node, ctx.clock[0], f"number {g} outside 1..{n}")
+        raise ProtocolError(f"number {g} outside 1..{n}")
     before: list[str] = []
     for _ in range(g - 1):
-        payload, _, _ = yield from relay_decode_one(ctx.node)
-        ctx.recorder.log("gossip_decode", ctx.node, ctx.clock[0], bits=payload)
+        payload, _, _ = yield from relay_decode_one()
+        ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
         before.append(payload)
     yield from source_wave_phase(message)
     after: list[str] = []
     for _ in range(n - g):
-        payload, _, _ = yield from relay_decode_one(ctx.node)
-        ctx.recorder.log("gossip_decode", ctx.node, ctx.clock[0], bits=payload)
+        payload, _, _ = yield from relay_decode_one()
+        ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
         after.append(payload)
     pairs = (
         [(i + 1, m) for i, m in enumerate(before)]
@@ -435,12 +415,8 @@ def gossip(
         codec.check_bits(m, f"message of {u}")
         if not m:
             raise ValueError(f"node {u} has an empty message")
-    dhat0, lhat0 = default_bounds(graph)
-    dhat = dhat if dhat is not None else dhat0
-    lhat = lhat if lhat is not None else lhat0
-    if lhat < graph.max_id + 1:
-        raise ValueError(f"lhat {lhat} below max id {graph.max_id} + 1")
-    elect_width = ceil_log2(lhat) if lhat > 1 else 0
+    dhat, lhat = _bounds(graph, dhat, lhat)
+    elect_width = ceil_log2(lhat)
     recorder = recorder if recorder is not None else ProtocolRecorder()
 
     def program(u: int, ctx: _DfsShared) -> Phase:
@@ -456,11 +432,7 @@ def gossip(
             )
         return out
 
-    programs = {}
-    for u in graph.nodes:
-        clock = [0]
-        ctx = _DfsShared(u, 0, recorder, clock)
-        programs[u] = _pump(program(u, ctx), clock)
+    programs = {u: program(u, _DfsShared(u, 0, recorder)) for u in graph.nodes}
 
     width_eff = graph.max_id.bit_length()
     p = max(len(m) for m in msgs.values())
@@ -470,7 +442,7 @@ def gossip(
         + graph.n * (codeword_rounds("1" * p) + graph.n + 6)
         + 200
     )
-    trace, report = simulate(graph, programs, _cap_rounds(est, max_rounds))
+    trace, report = simulate(graph, programs, _cap(est, max_rounds))
 
     leader = graph.max_id
     numbering = reference_dfs(graph, leader)

@@ -18,7 +18,7 @@ Slot arithmetic (same-round OR reception):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator
 
 from . import codec
@@ -28,6 +28,7 @@ from .engine import (
     Action,
     Graph,
     ProtocolError,
+    ProtocolRecorder,  # re-exported for callers that import it from here
     RunReport,
     Trace,
     distances,
@@ -47,27 +48,10 @@ class WaveConfig:
     """Placement of a single beep-wave: 3-round slots from start_round."""
 
     start_round: int = 1
-    slot_period: int = SLOT_PERIOD
 
     def __post_init__(self) -> None:
-        if self.slot_period != SLOT_PERIOD:
-            raise ValueError("slot period is fixed at 3 by the relay arithmetic")
         if self.start_round < 1:
             raise ValueError("start_round must be >= 1")
-
-
-@dataclass
-class ProtocolRecorder:
-    """Optional side-channel protocols use to expose internal events to
-    invariant tests (token tenures, decoded words, per-node schedules)."""
-
-    events: list[tuple] = field(default_factory=list)
-
-    def log(self, event: str, node: int, round_: int, **data: Any) -> None:
-        self.events.append((event, node, round_, data))
-
-    def of_kind(self, event: str) -> list[tuple]:
-        return [e for e in self.events if e[0] == event]
 
 
 @dataclass
@@ -131,21 +115,9 @@ def msglen_phase_len(p: int, dtilde: int) -> int:
 # Building-block phase generators.
 
 
-def _pump(inner: Phase, clock: list[int]) -> Phase:
-    """Drive a node program while advancing its per-node round clock."""
-    try:
-        action = next(inner)
-        while True:
-            clock[0] += 1
-            fb = yield action
-            action = inner.send(fb)
-    except StopIteration as stop:
-        return stop.value
-
-
 def idle_rounds(rounds: int) -> Phase:
     if rounds < 0:
-        raise ProtocolError(-1, -1, f"negative idle of {rounds} rounds")
+        raise ProtocolError(f"negative idle of {rounds} rounds")
     for _ in range(rounds):
         yield LISTEN
 
@@ -159,7 +131,7 @@ def source_wave_phase(m: str) -> Phase:
         yield BEEP if bit == "1" else LISTEN
 
 
-def relay_decode_one(node: int = -1) -> Generator[Action, "bool | None", tuple[str, int, int]]:
+def relay_decode_one() -> Generator[Action, "bool | None", tuple[str, int, int]]:
     """Relay-and-decode a single wave codeword.
 
     Arms on the first heard beep (slot alignment re-locks per message),
@@ -196,7 +168,7 @@ def relay_decode_one(node: int = -1) -> Generator[Action, "bool | None", tuple[s
             try:
                 done = parser.push(1 if next_pos in flags else 0)
             except codec.MalformedWord as bad:
-                raise ProtocolError(node, r, f"wave decode failed: {bad}") from None
+                raise ProtocolError(f"wave decode failed: {bad}") from None
             next_pos += 1
             if done is not None:
                 return done, r, r0
@@ -216,12 +188,12 @@ def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:
     return program()
 
 
-def beep_wave_relay(cfg: WaveConfig = WaveConfig(), node: int = -1) -> Phase:
+def beep_wave_relay(cfg: WaveConfig = WaveConfig()) -> Phase:
     """Relay program: forwards the wave and returns its decoded message."""
 
     def program():
         yield from idle_rounds(cfg.start_round - 1)
-        payload, consumed, _ = yield from relay_decode_one(node)
+        payload, consumed, _ = yield from relay_decode_one()
         return BroadcastOutput(payload, cfg.start_round - 1 + consumed)
 
     return program()
@@ -270,7 +242,7 @@ def election_phase(my_id: int, bit_width: int, dhat: int) -> Generator[Action, "
 # estimate.  Every node consumes estimate_len(dtilde) rounds.
 
 
-def diameter_phase(node: int, is_leader: bool) -> Generator[Action, "bool | None", int]:
+def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
     if is_leader:
         yield BEEP  # round 1
         r = 1
@@ -316,7 +288,7 @@ def diameter_phase(node: int, is_leader: bool) -> Generator[Action, "bool | None
             r += 1
             fb = yield LISTEN
             quiet = 0 if fb is True else quiet + 1
-        payload, consumed_relay, _ = yield from relay_decode_one(node)
+        payload, consumed_relay, _ = yield from relay_decode_one()
         dtilde = codec.bits_to_int(payload)
         consumed = r + consumed_relay
     yield from idle_rounds(estimate_len(dtilde) - consumed)
@@ -331,7 +303,7 @@ def _collection_slots(bits: str, dtilde: int, dist: int) -> set[int]:
     return {3 * i + dtilde - dist for i, b in enumerate(bits, 1) if b == "1"}
 
 
-def _calibrate(node: int, dtilde: int, is_leader: bool) -> Generator[Action, "bool | None", int]:
+def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None", int]:
     """Run the calibration wave; returns this node's hop distance to the
     leader (arrival round of the wave's first beep fixes it)."""
     cal = calibration_len(dtilde)
@@ -339,18 +311,17 @@ def _calibrate(node: int, dtilde: int, is_leader: bool) -> Generator[Action, "bo
         yield from source_wave_phase(CALIBRATION_PAYLOAD)
         yield from idle_rounds(cal - codeword_rounds(CALIBRATION_PAYLOAD))
         return 0
-    payload, consumed, r0 = yield from relay_decode_one(node)
+    payload, consumed, r0 = yield from relay_decode_one()
     if payload != CALIBRATION_PAYLOAD:
-        raise ProtocolError(node, consumed, f"bad calibration payload {payload!r}")
+        raise ProtocolError(f"bad calibration payload {payload!r}")
     dist = r0 - 2
     if not 1 <= dist <= dtilde:
-        raise ProtocolError(node, r0, f"calibration distance {dist} out of range")
+        raise ProtocolError(f"calibration distance {dist} out of range")
     yield from idle_rounds(cal - consumed)
     return dist
 
 
 def collect_phase(
-    node: int,
     dtilde: int,
     width: int,
     transmit_bits: str | None,
@@ -365,8 +336,8 @@ def collect_phase(
     via leader_local_bits).  Consumes collect_phase_len(width, dtilde).
     """
     if transmit_bits is not None and len(transmit_bits) > width:
-        raise ProtocolError(node, 0, "transmit bits wider than collection width")
-    dist = yield from _calibrate(node, dtilde, is_leader)
+        raise ProtocolError("transmit bits wider than collection width")
+    dist = yield from _calibrate(dtilde, is_leader)
     my_slots = _collection_slots(transmit_bits or "", dtilde, dist) if not is_leader else set()
     trigger = (2 + dtilde - dist) % 3
     leader_class = (dtilde + 2) % 3
@@ -378,10 +349,10 @@ def collect_phase(
         heard_prev = fb is True
         if is_leader and heard_prev:
             if local % 3 != leader_class:
-                raise ProtocolError(node, local, "collection beep outside leader class")
+                raise ProtocolError("collection beep outside leader class")
             slot = (local - dtilde + 1) // 3
             if not 1 <= slot <= width:
-                raise ProtocolError(node, local, f"collection slot {slot} out of range")
+                raise ProtocolError(f"collection slot {slot} out of range")
             ones.add(slot)
     if not is_leader:
         return None
@@ -393,7 +364,6 @@ def collect_phase(
 
 
 def msglen_phase(
-    node: int,
     dtilde: int,
     own_len: int,
     is_leader: bool,
@@ -401,7 +371,7 @@ def msglen_phase(
     """All-ones collection with open width; the leader reads off the max
     length p at the first silent slot and broadcasts it.  Every node
     consumes msglen_phase_len(p, dtilde) rounds."""
-    dist = yield from _calibrate(node, dtilde, is_leader)
+    dist = yield from _calibrate(dtilde, is_leader)
     if is_leader:
         local = 0
         q = 1
@@ -415,7 +385,7 @@ def msglen_phase(
                     p = q - 1
                     break
         if p < 1:
-            raise ProtocolError(node, local, "no source transmitted any bit")
+            raise ProtocolError("no source transmitted any bit")
         yield from source_wave_phase(codec.int_to_bits(p))
         consumed = local + value_codeword_rounds(p)
     else:
@@ -435,7 +405,7 @@ def msglen_phase(
             quiet = 0 if (beep or heard_prev) else quiet + 1
             if local >= eligible and quiet >= 3:
                 break
-        payload, consumed_relay, _ = yield from relay_decode_one(node)
+        payload, consumed_relay, _ = yield from relay_decode_one()
         p = codec.bits_to_int(payload)
         consumed = local + consumed_relay
     yield from idle_rounds(msglen_phase_len(p, dtilde) - calibration_len(dtilde) - consumed)
@@ -443,7 +413,6 @@ def msglen_phase(
 
 
 def broadcast_value_phase(
-    node: int,
     dtilde: int,
     expected_bits: int,
     value_bits: str | None,
@@ -454,15 +423,13 @@ def broadcast_value_phase(
     total = wave_phase_len(expected_bits, dtilde)
     if value_bits is not None:
         if len(value_bits) != expected_bits:
-            raise ProtocolError(node, 0, "source value has unexpected width")
+            raise ProtocolError("source value has unexpected width")
         yield from source_wave_phase(value_bits)
         yield from idle_rounds(total - codeword_rounds(value_bits))
         return value_bits
-    payload, consumed, _ = yield from relay_decode_one(node)
+    payload, consumed, _ = yield from relay_decode_one()
     if len(payload) != expected_bits:
-        raise ProtocolError(
-            node, consumed, f"expected {expected_bits}-bit wave, decoded {len(payload)}"
-        )
+        raise ProtocolError(f"expected {expected_bits}-bit wave, decoded {len(payload)}")
     yield from idle_rounds(total - consumed)
     return payload
 
@@ -471,13 +438,22 @@ def broadcast_value_phase(
 # Public single-protocol runners.
 
 
-def default_bounds(graph: Graph) -> tuple[int, int]:
-    """(dhat, lhat) defaults: dhat = n, lhat = least power of two > max ID."""
-    return graph.n, 1 << graph.max_id.bit_length()
+def _bounds(graph: Graph, dhat: int | None, lhat: int | None) -> tuple[int, int]:
+    """Resolve and check a runner's (dhat, lhat).  Defaults: dhat = n,
+    lhat = least power of two > max ID."""
+    dhat = dhat if dhat is not None else graph.n
+    lhat = lhat if lhat is not None else 1 << graph.max_id.bit_length()
+    if lhat < graph.max_id + 1:
+        raise ValueError(f"lhat {lhat} below max id {graph.max_id} + 1")
+    if dhat < 1 and graph.n > 1:
+        raise ValueError("dhat must be >= 1")
+    return dhat, lhat
 
 
 def _cap(estimate: int, override: int | None) -> int:
-    return override if override is not None else max(1000, 10 * estimate)
+    """Round cap of every runner: ``override`` if given, else four times a
+    round estimate that covers the run."""
+    return override if override is not None else max(2000, 4 * estimate)
 
 
 def broadcast(
@@ -494,7 +470,7 @@ def broadcast(
         raise ValueError("message must be nonempty")
     cfg = WaveConfig(start_round=start_round)
     programs = {
-        u: beep_wave_source(message, cfg) if u == source else beep_wave_relay(cfg, u)
+        u: beep_wave_source(message, cfg) if u == source else beep_wave_relay(cfg)
         for u in graph.nodes
     }
     est = start_round + codeword_rounds(message) + graph.n + 4
@@ -520,14 +496,8 @@ def elect_leader(
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Binary-search leader election; every node outputs the max ID."""
-    dhat0, lhat0 = default_bounds(graph)
-    dhat = dhat if dhat is not None else dhat0
-    lhat = lhat if lhat is not None else lhat0
-    if lhat < graph.max_id + 1:
-        raise ValueError(f"lhat {lhat} below max id {graph.max_id} + 1")
-    if dhat < 1 and graph.n > 1:
-        raise ValueError("dhat must be >= 1")
-    width = ceil_log2(lhat) if lhat > 1 else 0
+    dhat, lhat = _bounds(graph, dhat, lhat)
+    width = ceil_log2(lhat)
 
     def program(u: int) -> Phase:
         leader = yield from election_phase(u, width, dhat)
@@ -553,7 +523,7 @@ def estimate_diameter(
     leader = leader if leader is not None else graph.max_id
     if leader not in graph.nodes:
         raise ValueError(f"unknown leader {leader}")
-    programs = {u: diameter_phase(u, u == leader) for u in graph.nodes}
+    programs = {u: diameter_phase(u == leader) for u in graph.nodes}
     d = diameter(graph)
     trace, report = simulate(graph, programs, _cap(6 * d + 60, max_rounds))
     values = {report.outputs[u] for u in graph.nodes}
@@ -608,13 +578,13 @@ def collect_messages(
     def program(u: int) -> Phase:
         dt = dtilde
         if dt is None:
-            dt = yield from diameter_phase(u, u == leader)
+            dt = yield from diameter_phase(u == leader)
         if u == leader:
             local = msgs.get(u)
-            result = yield from collect_phase(u, dt, p, None, True, leader_local_bits=local)
+            result = yield from collect_phase(dt, p, None, True, leader_local_bits=local)
             return {"or": result, "dtilde": dt}
         transmit = msgs.get(u) if u in sources else None
-        yield from collect_phase(u, dt, p, transmit, False)
+        yield from collect_phase(dt, p, transmit, False)
         return {"dtilde": dt}
 
     programs = {u: program(u) for u in graph.nodes}
@@ -655,9 +625,9 @@ def get_message_length(
     def program(u: int) -> Phase:
         dt = dtilde
         if dt is None:
-            dt = yield from diameter_phase(u, u == leader)
+            dt = yield from diameter_phase(u == leader)
         own = len(msgs[u]) if u in sources else 0
-        p = yield from msglen_phase(u, dt, own, u == leader)
+        p = yield from msglen_phase(dt, own, u == leader)
         return p
 
     programs = {u: program(u) for u in graph.nodes}

@@ -217,3 +217,9 @@ def test_schedule_agreement_recorded(rng):
     names = [s.name for s in run.report.extras["schedule"]]
     assert names[:3] == ["elect", "estimate", "msglen"]
     assert names[-2:] == ["table_collect", "table_wave"]
+
+
+def test_mb_rejects_zero_round_cap():
+    path = Graph.from_edges([(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        multi_broadcast(path, {1}, {1: "1"}, max_rounds=0)

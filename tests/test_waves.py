@@ -5,10 +5,20 @@ import random
 import pytest
 
 from beepsim import codec
-from beepsim.engine import BEEP, Graph, diameter, distances, verify_reception
+from beepsim.engine import (
+    BEEP,
+    LISTEN,
+    Graph,
+    ProtocolError,
+    diameter,
+    distances,
+    simulate,
+    verify_reception,
+)
 from beepsim.graphs import GraphSpec, generate, or_oracle
 from beepsim.waves import (
     WaveConfig,
+    beep_wave_relay,
     beep_wave_source,
     broadcast,
     codeword_rounds,
@@ -256,3 +266,26 @@ def test_msglen_mixed_lengths(rng):
         msgs = {s: random_bits(rng, rng.randint(1, 7)) for s in sources}
         run = get_message_length(g, g.max_id, sources, msgs)
         assert set(run.report.outputs.values()) == {max(len(m) for m in msgs.values())}
+
+
+# --- error location ------------------------------------------------------------
+
+def test_malformed_wave_error_names_node_and_absolute_round():
+    # Node 1 idles 4 rounds, then sends slot bits 1001 (beeps at rounds 7
+    # and 16).  Node 0's relay, armed from round 5, completes position 4 at
+    # round 18 and finds the invalid pair 01.
+    g = Graph.from_edges([(0, 1)])
+
+    def sender():
+        for _ in range(4):
+            yield LISTEN
+        for bit in "1001":
+            yield LISTEN
+            yield LISTEN
+            yield BEEP if bit == "1" else LISTEN
+
+    programs = {0: beep_wave_relay(WaveConfig(start_round=5)), 1: sender()}
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, programs, 100)
+    assert (err.value.node, err.value.round) == (0, 18)
+    assert "invalid 01 pair" in err.value.reason
