@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, TextIO
+from types import MappingProxyType
+from typing import Any, Generator, Iterable, Mapping, TextIO
 
 # Per-round node action.  Plain ints keep the hot send loop cheap.
 Action = int
@@ -67,10 +68,12 @@ class SimulationTimeout(SimulationError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected graph with unique non-negative node labels."""
+    """Undirected connected graph with unique non-negative node labels,
+    stored as its adjacency: ``adj`` maps every node to the ascending tuple
+    of its neighbours."""
 
     nodes: tuple[int, ...]
-    edges: frozenset[frozenset[int]]
+    adj: Mapping[int, tuple[int, ...]] = field(hash=False)
     label_range: int
 
     @staticmethod
@@ -79,25 +82,27 @@ class Graph:
         nodes: Iterable[int] | None = None,
         label_range: int | None = None,
     ) -> "Graph":
-        edge_set: set[frozenset[int]] = set()
-        seen: set[int] = set(nodes) if nodes is not None else set()
+        adj: dict[int, list[int]] = {u: [] for u in nodes} if nodes is not None else {}
+        seen_edges: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            key = frozenset((u, v))
-            if key in edge_set:
+            key = (u, v) if u < v else (v, u)
+            if key in seen_edges:
                 raise ValueError(f"duplicate edge {u}-{v}")
-            edge_set.add(key)
-            seen.add(u)
-            seen.add(v)
-        if not seen:
+            seen_edges.add(key)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        if not adj:
             raise ValueError("graph has no nodes")
-        if any(n < 0 for n in seen):
+        order = sorted(adj)
+        if order[0] < 0:
             raise ValueError("node labels must be non-negative")
-        lr = label_range if label_range is not None else max(seen) + 1
-        if lr <= max(seen):
-            raise ValueError(f"label range {lr} does not cover max id {max(seen)}")
-        g = Graph(tuple(sorted(seen)), frozenset(edge_set), lr)
+        lr = label_range if label_range is not None else order[-1] + 1
+        if lr <= order[-1]:
+            raise ValueError(f"label range {lr} does not cover max id {order[-1]}")
+        frozen = MappingProxyType({u: tuple(sorted(adj[u])) for u in order})
+        g = Graph(tuple(order), frozen, lr)
         if not g.is_connected():
             raise ValueError("graph is not connected")
         return g
@@ -110,26 +115,28 @@ class Graph:
     def max_id(self) -> int:
         return self.nodes[-1]
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
-        for e in self.edges:
-            u, v = tuple(e)
-            adj[u].append(v)
-            adj[v].append(u)
-        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+    @property
+    def edges(self) -> frozenset[frozenset[int]]:
+        """Every edge as the frozenset of its two ends, derived from ``adj``."""
+        return frozenset(
+            frozenset((u, v)) for u, vs in self.adj.items() for v in vs if u < v
+        )
+
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        return self.adj
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency()[u]
+        return self.adj[u]
 
     def is_connected(self) -> bool:
-        return len(distances(self, self.nodes[0], _validate=False)) == self.n
+        return len(distances(self, self.nodes[0])) == self.n
 
 
-def distances(graph: Graph, source: int, _validate: bool = True) -> dict[int, int]:
+def distances(graph: Graph, source: int) -> dict[int, int]:
     """Exact BFS hop distances from ``source`` (the protocol oracle)."""
-    if _validate and source not in graph.nodes:
-        raise ValueError(f"unknown source node {source}")
     adj = graph.adjacency()
+    if source not in adj:
+        raise ValueError(f"unknown source node {source}")
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -142,8 +149,32 @@ def distances(graph: Graph, source: int, _validate: bool = True) -> dict[int, in
 
 
 def diameter(graph: Graph) -> int:
-    """Max eccentricity over all nodes (0 for a single-node graph)."""
-    return max(max(distances(graph, u).values()) for u in graph.nodes)
+    """Max eccentricity over all nodes (0 for a single-node graph).
+
+    All sources advance together: ``reach[i]`` is the int bitset of the
+    nodes within d hops of node i, and the next level ORs in the level-d
+    sets of i's neighbours.  D is the first d at which every set is full,
+    after D * 2|E| ORs at most.
+    """
+    adj = graph.adjacency()
+    index = {u: i for i, u in enumerate(graph.nodes)}
+    nbrs = [[index[v] for v in adj[u]] for u in graph.nodes]
+    full = (1 << graph.n) - 1
+    reach = [1 << i for i in range(graph.n)]
+    todo = [i for i in range(graph.n) if reach[i] != full]
+    d = 0
+    while todo:
+        d += 1
+        if d == graph.n:
+            raise ValueError("graph is not connected")
+        level = reach[:]
+        for i in todo:
+            r = level[i]
+            for j in nbrs[i]:
+                r |= level[j]
+            reach[i] = r
+        todo = [i for i in todo if reach[i] != full]
+    return d
 
 
 # The round ``simulate`` is running: 0 while it primes the programs, r while

@@ -310,6 +310,9 @@ def multi_broadcast(
     report.check(
         "mb_schedule_agreement", 0 if len(set(schedules.values())) == 1 else 1, 0
     )
+    schedule = next(iter(schedules.values()), ())
+    end_round = schedule[-1].end_round if schedule else 0
+    report.check("mb_schedule_exact", abs(report.total_rounds - end_round), 0)
     report.extras.update(
         sources=sorted(sources),
         k=k,
@@ -319,7 +322,7 @@ def multi_broadcast(
         provenance=provenance,
         recorder=recorder,
         expected=expected,
-        schedule=next(iter(schedules.values())) if schedules else (),
+        schedule=schedule,
     )
     return ProtocolRun(trace, report)
 

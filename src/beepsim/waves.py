@@ -464,7 +464,7 @@ def broadcast(
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Beep-wave broadcast of ``message`` from ``source`` to every node."""
-    if source not in graph.nodes:
+    if source not in graph.adj:
         raise ValueError(f"unknown source {source}")
     if not message:
         raise ValueError("message must be nonempty")

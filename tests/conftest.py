@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from beepsim.graphs import FAMILIES, GraphSpec, generate
@@ -20,6 +21,25 @@ def random_connected_graph(rng: random.Random, n_max: int, n_min: int = 2,
     family = rng.choice([f for f in FAMILIES if f != "cycle" or n >= 3])
     spec = GraphSpec(family, n, seed=rng.randrange(1 << 30), label_range=label_range)
     return generate(spec)
+
+
+def hop_distance_oracle(nodes, edges):
+    """All-pairs hop distances by boolean matrix powers over a raw edge list.
+
+    Returns (row index of each node, distance matrix); -1 marks a pair
+    that is not connected."""
+    idx = {u: i for i, u in enumerate(sorted(nodes))}
+    a = np.zeros((len(idx), len(idx)), dtype=bool)
+    for u, v in edges:
+        a[idx[u], idx[v]] = a[idx[v], idx[u]] = True
+    reach = np.eye(len(idx), dtype=bool)
+    dist = np.where(reach, 0, -1)
+    for step in range(1, len(idx)):
+        if reach.all():
+            break
+        reach = reach | (reach @ a)
+        dist[(dist < 0) & reach] = step
+    return idx, dist
 
 
 @pytest.fixture

@@ -19,9 +19,9 @@ from beepsim.engine import (
     write_graph,
     write_trace,
 )
-from beepsim.graphs import GraphSpec, generate
+from beepsim.graphs import FAMILIES, GraphSpec, generate
 
-from conftest import random_connected_graph
+from conftest import hop_distance_oracle, random_connected_graph
 
 
 def one_shot(action, then_listen: int = 0):
@@ -204,3 +204,82 @@ def test_trace_jsonl_format():
     buf = io.StringIO()
     write_trace(trace, buf)
     assert buf.getvalue() == '{"round": 1, "beepers": [0], "heard": [1]}\n'
+
+
+def assert_oracles_match(g, nodes, edges):
+    idx, want = hop_distance_oracle(nodes, edges)
+    assert diameter(g) == want.max()
+    for u in g.nodes:
+        assert distances(g, u) == {v: want[idx[u], idx[v]] for v in g.nodes}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3, 150])
+def test_oracles_match_input_edges_every_family(family, n, monkeypatch):
+    if family == "cycle" and n < 3:
+        pytest.skip("cycle needs n >= 3")
+    given = []
+    build = Graph.from_edges
+
+    def capture(edges, nodes=None, label_range=None):
+        edges, nodes = list(edges), list(nodes)
+        given.append((nodes, edges))
+        return build(edges, nodes, label_range)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(capture))
+    g = generate(GraphSpec(family, n, seed=9, label_range=1000 * n))
+    monkeypatch.undo()
+    assert_oracles_match(g, *given[-1])
+
+
+def _barbell(m, bridge):
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    path = [(i, i + 1) for i in range(m - 1, m + bridge)]
+    return clique + path + [(a + m + bridge, b + m + bridge) for a, b in clique]
+
+
+def _lollipop(m, tail):
+    return [(i, j) for i in range(m) for j in range(i + 1, m)] + [
+        (i, i + 1) for i in range(m - 1, m + tail - 1)
+    ]
+
+
+def _caterpillar(spine, legs):
+    pairs = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        pairs += [(i, spine + i * legs + j) for j in range(legs)]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "pairs", [_barbell(8, 30), _lollipop(12, 60), _caterpillar(40, 3)],
+    ids=["barbell", "lollipop", "caterpillar"],
+)
+def test_oracles_match_input_edges_adversarial(pairs):
+    rng = random.Random(len(pairs))
+    n = 1 + max(max(e) for e in pairs)
+    ids = rng.sample(range(10**6), n)
+    edges = [(ids[a], ids[b]) if rng.random() < 0.5 else (ids[b], ids[a]) for a, b in pairs]
+    rng.shuffle(edges)
+    g = Graph.from_edges(edges)
+    assert g.label_range == max(ids) + 1 and g.n == n
+    assert_oracles_match(g, ids, edges)
+
+
+def test_graph_value_ignores_edge_order_and_orientation():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    a = Graph.from_edges(edges)
+    b = Graph.from_edges([(v, u) for u, v in reversed(edges)])
+    assert a == b and hash(a) == hash(b)
+    assert a.edges == b.edges == {frozenset(e) for e in edges}
+    assert a != Graph.from_edges(edges[:-1])
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph.from_edges([(0, 1), (1, 0)])
+
+
+def test_adjacency_is_read_only():
+    g = Graph.from_edges([(2, 1), (0, 1)])
+    assert g.adjacency() == {0: (1,), 1: (0, 2), 2: (1,)}
+    assert g.neighbors(1) == (0, 2)
+    with pytest.raises(TypeError):
+        g.adjacency()[0] = (2,)

@@ -223,3 +223,18 @@ def test_mb_rejects_zero_round_cap():
     path = Graph.from_edges([(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         multi_broadcast(path, {1}, {1: "1"}, max_rounds=0)
+
+
+@pytest.mark.parametrize("provenance", [True, False])
+@pytest.mark.parametrize(
+    "family,n,k", [("path", 5, 1), ("star", 17, 17), ("grid", 17, 3), ("erConnected", 40, 3)]
+)
+def test_mb_schedule_exact(family, n, k, provenance):
+    g = generate(GraphSpec(family, n, seed=1))
+    rng = random.Random(n * 31 + k)
+    sources = set(rng.sample(list(g.nodes), k))
+    msgs = {s: random_bits(rng, 3) for s in sources}
+    run = multi_broadcast(g, sources, msgs, provenance=provenance)
+    checks = {c.name: c for c in run.report.bound_checks}
+    assert checks["mb_schedule_exact"].passed
+    assert run.report.total_rounds == run.report.extras["schedule"][-1].end_round

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -28,9 +29,14 @@ def assert_no_false_adjacency(graph, recorder):
     """A node that completed a control-word decode must be the token holder
     or one of its neighbors at that round."""
     spans = tenure_spans(recorder)
+    starts = [a for _, a, _ in spans]
+    ends = [b for _, _, b in spans]
     adj = graph.adjacency()
     for event, node, round_, _ in recorder.of_kind("word"):
-        holders = {n for n, a, b in spans if a <= round_ <= b}
+        # starts and ends both ascend, so the tenures with
+        # a <= round_ <= b are exactly spans[lo:hi].
+        lo, hi = bisect_left(ends, round_), bisect_right(starts, round_)
+        holders = {n for n, _, _ in spans[lo:hi]}
         assert holders, (node, round_)
         assert any(node == h or node in adj[h] for h in holders), (node, round_)
 
