@@ -87,15 +87,13 @@ def _parse_sources(text: str | None, graph: Graph, rng: random.Random, k: int) -
 
 
 def _dispatch(protocol: str, graph: Graph, args: argparse.Namespace,
-              rng: random.Random) -> tuple[ProtocolRun, dict[str, Any]]:
-    """Run one protocol; returns (run, facts-for-the-bench-row)."""
+              rng: random.Random) -> tuple[ProtocolRun, dict[int, str]]:
+    """Run one protocol; returns the run and the messages it carried."""
     width = args.msg_bits
-    d = diameter(graph)
-    facts: dict[str, Any] = {"p": width, "k": 1}
+    msgs: dict[int, str] = {}
     if protocol == "broadcast":
         source = args.source if args.source is not None else graph.max_id
         msgs = _parse_messages(args.message and f"{source}={args.message}", [source], rng, width)
-        facts["p"] = len(msgs[source])
         run = broadcast(graph, source, msgs[source], max_rounds=args.max_rounds)
     elif protocol == "elect":
         run = elect_leader(graph, args.dhat, args.lhat, max_rounds=args.max_rounds)
@@ -105,39 +103,23 @@ def _dispatch(protocol: str, graph: Graph, args: argparse.Namespace,
         run = dfs(graph, args.leader, args.lhat, max_rounds=args.max_rounds)
     elif protocol == "gossip":
         msgs = _parse_messages(args.messages, list(graph.nodes), rng, width)
-        facts["p"] = max(len(m) for m in msgs.values())
-        facts["k"] = graph.n
         run = gossip(graph, msgs, args.dhat, args.lhat, max_rounds=args.max_rounds)
-    elif protocol in ("collect", "msglen"):
+    elif protocol in ("collect", "msglen", "mb-prov", "mb-noprov"):
         sources = _parse_sources(args.sources, graph, rng, args.k)
-        if not sources:
-            raise ValueError("collect/msglen need at least one source")
         msgs = _parse_messages(args.messages, sources, rng, width)
-        leader = args.leader if args.leader is not None else graph.max_id
-        facts["p"] = max(len(m) for m in msgs.values())
-        facts["k"] = len(sources)
         if protocol == "collect":
-            run = collect_messages(graph, leader, set(sources), msgs,
+            run = collect_messages(graph, args.leader, set(sources), msgs,
                                    max_rounds=args.max_rounds)
-        else:
-            run = get_message_length(graph, leader, set(sources), msgs,
+        elif protocol == "msglen":
+            run = get_message_length(graph, args.leader, set(sources), msgs,
                                      max_rounds=args.max_rounds)
-    elif protocol in ("mb-prov", "mb-noprov"):
-        sources = _parse_sources(args.sources, graph, rng, args.k)
-        if not sources:
-            raise ValueError("multi-broadcast needs a nonempty source set")
-        msgs = _parse_messages(args.messages, sources, rng, width)
-        facts["p"] = max(len(m) for m in msgs.values())
-        facts["k"] = len(sources)
-        run = multi_broadcast(graph, set(sources), msgs, args.dhat, args.lhat,
-                              provenance=protocol == "mb-prov",
-                              max_rounds=args.max_rounds)
+        else:
+            run = multi_broadcast(graph, set(sources), msgs, args.dhat, args.lhat,
+                                  provenance=protocol == "mb-prov",
+                                  max_rounds=args.max_rounds)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    facts["D"] = d
-    facts["L"] = graph.label_range
-    facts["M"] = 2 ** facts["p"]
-    return run, facts
+    return run, msgs
 
 
 def _print_report(run: ProtocolRun) -> None:
@@ -153,7 +135,7 @@ def _print_report(run: ProtocolRun) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     graph, _family = _load_graph(args.graph)
     rng = random.Random(args.seed)
-    run, _facts = _dispatch(args.protocol, graph, args, rng)
+    run, _msgs = _dispatch(args.protocol, graph, args, rng)
     _print_report(run)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -173,24 +155,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                  spec.edge_probability, spec.label_range)
                 graph = generate(spec)
                 rng = random.Random(spec.seed * 7919 + trial)
-                run, facts = _dispatch(args.protocol, graph, args, rng)
+                run, msgs = _dispatch(args.protocol, graph, args, rng)
+                # The diameter runner has already computed D for its checks.
+                d = run.report.extras.get("true_diameter")
+                if d is None:
+                    d = diameter(graph)
+                p = max((len(m) for m in msgs.values()), default=args.msg_bits)
+                k = len(msgs) or 1
                 upper = bounds.upper_rounds(
-                    args.protocol, graph.n, facts["D"], facts["p"],
+                    args.protocol, graph.n, d, p,
                     run.report.extras.get("lhat", 1 << graph.max_id.bit_length()),
-                    args.dhat, facts["k"],
+                    args.dhat, k,
                 )
-                lower = bounds.floor_rounds(
-                    args.protocol, facts["D"], facts["L"], facts["M"], facts["k"]
-                )
+                lower = bounds.floor_rounds(args.protocol, d, graph.label_range, 2**p, k)
                 measured = run.report.total_rounds
                 rows.append(
                     {
                         "family": spec.family,
                         "n": graph.n,
-                        "D": facts["D"],
-                        "L": facts["L"],
-                        "M": facts["M"],
-                        "k": facts["k"],
+                        "D": d,
+                        "L": graph.label_range,
+                        "M": 2**p,
+                        "k": k,
                         "measuredRounds": measured,
                         "upperBoundExpr": f"{upper:.1f}",
                         "lowerBoundExpr": lower,

@@ -322,6 +322,9 @@ def verify_reception(trace: Trace, graph: Graph) -> None:
 
 def write_graph(graph: Graph, fh: TextIO) -> None:
     fh.write(f"n {graph.n}\n")
+    for u in graph.nodes:
+        if not graph.adj[u]:  # only the node of a one-node graph
+            fh.write(f"{u}\n")
     for e in sorted(tuple(sorted(edge)) for edge in graph.edges):
         fh.write(f"{e[0]} {e[1]}\n")
 
@@ -337,9 +340,11 @@ def read_graph(fh: TextIO, label_range: int | None = None) -> Graph:
         line = line.strip()
         if not line:
             continue
-        u, v = (int(tok) for tok in line.split())
-        edges.append((u, v))
-        nodes.update((u, v))
+        ends = [int(tok) for tok in line.split()]
+        nodes.update(ends)
+        if len(ends) != 1:  # a line is one edge "u v" or one lone node "u"
+            u, v = ends
+            edges.append((u, v))
     if len(nodes) != count:
         raise ValueError(f"header says {count} nodes, edge list mentions {len(nodes)}")
     return Graph.from_edges(edges, nodes=nodes, label_range=label_range)

@@ -25,6 +25,8 @@ from .waves import (
     ProtocolRun,
     _bounds,
     _cap,
+    _checked_messages,
+    _dtilde_bound,
     broadcast_value_phase,
     ceil_log2,
     collect_phase,
@@ -147,22 +149,31 @@ def _expand(prefixes: list[str], z: str) -> list[str]:
     return out
 
 
+def _collect_and_share(
+    is_leader: bool,
+    dtilde: int,
+    width: int,
+    own_bits: str | None,
+) -> Generator[Any, Any, str]:
+    """Collect the OR of every node's ``own_bits`` at the leader, then wave
+    it to every node; returns the OR."""
+    if is_leader:
+        z = yield from collect_phase(dtilde, width, None, True, own_bits)
+    else:
+        z = yield from collect_phase(dtilde, width, own_bits, False)
+    return (yield from broadcast_value_phase(dtilde, width, z))
+
+
 def _prefix_round(
     is_leader: bool,
     dtilde: int,
     prefixes: list[str],
     own_prefix: str | None,
 ) -> Generator[Any, Any, str]:
-    """One collect-and-rebroadcast step; returns the OR indicator Z."""
-    width = 2 * len(prefixes)
+    """One collect-and-rebroadcast step; the phase returns the OR indicator
+    Z.  A plain function, so the step adds no generator frame per round."""
     own_ind = _indicator(prefixes, own_prefix) if own_prefix is not None else None
-    if is_leader:
-        z = yield from collect_phase(dtilde, width, None, True, own_ind)
-        z = yield from broadcast_value_phase(dtilde, width, z)
-    else:
-        yield from collect_phase(dtilde, width, own_ind, False)
-        z = yield from broadcast_value_phase(dtilde, width, None)
-    return z
+    return _collect_and_share(is_leader, dtilde, 2 * len(prefixes), own_ind)
 
 
 def _mb_program(
@@ -205,17 +216,11 @@ def _mb_program(
     if provenance or not aborted:
         ids = [codec.bits_to_int(px) for px in prefixes] if id_width else [node]
         k = len(ids)
-        table_width = k * p
         own_table = None
         if is_source:
             rank = ids.index(node)
             own_table = "0" * (rank * p) + my_msg + "0" * ((k - rank - 1) * p)
-        if is_leader:
-            table = yield from collect_phase(dtilde, table_width, None, True, own_table)
-            table = yield from broadcast_value_phase(dtilde, table_width, table)
-        else:
-            yield from collect_phase(dtilde, table_width, own_table, False)
-            table = yield from broadcast_value_phase(dtilde, table_width, None)
+        table = yield from _collect_and_share(is_leader, dtilde, k * p, own_table)
         decode_count += 1
         pairs = frozenset(
             (ids[j], table[j * p : (j + 1) * p]) for j in range(k)
@@ -263,22 +268,12 @@ def multi_broadcast(
 ) -> ProtocolRun:
     """Run the full multi-broadcast stack; every node outputs the result set."""
     sources = set(sources)
-    if not sources:
-        raise ValueError("sources must be nonempty")
-    unknown = sources - set(graph.nodes)
-    if unknown:
-        raise ValueError(f"unknown sources {sorted(unknown)}")
-    if set(msgs) != sources:
-        raise ValueError("msgs must cover exactly the source set")
-    widths = {len(m) for m in msgs.values()}
-    for s, m in msgs.items():
-        codec.check_bits(m, f"message of {s}")
-    if len(widths) != 1 or widths == {0}:
+    p = _checked_messages(graph, sources, msgs)
+    if any(len(m) != p for m in msgs.values()):
         raise ValueError(
             "multi-broadcast treats messages as fixed-width words; "
-            "provide nonempty messages of one common width"
+            "provide messages of one common width"
         )
-    p = widths.pop()
     dhat, lhat = _bounds(graph, dhat, lhat)
     recorder = recorder if recorder is not None else ProtocolRecorder()
     programs = {
@@ -287,7 +282,7 @@ def multi_broadcast(
     }
 
     k = len(sources)
-    dt_cap = 2 * max(1, graph.n) + 9
+    dt_cap = _dtilde_bound(graph)
     est = (
         election_len(ceil_log2(lhat), dhat)
         + estimate_len(dt_cap)

@@ -45,6 +45,8 @@ from .waves import (
     ProtocolRun,
     _bounds,
     _cap,
+    _checked_messages,
+    _leader,
     ceil_log2,
     codeword_rounds,
     election_phase,
@@ -308,9 +310,7 @@ def dfs(
     recorder: ProtocolRecorder | None = None,
 ) -> ProtocolRun:
     """Distributed DFS from the leader; every node outputs its number."""
-    leader = leader if leader is not None else graph.max_id
-    if leader not in graph.nodes:
-        raise ValueError(f"unknown leader {leader}")
+    leader = _leader(graph, leader)
     _, lhat = _bounds(graph, None, lhat)
     width = ceil_log2(lhat)
     threshold = flood_threshold(width)
@@ -409,12 +409,7 @@ def gossip(
 ) -> ProtocolRun:
     """All-to-all message dissemination: election, DFS, count broadcast,
     then one pipelined wave per node in DFS order."""
-    if set(msgs) != set(graph.nodes):
-        raise ValueError("gossip needs a message for every node")
-    for u, m in msgs.items():
-        codec.check_bits(m, f"message of {u}")
-        if not m:
-            raise ValueError(f"node {u} has an empty message")
+    p = _checked_messages(graph, set(graph.nodes), msgs)
     dhat, lhat = _bounds(graph, dhat, lhat)
     elect_width = ceil_log2(lhat)
     recorder = recorder if recorder is not None else ProtocolRecorder()
@@ -435,7 +430,6 @@ def gossip(
     programs = {u: program(u, _DfsShared(u, 0, recorder)) for u in graph.nodes}
 
     width_eff = graph.max_id.bit_length()
-    p = max(len(m) for m in msgs.values())
     est = (
         election_len(elect_width, dhat)
         + _dfs_round_estimate(graph.n, width_eff, dhat)

@@ -450,6 +450,37 @@ def _bounds(graph: Graph, dhat: int | None, lhat: int | None) -> tuple[int, int]
     return dhat, lhat
 
 
+def _leader(graph: Graph, leader: int | None) -> int:
+    """Resolve and check a runner's leader.  Default: the max ID."""
+    leader = leader if leader is not None else graph.max_id
+    if leader not in graph.adj:
+        raise ValueError(f"unknown leader {leader}")
+    return leader
+
+
+def _checked_messages(graph: Graph, sources: set[int], msgs: dict[int, str]) -> int:
+    """Check a runner's source set and its messages; returns the longest
+    message length."""
+    if not sources:
+        raise ValueError("sources must be nonempty")
+    unknown = sources - graph.adj.keys()
+    if unknown:
+        raise ValueError(f"unknown sources {sorted(unknown)}")
+    if set(msgs) != sources:
+        raise ValueError("msgs must cover exactly the source set")
+    for s, m in msgs.items():
+        codec.check_bits(m, f"message of {s}")
+        if not m:
+            raise ValueError(f"source {s} has an empty message")
+    return max(len(m) for m in msgs.values())
+
+
+def _dtilde_bound(graph: Graph) -> int:
+    """An upper bound on any diameter estimate over ``graph`` that needs no
+    diameter: estimates are at most 2D + 7, and D < n."""
+    return 2 * graph.n + 9
+
+
 def _cap(estimate: int, override: int | None) -> int:
     """Round cap of every runner: ``override`` if given, else four times a
     round estimate that covers the run."""
@@ -464,10 +495,7 @@ def broadcast(
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Beep-wave broadcast of ``message`` from ``source`` to every node."""
-    if source not in graph.adj:
-        raise ValueError(f"unknown source {source}")
-    if not message:
-        raise ValueError("message must be nonempty")
+    _checked_messages(graph, {source}, {source: message})
     cfg = WaveConfig(start_round=start_round)
     programs = {
         u: beep_wave_source(message, cfg) if u == source else beep_wave_relay(cfg)
@@ -520,12 +548,11 @@ def estimate_diameter(
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Leader-coordinated diameter estimate; every node outputs D-tilde."""
-    leader = leader if leader is not None else graph.max_id
-    if leader not in graph.nodes:
-        raise ValueError(f"unknown leader {leader}")
+    leader = _leader(graph, leader)
     programs = {u: diameter_phase(u == leader) for u in graph.nodes}
+    est = estimate_len(_dtilde_bound(graph))
+    trace, report = simulate(graph, programs, _cap(est, max_rounds))
     d = diameter(graph)
-    trace, report = simulate(graph, programs, _cap(6 * d + 60, max_rounds))
     values = {report.outputs[u] for u in graph.nodes}
     dtilde = report.outputs[leader]
     report.check("estimate_agreement", 0 if len(values) == 1 else 1, 0)
@@ -535,31 +562,9 @@ def estimate_diameter(
     return ProtocolRun(trace, report)
 
 
-def _validated_collect_inputs(
-    graph: Graph, leader: int, sources: set[int], msgs: dict[int, str], p: int | None
-) -> int:
-    if not sources:
-        raise ValueError("sources must be nonempty")
-    unknown = sources - set(graph.nodes)
-    if unknown:
-        raise ValueError(f"unknown sources {sorted(unknown)}")
-    if set(msgs) != sources:
-        raise ValueError("msgs must cover exactly the source set")
-    for s, m in msgs.items():
-        codec.check_bits(m, f"message of {s}")
-        if not m:
-            raise ValueError(f"source {s} has an empty message")
-    max_len = max(len(m) for m in msgs.values())
-    if p is None:
-        p = max_len
-    if max_len > p:
-        raise ValueError(f"a source message exceeds p={p}")
-    return p
-
-
 def collect_messages(
     graph: Graph,
-    leader: int,
+    leader: int | None,
     sources: set[int],
     msgs: dict[int, str],
     p: int | None = None,
@@ -571,8 +576,12 @@ def collect_messages(
     If dtilde is None a diameter-estimation phase runs first, exactly as in
     the composed protocols.
     """
+    leader = _leader(graph, leader)
     sources = set(sources)
-    p = _validated_collect_inputs(graph, leader, sources, msgs, p)
+    longest = _checked_messages(graph, sources, msgs)
+    p = p if p is not None else longest
+    if longest > p:
+        raise ValueError(f"a source message exceeds p={p}")
     run_estimate = dtilde is None
 
     def program(u: int) -> Phase:
@@ -588,8 +597,8 @@ def collect_messages(
         return {"dtilde": dt}
 
     programs = {u: program(u) for u in graph.nodes}
-    d = diameter(graph)
-    est = (estimate_len(2 * d + 7) if run_estimate else 0) + collect_phase_len(p, 2 * d + 7)
+    dt_cap = _dtilde_bound(graph)
+    est = (estimate_len(dt_cap) if run_estimate else 0) + collect_phase_len(p, dt_cap)
     trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
     dt = report.outputs[leader]["dtilde"]
     collected = report.outputs[leader]["or"]
@@ -611,15 +620,16 @@ def collect_messages(
 
 def get_message_length(
     graph: Graph,
-    leader: int,
+    leader: int | None,
     sources: set[int],
     msgs: dict[int, str],
     dtilde: int | None = None,
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Inform every node of p = max source message length."""
+    leader = _leader(graph, leader)
     sources = set(sources)
-    _validated_collect_inputs(graph, leader, sources, msgs, None)
+    pmax = _checked_messages(graph, sources, msgs)
     run_estimate = dtilde is None
 
     def program(u: int) -> Phase:
@@ -631,9 +641,8 @@ def get_message_length(
         return p
 
     programs = {u: program(u) for u in graph.nodes}
-    d = diameter(graph)
-    pmax = max(len(m) for m in msgs.values())
-    est = (estimate_len(2 * d + 7) if run_estimate else 0) + msglen_phase_len(pmax, 2 * d + 7)
+    dt_cap = _dtilde_bound(graph)
+    est = (estimate_len(dt_cap) if run_estimate else 0) + msglen_phase_len(pmax, dt_cap)
     trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
     values = {report.outputs[u] for u in graph.nodes}
     report.check("msglen_agreement", 0 if values == {pmax} else 1, 0)

@@ -4,8 +4,12 @@ import csv
 import io
 import json
 
+import pytest
+
+import beepsim.cli
+import beepsim.waves
 from beepsim.cli import BENCH_COLUMNS, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
-from beepsim.engine import Graph, write_graph
+from beepsim.engine import Graph, diameter, write_graph
 
 
 def run_cli(capsys, *argv):
@@ -128,3 +132,55 @@ def test_verify_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == EXIT_OK
     assert "12/12 checks passed" in out
+
+
+def test_run_unknown_leader_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--protocol", "collect", "--graph", "path:n=5",
+        "--leader", "99", "--sources", "0", "--messages", "0=1",
+    )
+    assert code == EXIT_USAGE
+    assert "leader" in err
+
+
+@pytest.mark.parametrize("protocol", ["collect", "msglen", "mb-noprov"])
+def test_run_empty_source_set_reaches_the_runner_check(capsys, protocol):
+    code, _, err = run_cli(
+        capsys, "run", "--protocol", protocol, "--graph", "path:n=5", "--k", "0",
+    )
+    assert code == EXIT_USAGE
+    assert "sources must be nonempty" in err
+
+
+@pytest.mark.parametrize("protocol", ["broadcast", "collect", "msglen", "diameter"])
+def test_run_never_computes_the_diameter_oracle(capsys, monkeypatch, protocol):
+    def no_diameter(graph):
+        raise AssertionError("beepsim run computed the diameter oracle")
+
+    monkeypatch.setattr(beepsim.cli, "diameter", no_diameter)
+    code, _, _ = run_cli(capsys, "run", "--protocol", protocol, "--graph", "path:n=6")
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("protocol", ["broadcast", "collect", "diameter"])
+def test_bench_computes_the_diameter_at_most_once_per_row(
+    tmp_path, capsys, monkeypatch, protocol
+):
+    calls = []
+
+    def counting_diameter(graph):
+        calls.append(graph)
+        return diameter(graph)
+
+    monkeypatch.setattr(beepsim.cli, "diameter", counting_diameter)
+    monkeypatch.setattr(beepsim.waves, "diameter", counting_diameter)
+    out_csv = tmp_path / "rows.csv"
+    code, _, _ = run_cli(
+        capsys, "bench", "--protocol", protocol, "--graph", "path:n=6",
+        "--graph", "star:n=5", "--trials", "2", "--csv", str(out_csv),
+    )
+    assert code == EXIT_OK
+    with out_csv.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(calls) == len(rows) == 4
+    assert [int(r["D"]) for r in rows] == [5, 5, 2, 2]

@@ -198,6 +198,18 @@ def test_graph_file_roundtrip():
     assert g2.edges == g.edges
 
 
+def test_graph_file_roundtrip_keeps_lone_node_and_edges():
+    for g, text in (
+        (Graph.from_edges([], nodes=[5]), "n 1\n5\n"),
+        (Graph.from_edges([(0, 1), (1, 2)]), "n 3\n0 1\n1 2\n"),
+    ):
+        buf = io.StringIO()
+        write_graph(g, buf)
+        assert buf.getvalue() == text
+        buf.seek(0)
+        assert read_graph(buf) == g
+
+
 def test_trace_jsonl_format():
     g = Graph.from_edges([(0, 1)])
     trace, _ = simulate(g, {0: one_shot(BEEP), 1: listener(1)}, 5)

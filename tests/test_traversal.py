@@ -25,18 +25,28 @@ def tenure_spans(recorder):
     return spans
 
 
-def assert_no_false_adjacency(graph, recorder):
-    """A node that completed a control-word decode must be the token holder
-    or one of its neighbors at that round."""
+def token_holders(recorder):
+    """holders(r): the set of nodes whose token tenure covers round r."""
     spans = tenure_spans(recorder)
     starts = [a for _, a, _ in spans]
     ends = [b for _, _, b in spans]
-    adj = graph.adjacency()
-    for event, node, round_, _ in recorder.of_kind("word"):
+
+    def holders(round_):
         # starts and ends both ascend, so the tenures with
         # a <= round_ <= b are exactly spans[lo:hi].
         lo, hi = bisect_left(ends, round_), bisect_right(starts, round_)
-        holders = {n for n, _, _ in spans[lo:hi]}
+        return {n for n, _, _ in spans[lo:hi]}
+
+    return holders
+
+
+def assert_no_false_adjacency(graph, recorder):
+    """A node that completed a control-word decode must be the token holder
+    or one of its neighbors at that round."""
+    holders_at = token_holders(recorder)
+    adj = graph.adjacency()
+    for event, node, round_, _ in recorder.of_kind("word"):
+        holders = holders_at(round_)
         assert holders, (node, round_)
         assert any(node == h or node in adj[h] for h in holders), (node, round_)
 
@@ -44,10 +54,10 @@ def assert_no_false_adjacency(graph, recorder):
 def assert_token_isolation(graph, trace, recorder):
     """During a tenure only the token holder and its neighbors may beep;
     bystanders never assemble a well-formed control word."""
-    spans = tenure_spans(recorder)
+    holders_at = token_holders(recorder)
     adj = graph.adjacency()
     for rec in trace:
-        holders = {n for n, a, b in spans if a <= rec.round <= b}
+        holders = holders_at(rec.round)
         if not holders:
             continue  # done-flood region
         allowed = set(holders)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from beepsim import codec
+from beepsim import codec, waves
 from beepsim.engine import (
     BEEP,
     LISTEN,
@@ -16,6 +16,7 @@ from beepsim.engine import (
     verify_reception,
 )
 from beepsim.graphs import GraphSpec, generate, or_oracle
+from beepsim.multicast import multi_broadcast
 from beepsim.waves import (
     WaveConfig,
     beep_wave_relay,
@@ -289,3 +290,73 @@ def test_malformed_wave_error_names_node_and_absolute_round():
         simulate(g, programs, 100)
     assert (err.value.node, err.value.round) == (0, 18)
     assert "invalid 01 pair" in err.value.reason
+
+
+# --- runner preamble -----------------------------------------------------------
+
+def test_collect_and_msglen_reject_unknown_leader():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    for dt in (None, 5):
+        with pytest.raises(ValueError):
+            collect_messages(g, 99, {0}, {0: "1"}, dtilde=dt)
+        with pytest.raises(ValueError):
+            get_message_length(g, 99, {0}, {0: "1"}, dtilde=dt)
+
+
+def test_collect_and_msglen_default_leader_is_max_id():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    run = collect_messages(g, None, {0}, {0: "101"})
+    assert run.report.extras["leader"] == 2
+    assert run.report.outputs[2]["or"] == "101"
+    run = get_message_length(g, None, {0}, {0: "101"})
+    assert run.report.extras["leader"] == 2
+    assert set(run.report.outputs.values()) == {3}
+
+
+@pytest.mark.parametrize(
+    "sources, msgs",
+    [
+        (set(), {}),  # no source
+        ({7}, {7: "1"}),  # unknown source
+        ({0, 1}, {0: "1"}),  # a source without a message
+        ({0}, {0: "1", 1: "1"}),  # a message without a source
+        ({0}, {0: ""}),  # empty message
+        ({0}, {0: "12"}),  # not a bit string
+    ],
+)
+def test_source_runners_share_one_input_check(sources, msgs):
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        collect_messages(g, 2, sources, msgs)
+    with pytest.raises(ValueError):
+        get_message_length(g, 2, sources, msgs)
+    with pytest.raises(ValueError):
+        multi_broadcast(g, sources, msgs)
+    if len(sources) == 1 and len(msgs) == 1:
+        (source,), (message,) = sources, msgs.values()
+        with pytest.raises(ValueError):
+            broadcast(g, source, message)
+
+
+def test_runners_do_not_consult_the_diameter_oracle_before_simulating(monkeypatch):
+    # Caps come from n; only estimate_diameter reads D, after its run, to
+    # check the estimate.
+    calls = []
+
+    def counting_diameter(graph):
+        calls.append(graph)
+        return diameter(graph)
+
+    def guarded_simulate(*args, **kwargs):
+        assert not calls, "diameter oracle consulted before the run"
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(waves, "diameter", counting_diameter)
+    monkeypatch.setattr(waves, "simulate", guarded_simulate)
+    g = generate(GraphSpec("path", 6, seed=1))
+    collect_messages(g, None, {g.nodes[0]}, {g.nodes[0]: "11"})
+    get_message_length(g, None, {g.nodes[0]}, {g.nodes[0]: "11"})
+    assert calls == []
+    run = estimate_diameter(g)
+    assert len(calls) == 1
+    assert run.report.extras["true_diameter"] == 5
