@@ -83,7 +83,16 @@ def _parse_sources(text: str | None, graph: Graph, rng: random.Random, k: int) -
     if text is None or text == "random":
         k = min(k, graph.n)
         return sorted(rng.sample(list(graph.nodes), k))
-    return sorted(int(tok) for tok in text.split(","))
+    sources: list[int] = []
+    for tok in text.split(","):
+        try:
+            u = int(tok)
+        except ValueError:
+            raise ValueError(f"--sources: {tok!r} is not a node id") from None
+        if u in sources:
+            raise ValueError(f"--sources: node {u} is listed twice")
+        sources.append(u)
+    return sorted(sources)
 
 
 def _dispatch(protocol: str, graph: Graph, args: argparse.Namespace,

@@ -8,6 +8,12 @@ Node programs are Python generators: they yield an action for the current
 round and receive back what they heard (True/False for listeners, None for
 beepers).  A program terminates by returning; the return value is its
 terminal output.  The kernel is single-threaded and bit-deterministic.
+
+A program that only listens for the next beep yields WAIT (or
+``wait(until)``) instead of one LISTEN per round.  The kernel then resumes it
+only in the round it hears a beep, or after the deadline round, so each round
+costs work for the nodes that act or hear and not for every live node.  A
+sleeping node is still a listener: reception and the trace are unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from typing import Any, Generator, Iterable, Mapping, TextIO
 Action = int
 LISTEN: Action = 0
 BEEP: Action = 1
+# Listen until a neighbour beeps; the node resumes with True in that round.
+WAIT: Action = 2
 
 # A node program yields Actions and receives heard-feedback each round.
 NodeProgram = Generator[Action, "bool | None", Any]
@@ -182,6 +190,25 @@ def diameter(graph: Graph) -> int:
 _round = 0
 
 
+def now() -> int:
+    """The round whose reception the running program was just handed (0
+    before round 1); its next action is for round ``now() + 1``."""
+    return _round
+
+
+def wait(until: int) -> Action:
+    """WAIT with a deadline: listen until a neighbour beeps or round
+    ``until`` has passed.  The node resumes with True in the round it hears a
+    beep, else with False after round ``until``.  Encoded as WAIT + until."""
+    _check_deadline(until, _round)
+    return WAIT + until
+
+
+def _check_deadline(until: int, round_no: int) -> None:
+    if until <= round_no:
+        raise ProtocolError(f"wait deadline {until} is not after round {round_no}")
+
+
 @dataclass
 class ProtocolRecorder:
     """Optional side-channel protocols use to expose internal events to
@@ -255,20 +282,39 @@ def simulate(
 
     # Round 0 primes every program with None, as if it had beeped, to get
     # its round-1 action; a program may terminate there, contributing an
-    # output but no rounds.
+    # output but no rounds.  Each round resumes, in ascending node order,
+    # the nodes in ``step``: those that did not wait last round, the waiting
+    # nodes that heard a beep and those whose deadline has passed.
+    # ``waiting`` maps a node to its deadline (0 for none); ``due`` lists
+    # the nodes whose deadline is each round, and keeps stale entries of
+    # nodes that woke early until that round comes.
     global _round
     live: dict[int, NodeProgram] = {node: programs[node] for node in graph.nodes}
+    step: list[int] = list(live)
     beepers: frozenset[int] = frozenset(live)
     heard: set[int] = set()
+    waiting: dict[int, int] = {}
+    due: dict[int, list[int]] = {}
     round_no = 0
     try:
         while True:
             _round = round_no
-            actions: dict[int, Action] = {}
-            for node, gen in list(live.items()):
-                feedback = None if node in beepers else (node in heard)
+            beeping: list[int] = []
+            awake: list[int] = []
+            for node in step:
                 try:
-                    actions[node] = _checked_action(gen.send(feedback))
+                    action = live[node].send(None if node in beepers else node in heard)
+                    if action == LISTEN:
+                        awake.append(node)
+                    elif action == BEEP:
+                        awake.append(node)
+                        beeping.append(node)
+                    elif action == WAIT:
+                        waiting[node] = 0
+                    else:
+                        until = _deadline(action, round_no)
+                        waiting[node] = until
+                        due.setdefault(until, []).append(node)
                 except StopIteration as stop:
                     report.outputs[node] = stop.value
                     del live[node]
@@ -281,12 +327,22 @@ def simulate(
                 report.total_rounds = round_no
                 raise SimulationTimeout(max_rounds, trace, set(live))
             round_no += 1
-            beepers = frozenset(u for u, a in actions.items() if a == BEEP)
+            beepers = frozenset(beeping)
             heard = set()
             for b in beepers:
                 heard.update(adj[b])
             heard -= beepers
             trace.append(RoundRecord(round_no, beepers, frozenset(heard)))
+            woken = waiting.keys() & heard
+            for node in due.pop(round_no, ()):
+                if waiting.get(node) == round_no:
+                    woken.add(node)
+            if woken:
+                for node in woken:
+                    del waiting[node]
+                awake.extend(woken)
+                awake.sort()
+            step = awake
     finally:
         _round = 0
 
@@ -294,10 +350,15 @@ def simulate(
     return trace, report
 
 
-def _checked_action(action: Any) -> Action:
-    if action is not BEEP and action is not LISTEN and action not in (0, 1):
+def _deadline(action: Any, round_no: int) -> int:
+    """The deadline round of a ``wait(until)`` action.  Any other action
+    that is not LISTEN, BEEP or WAIT, and a deadline that is not after the
+    current round, is invalid."""
+    if type(action) is not int or action <= WAIT:
         raise ProtocolError(f"invalid action {action!r}")
-    return action
+    until = action - WAIT
+    _check_deadline(until, round_no)
+    return until
 
 
 def verify_reception(trace: Trace, graph: Graph) -> None:

@@ -34,6 +34,7 @@ from . import codec
 from .engine import (
     BEEP,
     LISTEN,
+    WAIT,
     Graph,
     ProtocolError,
     ProtocolRecorder,
@@ -51,6 +52,7 @@ from .waves import (
     codeword_rounds,
     election_phase,
     election_len,
+    idle_rounds,
     relay_decode_one,
     source_wave_phase,
 )
@@ -145,11 +147,15 @@ def _overheard_word(
 
     Locks on the first heard beep and starts over whenever the bits stop
     forming a codeword.  With ``flood``, returns None instead once that many
-    consecutive rounds carried a beep."""
+    consecutive rounds carried a beep.  Unlocked after a silent round, it
+    sleeps until the next beep."""
     parser: codec.CodewordParser | None = None
     streak = 0
     while True:
-        heard = (yield LISTEN) is True
+        if parser is None and streak == 0:
+            heard = yield WAIT
+        else:
+            heard = (yield LISTEN) is True
         streak = streak + 1 if heard else 0
         if flood is not None and streak >= flood:
             return None
@@ -354,7 +360,7 @@ def _gossip_root(
     ctx: _DfsShared, threshold: int, dhat: int, message: str
 ) -> Generator[Any, Any, GossipOutput]:
     _, n = yield from _dfs_root(ctx, threshold)
-    yield from (LISTEN for _ in range((dhat + 1) * threshold + 3))
+    yield from idle_rounds((dhat + 1) * threshold + 3)
     yield from source_wave_phase(codec.int_to_bits(n))
     yield LISTEN  # slack so every trailing-zero window closes before our wave
     yield from source_wave_phase(message)

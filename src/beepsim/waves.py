@@ -25,6 +25,7 @@ from . import codec
 from .engine import (
     BEEP,
     LISTEN,
+    WAIT,
     Action,
     Graph,
     ProtocolError,
@@ -33,7 +34,9 @@ from .engine import (
     Trace,
     distances,
     diameter,
+    now,
     simulate,
+    wait,
 )
 from .graphs import or_oracle
 
@@ -116,10 +119,12 @@ def msglen_phase_len(p: int, dtilde: int) -> int:
 
 
 def idle_rounds(rounds: int) -> Phase:
+    """Listen for ``rounds`` rounds, asleep between the beeps it hears."""
     if rounds < 0:
         raise ProtocolError(f"negative idle of {rounds} rounds")
-    for _ in range(rounds):
-        yield LISTEN
+    end = now() + rounds
+    while now() < end:
+        yield wait(end)
 
 
 def source_wave_phase(m: str) -> Phase:
@@ -140,13 +145,14 @@ def relay_decode_one() -> Generator[Action, "bool | None", tuple[str, int, int]]
     incremental codeword parser.  Returns (payload, rounds_consumed,
     first_heard_round) in phase-relative rounds.
     """
-    r = 0
-    heard_prev = False
+    base = now()
+    yield WAIT  # silent until armed, so asleep until the first beep
+    r = r0 = now() - base
+    heard_prev = True
     beeped_prev = False
     beeped_prev2 = False
-    r0 = 0
-    flags: set[int] = set()
-    parser: codec.CodewordParser | None = None
+    flags = {1}
+    parser = codec.CodewordParser()
     next_pos = 1
     while True:
         r += 1
@@ -155,12 +161,6 @@ def relay_decode_one() -> Generator[Action, "bool | None", tuple[str, int, int]]
         heard = fb is True
         beeped_prev2, beeped_prev = beeped_prev, will_beep
         heard_prev = heard
-        if parser is None:
-            if heard:
-                r0 = r
-                parser = codec.CodewordParser()
-                flags.add(1)
-            continue
         if heard:
             flags.add(1 + (r - r0) // SLOT_PERIOD)
         # position q is fully observed at round r0 + 3q - 1
@@ -223,12 +223,21 @@ def election_phase(my_id: int, bit_width: int, dhat: int) -> Generator[Action, "
         heard_prev = False
         beeped_prev = False
         beeped_prev2 = False
-        for t in range(1, dhat + 2):
-            will_beep = candidate if t == 1 else (heard_prev and not beeped_prev2)
-            fb = yield (BEEP if will_beep else LISTEN)
-            heard = fb is True
+        start = now()
+        end = start + dhat + 1
+        while now() < end:
+            will_beep = candidate if now() == start else (heard_prev and not beeped_prev2)
+            if will_beep or heard_prev:
+                heard = (yield (BEEP if will_beep else LISTEN)) is True
+                beeped_prev2, beeped_prev = beeped_prev, will_beep
+            else:
+                # Silent until the next beep: sleep.  After more than one
+                # round asleep the node has not beeped in the last two.
+                slept_from = now()
+                heard = yield wait(end)
+                beeped_prev2 = beeped_prev and now() == slept_from + 1
+                beeped_prev = False
             heard_any = heard_any or heard
-            beeped_prev2, beeped_prev = beeped_prev, will_beep
             heard_prev = heard
         verdict = heard_any or candidate
         verdicts.append("1" if verdict else "0")
@@ -258,13 +267,9 @@ def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
         yield from source_wave_phase(codec.int_to_bits(dtilde))
         consumed = r + value_codeword_rounds(dtilde)
     else:
-        r = 0
-        j = 0
-        while not j:
-            r += 1
-            fb = yield LISTEN
-            if fb is True:
-                j = r
+        base = now()
+        yield WAIT  # asleep until the leader's pulse arrives, in phase round j
+        r = j = now() - base
         ack = j + 1 + ((-j - (j + 1)) % 3)  # next round > j in class (-j) mod 3
         trigger = (2 - j) % 3
         last_heard = j
@@ -597,7 +602,7 @@ def collect_messages(
         return {"dtilde": dt}
 
     programs = {u: program(u) for u in graph.nodes}
-    dt_cap = _dtilde_bound(graph)
+    dt_cap = _dtilde_bound(graph) if run_estimate else dtilde
     est = (estimate_len(dt_cap) if run_estimate else 0) + collect_phase_len(p, dt_cap)
     trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
     dt = report.outputs[leader]["dtilde"]
@@ -641,7 +646,7 @@ def get_message_length(
         return p
 
     programs = {u: program(u) for u in graph.nodes}
-    dt_cap = _dtilde_bound(graph)
+    dt_cap = _dtilde_bound(graph) if run_estimate else dtilde
     est = (estimate_len(dt_cap) if run_estimate else 0) + msglen_phase_len(pmax, dt_cap)
     trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
     values = {report.outputs[u] for u in graph.nodes}

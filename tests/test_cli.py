@@ -184,3 +184,17 @@ def test_bench_computes_the_diameter_at_most_once_per_row(
         rows = list(csv.DictReader(fh))
     assert len(calls) == len(rows) == 4
     assert [int(r["D"]) for r in rows] == [5, 5, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "sources, named",
+    [("", "''"), ("0,,1", "''"), ("0,x", "'x'"), ("0,0", "node 0"), ("3,1,3", "node 3")],
+)
+def test_run_bad_source_list_names_the_token(capsys, sources, named):
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "collect", "--graph", "path:n=5",
+        "--sources", sources,
+    )
+    assert code == EXIT_USAGE
+    assert named in err and "--sources" in err
+    assert out == ""

@@ -9,13 +9,17 @@ import pytest
 from beepsim.engine import (
     BEEP,
     LISTEN,
+    WAIT,
     Graph,
+    ProtocolError,
     SimulationTimeout,
     diameter,
     distances,
+    now,
     read_graph,
     simulate,
     verify_reception,
+    wait,
     write_graph,
     write_trace,
 )
@@ -295,3 +299,120 @@ def test_adjacency_is_read_only():
     assert g.neighbors(1) == (0, 2)
     with pytest.raises(TypeError):
         g.adjacency()[0] = (2,)
+
+
+# --- sleeping listeners -----------------------------------------------------------
+
+
+def beeper_at(*rounds: int):
+    """Beeps in the given rounds and listens in the others up to the last."""
+    def gen():
+        for r in range(1, max(rounds) + 1):
+            yield BEEP if r in rounds else LISTEN
+    return gen()
+
+
+def sleeper(make_action):
+    """Yields one wait action in round 0; returns the round it was resumed
+    in and the feedback it was resumed with."""
+    def gen():
+        fb = yield make_action()
+        return now(), fb
+    return gen()
+
+
+def test_waiting_node_is_a_listener_and_wakes_on_the_beep():
+    g = Graph.from_edges([(0, 1)])
+    trace, report = simulate(g, {0: beeper_at(4), 1: sleeper(lambda: WAIT)}, 10)
+    assert report.outputs[1] == (4, True)
+    assert [rec.heard for rec in trace] == [frozenset()] * 3 + [frozenset({1})]
+    verify_reception(trace, g)
+
+
+def test_deadline_wait_resumes_false_after_the_deadline_or_true_on_a_beep():
+    g = Graph.from_edges([(0, 1)])
+    _, report = simulate(g, {0: beeper_at(9), 1: sleeper(lambda: wait(5))}, 20)
+    assert report.outputs[1] == (5, False)
+    _, report = simulate(g, {0: beeper_at(3), 1: sleeper(lambda: wait(5))}, 20)
+    assert report.outputs[1] == (3, True)
+    _, report = simulate(g, {0: beeper_at(5), 1: sleeper(lambda: wait(5))}, 20)
+    assert report.outputs[1] == (5, True)
+
+
+def test_waiting_node_is_resumed_only_when_it_hears_or_its_deadline_passes():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    resumed = []
+
+    def counted():
+        while now() < 12:
+            fb = yield wait(12)
+            resumed.append((now(), fb))
+
+    simulate(g, {0: beeper_at(3, 4, 9), 1: beeper_at(12), 2: counted()}, 20)
+    assert resumed == [(12, True)]  # node 0's beeps are two hops away
+    resumed.clear()
+    simulate(g, {0: counted(), 1: beeper_at(3, 4, 9), 2: beeper_at(12)}, 20)
+    assert resumed == [(3, True), (4, True), (9, True), (12, False)]
+
+
+def test_woken_nodes_step_in_ascending_order_with_the_awake_ones():
+    g = Graph.from_edges([(0, 1), (1, 2), (1, 3)])
+    order = []
+
+    def logged(action):
+        def gen():
+            while True:
+                yield action
+                order.append((now(), "w" if action == WAIT else "l"))
+        return gen()
+
+    with pytest.raises(SimulationTimeout):
+        simulate(g, {0: logged(WAIT), 1: beeper_at(2), 2: logged(LISTEN), 3: logged(WAIT)}, 3)
+    assert order == [(1, "l"), (2, "w"), (2, "l"), (2, "w"), (3, "l")]
+
+
+@pytest.mark.parametrize(
+    "action, reason",
+    [
+        (lambda r: WAIT + r, "wait deadline 2 is not after round 2"),
+        (lambda r: WAIT + r - 1, "wait deadline 1 is not after round 2"),
+        (lambda r: wait(r), "wait deadline 2 is not after round 2"),
+        (lambda r: -1, "invalid action -1"),
+        (lambda r: None, "invalid action None"),
+        (lambda r: "beep", "invalid action 'beep'"),
+        (lambda r: 2.5, "invalid action 2.5"),
+    ],
+)
+def test_invalid_action_names_the_node_and_round(action, reason):
+    g = Graph.from_edges([(0, 1)])
+
+    def faulty():
+        yield LISTEN
+        yield LISTEN
+        yield action(now())
+
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {0: beeper_at(5), 1: faulty()}, 10)
+    assert (err.value.node, err.value.round, err.value.reason) == (1, 2, reason)
+
+
+def test_a_deadline_action_kept_past_its_round_is_invalid():
+    g = Graph.from_edges([(0, 1)])
+
+    def stale():
+        action = wait(3)
+        for _ in range(3):
+            yield LISTEN
+        yield action
+
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {0: beeper_at(5), 1: stale()}, 10)
+    assert (err.value.node, err.value.round) == (1, 3)
+    assert "wait deadline 3 is not after round 3" in str(err.value)
+
+
+def test_sleepers_alone_run_into_the_round_cap():
+    g = Graph.from_edges([(0, 1)])
+    with pytest.raises(SimulationTimeout) as err:
+        simulate(g, {0: sleeper(lambda: WAIT), 1: listener(3)}, 40)
+    assert len(err.value.trace) == 40 and err.value.live == {0}

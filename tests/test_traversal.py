@@ -5,7 +5,8 @@ from bisect import bisect_left, bisect_right
 
 import pytest
 
-from beepsim.engine import Graph, diameter, verify_reception
+from beepsim import traversal
+from beepsim.engine import Graph, diameter, simulate, verify_reception
 from beepsim.graphs import GraphSpec, generate, reference_dfs
 from beepsim.traversal import control_word, dfs, flood_threshold, gossip, parse_control_payload
 from beepsim.waves import ProtocolRecorder
@@ -164,3 +165,29 @@ def test_gossip_requires_full_message_map():
         gossip(g, {0: "1"})
     with pytest.raises(ValueError):
         gossip(g, {0: "1", 1: ""})
+
+
+def test_dfs_resumes_only_the_nodes_that_act_or_hear(monkeypatch):
+    # Bystanders sleep until they hear a beep, so the kernel resumes far
+    # fewer programs than n per round (every node, every round: 0.996).
+    resumptions = 0
+
+    def counted(program):
+        nonlocal resumptions
+        fb = None
+        try:
+            while True:
+                action = program.send(fb)
+                resumptions += 1
+                fb = yield action
+        except StopIteration as stop:
+            return stop.value
+
+    def counting_simulate(graph, programs, max_rounds):
+        return simulate(graph, {u: counted(p) for u, p in programs.items()}, max_rounds)
+
+    monkeypatch.setattr(traversal, "simulate", counting_simulate)
+    g = generate(GraphSpec("erConnected", 60, seed=7))
+    run = dfs(g)
+    assert run.report.all_passed
+    assert resumptions <= 0.4 * g.n * run.report.total_rounds

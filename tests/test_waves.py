@@ -360,3 +360,78 @@ def test_runners_do_not_consult_the_diameter_oracle_before_simulating(monkeypatc
     run = estimate_diameter(g)
     assert len(calls) == 1
     assert run.report.extras["true_diameter"] == 5
+
+
+def test_collect_and_msglen_cap_their_run_from_the_given_dtilde():
+    # A loose but valid estimate far above the 2n + 9 bound still finishes.
+    g = generate(GraphSpec("path", 5, seed=0))
+    run = collect_messages(g, 4, {0}, {0: "1"}, dtilde=1000)
+    assert run.report.all_passed
+    assert run.report.outputs[4] == {"or": "1", "dtilde": 1000}
+    assert run.report.total_rounds == waves.collect_phase_len(1, 1000)
+    run = get_message_length(g, 4, {0}, {0: "1"}, dtilde=1000)
+    assert run.report.all_passed
+    assert set(run.report.outputs.values()) == {1}
+
+
+# --- sleeping listeners ---------------------------------------------------------
+
+def listening_election(my_id, bit_width, dhat):
+    """``waves.election_phase`` with a LISTEN in every round it does not beep."""
+    in_running = True
+    verdicts = []
+    for b in range(bit_width):
+        my_bit = (my_id >> (bit_width - 1 - b)) & 1
+        candidate = in_running and my_bit == 1
+        heard_any = heard_prev = beeped_prev = beeped_prev2 = False
+        for t in range(1, dhat + 2):
+            will_beep = candidate if t == 1 else (heard_prev and not beeped_prev2)
+            heard = (yield BEEP if will_beep else LISTEN) is True
+            heard_any = heard_any or heard
+            beeped_prev2, beeped_prev = beeped_prev, will_beep
+            heard_prev = heard
+        verdict = heard_any or candidate
+        verdicts.append("1" if verdict else "0")
+        if verdict and my_bit == 0:
+            in_running = False
+    return codec.bits_to_int("".join(verdicts))
+
+
+def test_election_relays_after_a_long_sleep_like_a_listener(rng):
+    # Node 1 beeps as a candidate in round 1 and hears nothing in round 2,
+    # so it sleeps until node 0's scripted beep in round 4.  Having slept
+    # more than one round, it beeped in neither of the last two rounds and
+    # relays in round 5; a stale memory of its round-1 beep would suppress
+    # that relay.  A flood that starts in round 1 never wakes a node that
+    # late, so elect_leader runs alone cannot show it.
+    g = Graph.from_edges([(0, 1)])
+    dhat = 8
+
+    def scripted(rounds):
+        for r in range(1, dhat + 2):
+            yield BEEP if r in rounds else LISTEN
+
+    schedules = [{1, 4}] + [
+        set(rng.sample(range(1, dhat + 2), rng.randrange(5))) for _ in range(100)
+    ]
+    for rounds in schedules:
+        for my_id in (0, 1):  # with one ID bit, node ID 1 is a candidate
+            sleeping = waves.election_phase(my_id, 1, dhat)
+            trace, _ = simulate(g, {0: scripted(rounds), 1: sleeping}, 20)
+            listening = listening_election(my_id, 1, dhat)
+            want, _ = simulate(g, {0: scripted(rounds), 1: listening}, 20)
+            assert trace == want
+            if rounds == {1, 4} and my_id == 1:
+                assert [r.round for r in trace if 1 in r.beepers] == [1, 5]
+
+
+def test_sleeping_election_beeps_exactly_like_a_listening_one(rng):
+    for _ in range(40):
+        g = random_connected_graph(rng, 30, label_range=rng.choice([None, 64, 1000]))
+        dhat = rng.randrange(1, g.n + 3)
+        run = elect_leader(g, dhat=dhat)
+        width = run.report.extras["bit_width"]
+        programs = {u: listening_election(u, width, dhat) for u in g.nodes}
+        trace, report = simulate(g, programs, 10**6)
+        assert run.trace == trace
+        assert run.report.outputs == report.outputs
