@@ -14,6 +14,12 @@ A program that only listens for the next beep yields WAIT (or
 only in the round it hears a beep, or after the deadline round, so each round
 costs work for the nodes that act or hear and not for every live node.  A
 sleeping node is still a listener: reception and the trace are unchanged.
+
+A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
+i-th smallest label, and a record holds the round's beepers and hearers as
+two int bitsets in that order: bit i set means node i is in the set.  The
+kernel computes a round's reception as the OR of the beepers' neighbour
+masks.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Generator, Iterable, Mapping, TextIO
 
@@ -139,6 +146,20 @@ class Graph:
     def is_connected(self) -> bool:
         return len(distances(self, self.nodes[0])) == self.n
 
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Node i's neighbours as an int bitset, bit j for ``nodes[j]``.
+        Built by the first ``simulate`` on this graph and kept."""
+        index = {u: i for i, u in enumerate(self.nodes)}
+        adj = self.adjacency()
+        masks = []
+        for u in self.nodes:
+            mask = 0
+            for v in adj[u]:
+                mask |= 1 << index[v]
+            masks.append(mask)
+        return tuple(masks)
+
 
 def distances(graph: Graph, source: int) -> dict[int, int]:
     """Exact BFS hop distances from ``source`` (the protocol oracle)."""
@@ -226,11 +247,75 @@ class ProtocolRecorder:
         return [e for e in self.events if e[0] == event]
 
 
-@dataclass(frozen=True)
 class RoundRecord:
-    round: int
-    beepers: frozenset[int]
-    heard: frozenset[int]
+    """One round of a trace: the nodes that beeped and the listeners that
+    heard a beep.
+
+    A record holds two int bitsets over the run's node tuple: bit i of
+    ``beep_mask`` and ``heard_mask`` stands for ``nodes[i]``, the i-th
+    smallest label.  ``beepers`` and ``heard`` build the frozensets of
+    labels on access; equality and hashing go by (round, beepers, heard).
+    """
+
+    __slots__ = ("_round", "_beeps", "_heard", "_nodes")
+
+    def __init__(self, round: int, beep_mask: int, heard_mask: int, nodes: tuple[int, ...]):
+        self._round = round
+        self._beeps = beep_mask
+        self._heard = heard_mask
+        self._nodes = nodes
+
+    @property
+    def round(self) -> int:
+        return self._round
+
+    @property
+    def beep_mask(self) -> int:
+        return self._beeps
+
+    @property
+    def heard_mask(self) -> int:
+        return self._heard
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return self._nodes
+
+    @property
+    def beepers(self) -> frozenset[int]:
+        return frozenset(_labels(self._beeps, self._nodes))
+
+    @property
+    def heard(self) -> frozenset[int]:
+        return frozenset(_labels(self._heard, self._nodes))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundRecord):
+            return NotImplemented
+        return (self._round, self.beepers, self.heard) == (other._round, other.beepers, other.heard)
+
+    def __hash__(self) -> int:
+        return hash((self._round, self.beepers, self.heard))
+
+    def __repr__(self) -> str:
+        return f"RoundRecord(round={self._round!r}, beepers={self.beepers!r}, heard={self.heard!r})"
+
+
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending.  Taking the top
+    bit off first keeps every step cheap on a wide, sparse mask."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return out
+
+
+def _labels(mask: int, nodes: tuple[int, ...]) -> list[int]:
+    """The labels a node bitset stands for, ascending."""
+    return [nodes[i] for i in _indices(mask)] if mask else []
 
 
 Trace = list[RoundRecord]
@@ -276,71 +361,78 @@ def simulate(
     if missing:
         raise ValueError(f"nodes without a program: {sorted(missing)}")
 
-    adj = graph.adjacency()
+    nodes = graph.nodes
+    bits = [1 << i for i in range(len(nodes))]
+    reach = graph.neighbour_masks
     report = RunReport()
     trace: Trace = []
 
-    # Round 0 primes every program with None, as if it had beeped, to get
-    # its round-1 action; a program may terminate there, contributing an
-    # output but no rounds.  Each round resumes, in ascending node order,
+    # Node i is nodes[i], and a set of nodes is an int with bit i for node i,
+    # so the nodes a round's beeps reach are the OR of the beepers' ``reach``
+    # masks.  Round 0 primes every program with None, as if it had beeped,
+    # to get its round-1 action; a program may terminate there, contributing
+    # an output but no rounds.  Each round resumes, in ascending node order,
     # the nodes in ``step``: those that did not wait last round, the waiting
     # nodes that heard a beep and those whose deadline has passed.
-    # ``waiting`` maps a node to its deadline (0 for none); ``due`` lists
-    # the nodes whose deadline is each round, and keeps stale entries of
-    # nodes that woke early until that round comes.
+    # ``waiting`` is the set of sleeping nodes and ``until[i]`` node i's
+    # deadline (0 for none, and for every node that is not waiting); ``due``
+    # lists the nodes whose deadline is each round, and keeps stale entries
+    # of nodes that woke early until that round comes.
     global _round
-    live: dict[int, NodeProgram] = {node: programs[node] for node in graph.nodes}
+    live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
-    beepers: frozenset[int] = frozenset(live)
-    heard: set[int] = set()
-    waiting: dict[int, int] = {}
+    beeps = (1 << len(nodes)) - 1
+    heard = 0
+    waiting = 0
+    until = [0] * len(nodes)
     due: dict[int, list[int]] = {}
     round_no = 0
     try:
         while True:
             _round = round_no
-            beeping: list[int] = []
+            sent = 0
+            reached = 0
             awake: list[int] = []
-            for node in step:
+            for i in step:
+                b = bits[i]
                 try:
-                    action = live[node].send(None if node in beepers else node in heard)
+                    action = live[i].send(None if beeps & b else heard & b != 0)
                     if action == LISTEN:
-                        awake.append(node)
+                        awake.append(i)
                     elif action == BEEP:
-                        awake.append(node)
-                        beeping.append(node)
+                        awake.append(i)
+                        sent |= b
+                        reached |= reach[i]
                     elif action == WAIT:
-                        waiting[node] = 0
+                        waiting |= b
                     else:
-                        until = _deadline(action, round_no)
-                        waiting[node] = until
-                        due.setdefault(until, []).append(node)
+                        deadline = until[i] = _deadline(action, round_no)
+                        waiting |= b
+                        due.setdefault(deadline, []).append(i)
                 except StopIteration as stop:
-                    report.outputs[node] = stop.value
-                    del live[node]
+                    report.outputs[nodes[i]] = stop.value
+                    del live[i]
                 except ProtocolError as err:
-                    err.node, err.round = node, round_no
+                    err.node, err.round = nodes[i], round_no
                     raise
             if not live:
                 break
             if round_no >= max_rounds:
                 report.total_rounds = round_no
-                raise SimulationTimeout(max_rounds, trace, set(live))
+                raise SimulationTimeout(max_rounds, trace, {nodes[i] for i in live})
             round_no += 1
-            beepers = frozenset(beeping)
-            heard = set()
-            for b in beepers:
-                heard.update(adj[b])
-            heard -= beepers
-            trace.append(RoundRecord(round_no, beepers, frozenset(heard)))
-            woken = waiting.keys() & heard
-            for node in due.pop(round_no, ()):
-                if waiting.get(node) == round_no:
-                    woken.add(node)
+            beeps = sent
+            heard = reached & ~sent
+            trace.append(RoundRecord(round_no, beeps, heard, nodes))
+            woken = waiting & heard
+            for i in due.pop(round_no, ()):
+                if until[i] == round_no:
+                    woken |= bits[i]
             if woken:
-                for node in woken:
-                    del waiting[node]
-                awake.extend(woken)
+                waiting ^= woken
+                for i in _indices(woken):
+                    until[i] = 0
+                    awake.append(i)
                 awake.sort()
             step = awake
     finally:
@@ -362,20 +454,39 @@ def _deadline(action: Any, round_no: int) -> int:
 
 
 def verify_reception(trace: Trace, graph: Graph) -> None:
-    """Re-derive every heard flag from adjacency; raises on any mismatch."""
+    """Re-derive every heard flag from adjacency and check that the rounds
+    run 1, 2, 3, ...; raises on any mismatch."""
+    nodes = graph.nodes
+    bit = {u: 1 << i for i, u in enumerate(nodes)}
     adj = graph.adjacency()
+    reach = []
+    for u in nodes:
+        mask = 0
+        for v in adj[u]:
+            mask |= bit[v]
+        reach.append(mask)
+    last = 0
     for rec in trace:
-        expected = set()
-        for b in rec.beepers:
-            expected.update(adj[b])
-        expected -= rec.beepers
-        if frozenset(expected) != rec.heard:
+        round_no, beeps, heard = rec.round, rec.beep_mask, rec.heard_mask
+        if round_no != last + 1:
+            raise SimulationError(f"round {round_no}: follows round {last}")
+        last = round_no
+        if rec.nodes is not nodes and rec.nodes != nodes:
+            raise SimulationError(f"round {round_no}: record indexes other nodes than the graph")
+        if beeps & heard:
             raise SimulationError(
-                f"round {rec.round}: heard set {sorted(rec.heard)} != OR-reception "
-                f"{sorted(expected)}"
+                f"round {round_no}: beeping node(s) {_labels(beeps & heard, nodes)} "
+                "carry a heard flag"
             )
-        if rec.beepers & rec.heard:
-            raise SimulationError(f"round {rec.round}: beeping node carries a heard flag")
+        expected = 0
+        for i in _indices(beeps):
+            expected |= reach[i]
+        expected &= ~beeps
+        if expected != heard:
+            raise SimulationError(
+                f"round {round_no}: heard set {_labels(heard, nodes)} != OR-reception "
+                f"{_labels(expected, nodes)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +528,8 @@ def write_trace(trace: Trace, fh: TextIO) -> None:
             json.dumps(
                 {
                     "round": rec.round,
-                    "beepers": sorted(rec.beepers),
-                    "heard": sorted(rec.heard),
+                    "beepers": _labels(rec.beep_mask, rec.nodes),
+                    "heard": _labels(rec.heard_mask, rec.nodes),
                 }
             )
             + "\n"

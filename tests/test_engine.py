@@ -12,6 +12,8 @@ from beepsim.engine import (
     WAIT,
     Graph,
     ProtocolError,
+    RoundRecord,
+    SimulationError,
     SimulationTimeout,
     diameter,
     distances,
@@ -416,3 +418,78 @@ def test_sleepers_alone_run_into_the_round_cap():
     with pytest.raises(SimulationTimeout) as err:
         simulate(g, {0: sleeper(lambda: WAIT), 1: listener(3)}, 40)
     assert len(err.value.trace) == 40 and err.value.live == {0}
+
+
+def test_a_node_woken_early_ignores_its_old_deadline_when_it_waits_again():
+    g = Graph.from_edges([(0, 1)])
+
+    def rewaits():
+        first = yield wait(10)  # woken early by the beep in round 3
+        woke_at = now()
+        second = yield wait(20)  # nobody acts again before round 20
+        return (woke_at, first), (now(), second)
+
+    trace, report = simulate(g, {0: beeper_at(3), 1: rewaits()}, 100)
+    assert report.outputs[1] == ((3, True), (20, False))
+    assert report.total_rounds == 20
+    assert [rec.round for rec in trace] == list(range(1, 21))
+    assert [rec.beepers for rec in trace] == [frozenset()] * 2 + [frozenset({0})] + [frozenset()] * 17
+    verify_reception(trace, g)
+
+
+# --- verify_reception on hand-built traces --------------------------------------
+
+
+def hand_trace(g, *rounds):
+    """Records (round, beepers, heard) over ``g``'s nodes, from label sets."""
+    def mask(labels):
+        return sum(1 << g.nodes.index(u) for u in labels)
+    return [RoundRecord(r, mask(b), mask(h), g.nodes) for r, b, h in rounds]
+
+
+# A path 3 - 7 - 10 - 12: labels that are not node indices.
+LABELLED_PATH = Graph.from_edges([(3, 7), (7, 10), (10, 12)])
+
+
+def test_verify_reception_accepts_a_correct_hand_built_trace():
+    trace = hand_trace(LABELLED_PATH, (1, {7}, {3, 10}), (2, set(), set()), (3, {3, 12}, {7, 10}))
+    verify_reception(trace, LABELLED_PATH)
+    assert [sorted(rec.heard) for rec in trace] == [[3, 10], [], [7, 10]]
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    assert buf.getvalue().splitlines()[2] == '{"round": 3, "beepers": [3, 12], "heard": [7, 10]}'
+
+
+def test_round_records_compare_by_round_and_label_sets():
+    rec, other_round, other_beeper = hand_trace(
+        LABELLED_PATH, (1, {7}, {3, 10}), (2, {7}, {3, 10}), (1, {3}, {7}))
+    assert rec != other_round and rec != other_beeper
+    # Equal labels are equal records, also over another graph's node order.
+    shifted = Graph.from_edges([(1, 3), (3, 7), (7, 10), (10, 12)])
+    for g in (LABELLED_PATH, Graph.from_edges([(3, 7), (7, 10), (10, 12)]), shifted):
+        same = hand_trace(g, (1, {7}, {3, 10}))[0]
+        assert same == rec and hash(same) == hash(rec)
+    assert repr(other_beeper) == "RoundRecord(round=1, beepers=frozenset({3}), heard=frozenset({7}))"
+
+
+@pytest.mark.parametrize(
+    "rounds, bad_round",
+    [
+        ([(1, {7}, {3, 10}), (2, {7}, {3})], 2),  # a dropped heard bit
+        ([(1, {3}, {7, 10})], 1),  # an extra heard bit
+        ([(1, set(), set()), (2, {3, 7}, {3, 7, 10})], 2),  # beepers with heard flags
+        ([(1, set(), set()), (2, {3}, {7}), (4, set(), set())], 4),  # a gap
+        ([(1, set(), set()), (2, set(), set()), (2, set(), set())], 2),  # a repeat
+        ([(2, set(), set())], 2),  # a trace that does not start at round 1
+    ],
+)
+def test_verify_reception_names_the_round_of_a_bad_record(rounds, bad_round):
+    with pytest.raises(SimulationError, match=rf"^round {bad_round}: "):
+        verify_reception(hand_trace(LABELLED_PATH, *rounds), LABELLED_PATH)
+
+
+def test_verify_reception_rejects_a_trace_of_another_graph():
+    other = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+    trace = hand_trace(other, (1, {0}, {1}))
+    with pytest.raises(SimulationError, match="^round 1: "):
+        verify_reception(trace, LABELLED_PATH)

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import pytest
 
 from beepsim import traversal
-from beepsim.engine import Graph, diameter, simulate, verify_reception
+from beepsim.engine import (
+    Graph,
+    RoundRecord,
+    SimulationTimeout,
+    diameter,
+    simulate,
+    verify_reception,
+)
 from beepsim.graphs import GraphSpec, generate, reference_dfs
 from beepsim.traversal import control_word, dfs, flood_threshold, gossip, parse_control_payload
 from beepsim.waves import ProtocolRecorder
@@ -191,3 +201,42 @@ def test_dfs_resumes_only_the_nodes_that_act_or_hear(monkeypatch):
     run = dfs(g)
     assert run.report.all_passed
     assert resumptions <= 0.4 * g.n * run.report.total_rounds
+
+
+def test_dfs_trace_costs_at_most_256_bytes_per_record():
+    # A record holds its round and two node bitsets; records of frozensets
+    # cost about 840 bytes each on this run.
+    g = generate(GraphSpec("erConnected", 60, seed=7))
+    tracemalloc.start()
+    try:
+        run = dfs(g)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        records = len(run.trace)
+        run.trace.clear()
+        gc.collect()
+        trace_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records == run.report.total_rounds == 11091
+    assert 32 * records <= trace_bytes <= 256 * records
+
+
+def test_dfs_trace_records_read_as_the_label_frozensets():
+    # The digest of (round, beepers, heard) through the record API, taken
+    # from the frozenset records this run gave before records held bitsets.
+    g = generate(GraphSpec("erConnected", 60, seed=7))
+    run = dfs(g)
+    assert all(type(rec.beepers) is frozenset and type(rec.heard) is frozenset
+               for rec in run.trace[:50])
+    api = repr([(rec.round, sorted(rec.beepers), sorted(rec.heard)) for rec in run.trace])
+    assert hashlib.sha256(api.encode()).hexdigest() == (
+        "aeec45cf05ce534c4f857cef3ecda33d730bbc90b063a187e92752cc8045d700"
+    )
+    assert sum(len(rec.beepers) for rec in run.trace) == 8980
+    assert sum(len(rec.heard) for rec in run.trace) == 70690
+    with pytest.raises(SimulationTimeout) as err:
+        dfs(g, max_rounds=5000)
+    assert type(err.value.trace) is list
+    assert all(type(rec) is RoundRecord for rec in err.value.trace)
+    assert err.value.trace == run.trace[:5000]

@@ -15,7 +15,7 @@ from beepsim.engine import (
     simulate,
     verify_reception,
 )
-from beepsim.graphs import GraphSpec, generate, or_oracle
+from beepsim.graphs import FAMILIES, GraphSpec, generate, or_oracle
 from beepsim.multicast import multi_broadcast
 from beepsim.waves import (
     WaveConfig,
@@ -24,10 +24,13 @@ from beepsim.waves import (
     broadcast,
     codeword_rounds,
     collect_messages,
+    collect_phase_len,
     elect_leader,
     election_len,
     estimate_diameter,
+    estimate_len,
     get_message_length,
+    msglen_phase_len,
     wave_source_rounds,
 )
 
@@ -435,3 +438,27 @@ def test_sleeping_election_beeps_exactly_like_a_listening_one(rng):
         trace, report = simulate(g, programs, 10**6)
         assert run.trace == trace
         assert run.report.outputs == report.outputs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_data_independent_runners_take_exactly_their_phase_lengths(family):
+    # The schedules of these runners depend only on D~ and p, so their round
+    # counts are exact: any change to the kernel's round clock shows here.
+    rng = random.Random(family)
+    for n in (1, 2, 5, 17, 40):
+        if family == "cycle" and n < 3:
+            continue
+        for seed in (0, 1):
+            g = generate(GraphSpec(family, n, seed=seed))
+            run = estimate_diameter(g)
+            dt = run.report.extras["dtilde"]
+            assert run.report.total_rounds == estimate_len(dt)
+            sources = set(rng.sample(g.nodes, rng.randint(1, min(n, 4))))
+            msgs = {s: random_bits(rng, rng.randint(1, 6)) for s in sources}
+            p = max(len(m) for m in msgs.values())
+            run = collect_messages(g, None, sources, msgs)
+            assert run.report.total_rounds == estimate_len(dt) + collect_phase_len(p, dt)
+            run = get_message_length(g, None, sources, msgs)
+            assert run.report.total_rounds == estimate_len(dt) + msglen_phase_len(p, dt)
+            run = collect_messages(g, None, sources, msgs, dtilde=dt)
+            assert run.report.total_rounds == collect_phase_len(p, dt)
