@@ -225,43 +225,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one protocol on one graph")
-    run_p.add_argument("--protocol", required=True, choices=bounds.PROTOCOLS)
+    # Options that ``run`` and ``bench`` share.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--protocol", required=True, choices=bounds.PROTOCOLS)
+    common.add_argument("--message", help="payload bits for broadcast")
+    common.add_argument("--messages",
+                        help="per-node payloads id=bits,id=bits or 'random'")
+    common.add_argument("--sources", help="source ids a,b,c or 'random'")
+    common.add_argument("--source", type=int, help="broadcast source id")
+    common.add_argument("--leader", type=int, help="leader id override")
+    common.add_argument("--dhat", type=int, help="diameter upper bound fed to nodes")
+    common.add_argument("--lhat", type=int, help="label-range bound fed to nodes")
+    common.add_argument("--k", type=int, default=2, help="random source count")
+    common.add_argument("--msg-bits", type=int, default=4,
+                        help="random message width in bits")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--max-rounds", type=int)
+
+    run_p = sub.add_parser("run", parents=[common], help="run one protocol on one graph")
     run_p.add_argument("--graph", required=True,
                        help="family spec (e.g. er:n=25,p=0.2,seed=7) or edge-list file")
-    run_p.add_argument("--message", help="payload bits for broadcast")
-    run_p.add_argument("--messages",
-                       help="per-node payloads id=bits,id=bits or 'random'")
-    run_p.add_argument("--sources", help="source ids a,b,c or 'random'")
-    run_p.add_argument("--source", type=int, help="broadcast source id")
-    run_p.add_argument("--leader", type=int, help="leader id override")
-    run_p.add_argument("--dhat", type=int, help="diameter upper bound fed to nodes")
-    run_p.add_argument("--lhat", type=int, help="label-range bound fed to nodes")
-    run_p.add_argument("--k", type=int, default=2, help="random source count")
-    run_p.add_argument("--msg-bits", type=int, default=4,
-                       help="random message width in bits")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--max-rounds", type=int)
     run_p.add_argument("--trace", help="write the JSONL trace here")
     run_p.set_defaults(func=_cmd_run)
 
-    bench_p = sub.add_parser("bench", help="sweep graph specs, emit a CSV")
-    bench_p.add_argument("--protocol", required=True, choices=bounds.PROTOCOLS)
+    bench_p = sub.add_parser("bench", parents=[common], help="sweep graph specs, emit a CSV")
     bench_p.add_argument("--graph", action="append",
                          help="family spec; repeat for a sweep")
     bench_p.add_argument("--trials", type=int, default=1)
     bench_p.add_argument("--csv", help="CSV output path (default stdout)")
-    bench_p.add_argument("--sources", help="source ids a,b,c or 'random'")
-    bench_p.add_argument("--source", type=int)
-    bench_p.add_argument("--leader", type=int)
-    bench_p.add_argument("--message")
-    bench_p.add_argument("--messages")
-    bench_p.add_argument("--dhat", type=int)
-    bench_p.add_argument("--lhat", type=int)
-    bench_p.add_argument("--k", type=int, default=2)
-    bench_p.add_argument("--msg-bits", type=int, default=4)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--max-rounds", type=int)
     bench_p.set_defaults(func=_cmd_bench)
 
     verify_p = sub.add_parser("verify", help="run built-in invariant suites")

@@ -8,6 +8,7 @@ so the max ID and the label-range bound stay decoupled for L >> n tests.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -121,7 +122,7 @@ def _er_pairs(n: int, p: float | None, rng: random.Random) -> list[tuple[int, in
         return []
     if p is None:
         # Dense enough that connected draws dominate at small n.
-        p = min(1.0, 2.0 * max(1.0, _log2(n)) / n)
+        p = min(1.0, 2.0 * max(1.0, math.log2(n)) / n)
     for _ in range(_ER_RETRIES):
         pairs = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
@@ -145,12 +146,6 @@ def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n
-
-
-def _log2(x: float) -> float:
-    import math
-
-    return math.log2(x)
 
 
 def reference_dfs(graph: Graph, root: int) -> dict[int, int]:

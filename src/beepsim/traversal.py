@@ -38,6 +38,7 @@ from .engine import (
     Graph,
     ProtocolError,
     ProtocolRecorder,
+    now,
     simulate,
 )
 from .graphs import reference_dfs
@@ -48,11 +49,12 @@ from .waves import (
     _cap,
     _checked_messages,
     _leader,
+    await_quiet,
     ceil_log2,
     codeword_rounds,
     election_phase,
     election_len,
-    idle_rounds,
+    idle_until,
     relay_decode_one,
     source_wave_phase,
 )
@@ -360,13 +362,13 @@ def _gossip_root(
     ctx: _DfsShared, threshold: int, dhat: int, message: str
 ) -> Generator[Any, Any, GossipOutput]:
     _, n = yield from _dfs_root(ctx, threshold)
-    yield from idle_rounds((dhat + 1) * threshold + 3)
+    yield from idle_until(now() + (dhat + 1) * threshold + 3)
     yield from source_wave_phase(codec.int_to_bits(n))
     yield LISTEN  # slack so every trailing-zero window closes before our wave
     yield from source_wave_phase(message)
     decoded: list[str] = []
     for _ in range(n - 1):
-        payload, _, _ = yield from relay_decode_one()
+        payload = yield from relay_decode_one()
         ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
         decoded.append(payload)
     pairs = [(1, message)] + [(i + 2, m) for i, m in enumerate(decoded)]
@@ -377,24 +379,21 @@ def _gossip_non_root(
     ctx: _DfsShared, my_bits: str, threshold: int, message: str
 ) -> Generator[Any, Any, GossipOutput]:
     g = yield from _dfs_non_root(ctx, my_bits, threshold)
-    silent = 0
-    while silent < ARM_SILENCE:
-        fb = yield LISTEN
-        silent = silent + 1 if fb is not True else 0
-    count_bits, _, _ = yield from relay_decode_one()
+    yield from await_quiet(ARM_SILENCE)
+    count_bits = yield from relay_decode_one()
     ctx.recorder.log("gossip_decode", ctx.node, bits=count_bits)
     n = codec.bits_to_int(count_bits)
     if not 1 <= g <= n:
         raise ProtocolError(f"number {g} outside 1..{n}")
     before: list[str] = []
     for _ in range(g - 1):
-        payload, _, _ = yield from relay_decode_one()
+        payload = yield from relay_decode_one()
         ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
         before.append(payload)
     yield from source_wave_phase(message)
     after: list[str] = []
     for _ in range(n - g):
-        payload, _, _ = yield from relay_decode_one()
+        payload = yield from relay_decode_one()
         ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
         after.append(payload)
     pairs = (

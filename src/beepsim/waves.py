@@ -1,12 +1,15 @@
 """Wave-based primitives: broadcast, leader election, diameter estimation,
 message collection, and message-length determination.
 
-All multi-phase protocols here are built from phase generators that operate
-in *phase-relative* rounds (their first yield is phase round 1) and return
-the values a node learns plus the rounds they consumed, so compositions can
-keep every node's schedule in lockstep.
+All multi-phase protocols here are chains of phase generators that share one
+clock, the kernel round ``now()``.  A phase takes ``start = now()`` on entry,
+so its first yield is phase round 1 (absolute round start + 1).  A phase of
+fixed length ends with ``idle_until(start + <its *_len>)``: every node
+evaluates the length from values it has already learned, so every node
+leaves the phase in the same round, and a phase that overran its length
+raises ``ProtocolError``.  Phases return only what a node learns.
 
-Slot arithmetic (same-round OR reception):
+Slot arithmetic in phase rounds (same-round OR reception):
   * a wave source beeps codeword bit i at phase round 3i;
   * a node at hop distance d first hears the wave at round d + 2 and hears
     bit i at round 3i + d - 1, so a 3-round slot absorbs the one-round
@@ -118,13 +121,20 @@ def msglen_phase_len(p: int, dtilde: int) -> int:
 # Building-block phase generators.
 
 
-def idle_rounds(rounds: int) -> Phase:
-    """Listen for ``rounds`` rounds, asleep between the beeps it hears."""
-    if rounds < 0:
-        raise ProtocolError(f"negative idle of {rounds} rounds")
-    end = now() + rounds
+def idle_until(end: int) -> Phase:
+    """Listen until round ``end``, asleep between the beeps it hears.  A
+    phase that reaches its end round late has overrun: ProtocolError."""
+    if end < now():
+        raise ProtocolError(f"phase end {end} has already passed")
     while now() < end:
         yield wait(end)
+
+
+def await_quiet(rounds: int) -> Phase:
+    """Listen until ``rounds`` consecutive rounds carry no beep."""
+    quiet = 0
+    while quiet < rounds:
+        quiet = 0 if (yield LISTEN) is True else quiet + 1
 
 
 def source_wave_phase(m: str) -> Phase:
@@ -136,18 +146,17 @@ def source_wave_phase(m: str) -> Phase:
         yield BEEP if bit == "1" else LISTEN
 
 
-def relay_decode_one() -> Generator[Action, "bool | None", tuple[str, int, int]]:
+def relay_decode_one() -> Generator[Action, "bool | None", str]:
     """Relay-and-decode a single wave codeword.
 
     Arms on the first heard beep (slot alignment re-locks per message),
     relays every heard beep one round later unless this node beeped two
     rounds before the relay round, and feeds 3-round slot values into the
-    incremental codeword parser.  Returns (payload, rounds_consumed,
-    first_heard_round) in phase-relative rounds.
+    incremental codeword parser.  Returns the payload, exactly
+    ``codeword_rounds(payload) - 1`` rounds after the round that armed it.
     """
-    base = now()
     yield WAIT  # silent until armed, so asleep until the first beep
-    r = r0 = now() - base
+    r = 0  # rounds since the arming round
     heard_prev = True
     beeped_prev = False
     beeped_prev2 = False
@@ -162,16 +171,16 @@ def relay_decode_one() -> Generator[Action, "bool | None", tuple[str, int, int]]
         beeped_prev2, beeped_prev = beeped_prev, will_beep
         heard_prev = heard
         if heard:
-            flags.add(1 + (r - r0) // SLOT_PERIOD)
-        # position q is fully observed at round r0 + 3q - 1
-        while r == r0 + SLOT_PERIOD * next_pos - 1:
+            flags.add(1 + r // SLOT_PERIOD)
+        # position q is fully observed 3q - 1 rounds after arming
+        while r == SLOT_PERIOD * next_pos - 1:
             try:
                 done = parser.push(1 if next_pos in flags else 0)
             except codec.MalformedWord as bad:
                 raise ProtocolError(f"wave decode failed: {bad}") from None
             next_pos += 1
             if done is not None:
-                return done, r, r0
+                return done
 
 
 def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:
@@ -182,7 +191,7 @@ def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:
     codec.check_bits(m, "message")
 
     def program() -> Phase:
-        yield from idle_rounds(cfg.start_round - 1)
+        yield from idle_until(cfg.start_round - 1)
         yield from source_wave_phase(m)
 
     return program()
@@ -192,9 +201,9 @@ def beep_wave_relay(cfg: WaveConfig = WaveConfig()) -> Phase:
     """Relay program: forwards the wave and returns its decoded message."""
 
     def program():
-        yield from idle_rounds(cfg.start_round - 1)
-        payload, consumed, _ = yield from relay_decode_one()
-        return BroadcastOutput(payload, cfg.start_round - 1 + consumed)
+        yield from idle_until(cfg.start_round - 1)
+        payload = yield from relay_decode_one()
+        return BroadcastOutput(payload, now())
 
     return program()
 
@@ -252,6 +261,7 @@ def election_phase(my_id: int, bit_width: int, dhat: int) -> Generator[Action, "
 
 
 def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
+    start = now()
     if is_leader:
         yield BEEP  # round 1
         r = 1
@@ -265,11 +275,9 @@ def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
                 break
         dtilde = r
         yield from source_wave_phase(codec.int_to_bits(dtilde))
-        consumed = r + value_codeword_rounds(dtilde)
     else:
-        base = now()
         yield WAIT  # asleep until the leader's pulse arrives, in phase round j
-        r = j = now() - base
+        r = j = now() - start
         ack = j + 1 + ((-j - (j + 1)) % 3)  # next round > j in class (-j) mod 3
         trigger = (2 - j) % 3
         last_heard = j
@@ -288,15 +296,9 @@ def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
         # arrive; once the node stops beeping, live echo streams are heard
         # at gaps of at most two silent rounds, so three fully quiet rounds
         # mean the estimate traffic is over locally.
-        quiet = 0
-        while quiet < 3:
-            r += 1
-            fb = yield LISTEN
-            quiet = 0 if fb is True else quiet + 1
-        payload, consumed_relay, _ = yield from relay_decode_one()
-        dtilde = codec.bits_to_int(payload)
-        consumed = r + consumed_relay
-    yield from idle_rounds(estimate_len(dtilde) - consumed)
+        yield from await_quiet(3)
+        dtilde = codec.bits_to_int((yield from relay_decode_one()))
+    yield from idle_until(start + estimate_len(dtilde))
     return dtilde
 
 
@@ -311,18 +313,20 @@ def _collection_slots(bits: str, dtilde: int, dist: int) -> set[int]:
 def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None", int]:
     """Run the calibration wave; returns this node's hop distance to the
     leader (arrival round of the wave's first beep fixes it)."""
-    cal = calibration_len(dtilde)
+    start = now()
     if is_leader:
         yield from source_wave_phase(CALIBRATION_PAYLOAD)
-        yield from idle_rounds(cal - codeword_rounds(CALIBRATION_PAYLOAD))
-        return 0
-    payload, consumed, r0 = yield from relay_decode_one()
-    if payload != CALIBRATION_PAYLOAD:
-        raise ProtocolError(f"bad calibration payload {payload!r}")
-    dist = r0 - 2
-    if not 1 <= dist <= dtilde:
-        raise ProtocolError(f"calibration distance {dist} out of range")
-    yield from idle_rounds(cal - consumed)
+        dist = 0
+    else:
+        payload = yield from relay_decode_one()
+        if payload != CALIBRATION_PAYLOAD:
+            raise ProtocolError(f"bad calibration payload {payload!r}")
+        # The first beep arrives in phase round dist + 2, and the decoder
+        # returns codeword_rounds(payload) - 1 rounds after that.
+        dist = now() - start - codeword_rounds(CALIBRATION_PAYLOAD) - 1
+        if not 1 <= dist <= dtilde:
+            raise ProtocolError(f"calibration distance {dist} out of range")
+    yield from idle_until(start + calibration_len(dtilde))
     return dist
 
 
@@ -376,6 +380,7 @@ def msglen_phase(
     """All-ones collection with open width; the leader reads off the max
     length p at the first silent slot and broadcasts it.  Every node
     consumes msglen_phase_len(p, dtilde) rounds."""
+    start = now()
     dist = yield from _calibrate(dtilde, is_leader)
     if is_leader:
         local = 0
@@ -392,7 +397,6 @@ def msglen_phase(
         if p < 1:
             raise ProtocolError("no source transmitted any bit")
         yield from source_wave_phase(codec.int_to_bits(p))
-        consumed = local + value_codeword_rounds(p)
     else:
         my_slots = _collection_slots("1" * own_len, dtilde, dist)
         trigger = (2 + dtilde - dist) % 3
@@ -410,10 +414,8 @@ def msglen_phase(
             quiet = 0 if (beep or heard_prev) else quiet + 1
             if local >= eligible and quiet >= 3:
                 break
-        payload, consumed_relay, _ = yield from relay_decode_one()
-        p = codec.bits_to_int(payload)
-        consumed = local + consumed_relay
-    yield from idle_rounds(msglen_phase_len(p, dtilde) - calibration_len(dtilde) - consumed)
+        p = codec.bits_to_int((yield from relay_decode_one()))
+    yield from idle_until(start + msglen_phase_len(p, dtilde))
     return p
 
 
@@ -425,17 +427,17 @@ def broadcast_value_phase(
     """Scheduled network-wide wave of a known-width bit string.  The single
     source passes value_bits; everyone else relays, decodes, and validates
     the width.  Consumes wave_phase_len(expected_bits, dtilde)."""
-    total = wave_phase_len(expected_bits, dtilde)
+    start = now()
     if value_bits is not None:
         if len(value_bits) != expected_bits:
             raise ProtocolError("source value has unexpected width")
         yield from source_wave_phase(value_bits)
-        yield from idle_rounds(total - codeword_rounds(value_bits))
-        return value_bits
-    payload, consumed, _ = yield from relay_decode_one()
-    if len(payload) != expected_bits:
-        raise ProtocolError(f"expected {expected_bits}-bit wave, decoded {len(payload)}")
-    yield from idle_rounds(total - consumed)
+        payload = value_bits
+    else:
+        payload = yield from relay_decode_one()
+        if len(payload) != expected_bits:
+            raise ProtocolError(f"expected {expected_bits}-bit wave, decoded {len(payload)}")
+    yield from idle_until(start + wave_phase_len(expected_bits, dtilde))
     return payload
 
 
@@ -531,12 +533,7 @@ def elect_leader(
     """Binary-search leader election; every node outputs the max ID."""
     dhat, lhat = _bounds(graph, dhat, lhat)
     width = ceil_log2(lhat)
-
-    def program(u: int) -> Phase:
-        leader = yield from election_phase(u, width, dhat)
-        return leader
-
-    programs = {u: program(u) for u in graph.nodes}
+    programs = {u: election_phase(u, width, dhat) for u in graph.nodes}
     expected = election_len(width, dhat)
     trace, report = simulate(graph, programs, _cap(expected + 1, max_rounds))
     report.check("election_round_count", report.total_rounds, expected)
@@ -563,6 +560,7 @@ def estimate_diameter(
     report.check("estimate_agreement", 0 if len(values) == 1 else 1, 0)
     report.check("estimate_lower", dtilde, d, lower=True)
     report.check("estimate_upper", dtilde, 2 * d + 7)
+    report.check("estimate_round_count", abs(report.total_rounds - estimate_len(dtilde)), 0)
     report.extras.update(leader=leader, dtilde=dtilde, true_diameter=d)
     return ProtocolRun(trace, report)
 
@@ -609,8 +607,9 @@ def collect_messages(
     collected = report.outputs[leader]["or"]
     expected = or_oracle([msgs[s] for s in sources], p)
     report.check("collect_equals_or_oracle", 0 if collected == expected else 1, 0)
-    report.check("collection_rounds", collection_len(p, dt), dt + 3 * p + 12)
     offset = estimate_len(dt) if run_estimate else 0
+    expected_rounds = offset + collect_phase_len(p, dt)
+    report.check("collect_round_count", abs(report.total_rounds - expected_rounds), 0)
     report.extras.update(
         leader=leader,
         dtilde=dt,
@@ -636,11 +635,13 @@ def get_message_length(
     sources = set(sources)
     pmax = _checked_messages(graph, sources, msgs)
     run_estimate = dtilde is None
+    learned: dict[int, int] = {}  # the D~ each node used
 
     def program(u: int) -> Phase:
         dt = dtilde
         if dt is None:
             dt = yield from diameter_phase(u == leader)
+        learned[u] = dt
         own = len(msgs[u]) if u in sources else 0
         p = yield from msglen_phase(dt, own, u == leader)
         return p
@@ -651,5 +652,8 @@ def get_message_length(
     trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
     values = {report.outputs[u] for u in graph.nodes}
     report.check("msglen_agreement", 0 if values == {pmax} else 1, 0)
+    dt = learned[leader]
+    expected_rounds = (estimate_len(dt) if run_estimate else 0) + msglen_phase_len(pmax, dt)
+    report.check("msglen_round_count", abs(report.total_rounds - expected_rounds), 0)
     report.extras.update(leader=leader, p=pmax)
     return ProtocolRun(trace, report)

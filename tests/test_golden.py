@@ -1,0 +1,140 @@
+"""Golden digests: every runner's trace, round count and outputs are pinned.
+
+A change that is meant to keep behaviour must keep every entry of GOLDEN.
+Each entry is (total_rounds, sha256 of the ``write_trace`` bytes, sha256
+of the outputs in a canonical form that does not depend on the hash seed),
+both digests cut to 16 hex digits.  To see the table a tree produces, run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import io
+
+import pytest
+
+from beepsim.engine import write_trace
+from beepsim.graphs import generate, parse_graph_spec
+from beepsim.multicast import multi_broadcast
+from beepsim.traversal import dfs, gossip
+from beepsim.waves import (
+    broadcast,
+    collect_messages,
+    elect_leader,
+    estimate_diameter,
+    get_message_length,
+)
+
+GRAPHS = ("path:n=7", "grid:n=9,seed=2", "er:n=16,seed=4,range=64")
+
+
+def _runs(graph):
+    """(name, thunk) for the 9 runners and three variants on ``graph``."""
+    nodes = graph.nodes
+    sources = set(nodes[:3])
+    ragged = {u: "1011"[: 1 + i] for i, u in enumerate(nodes[:3])}
+    fixed = {u: ("101", "011", "110")[i] for i, u in enumerate(nodes[:3])}
+    everyone = {u: format(i % 8, "03b") for i, u in enumerate(nodes)}
+    dt = 2 * graph.n + 3
+    return [
+        ("broadcast", lambda: broadcast(graph, nodes[1], "1011")),
+        ("broadcast start5", lambda: broadcast(graph, nodes[1], "01", start_round=5)),
+        ("elect", lambda: elect_leader(graph)),
+        ("diameter", lambda: estimate_diameter(graph)),
+        ("collect", lambda: collect_messages(graph, None, sources, ragged)),
+        ("collect dtilde", lambda: collect_messages(graph, None, sources, ragged, dtilde=dt)),
+        ("msglen", lambda: get_message_length(graph, None, sources, ragged)),
+        ("msglen dtilde", lambda: get_message_length(graph, None, sources, ragged, dtilde=dt)),
+        ("dfs", lambda: dfs(graph)),
+        ("gossip", lambda: gossip(graph, everyone)),
+        ("mb-prov", lambda: multi_broadcast(graph, sources, fixed, provenance=True)),
+        ("mb-noprov", lambda: multi_broadcast(graph, sources, fixed, provenance=False)),
+    ]
+
+
+def _canon(value) -> str:
+    """A repr in which every set is sorted, so it does not depend on the hash seed."""
+    if isinstance(value, (set, frozenset)):
+        return "{" + ",".join(sorted(_canon(v) for v in value)) + "}"
+    if isinstance(value, dict):
+        return "{" + ",".join(sorted(f"{_canon(k)}:{_canon(v)}" for k, v in value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return "(" + ",".join(_canon(v) for v in value) + ")"
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value).__name__ + _canon([getattr(value, f.name) for f in fields])
+    return repr(value)
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def fingerprint(run) -> tuple[int, str, str]:
+    buf = io.StringIO()
+    write_trace(run.trace, buf)
+    return run.report.total_rounds, _sha16(buf.getvalue()), _sha16(_canon(run.report.outputs))
+
+
+GOLDEN = {
+    "path:n=7 broadcast": (41, "8c181f79d367cf61", "537beaddb4086c5f"),
+    "path:n=7 broadcast start5": (33, "8dbc81e2855467fc", "6d1e5c9cd4ce9a04"),
+    "path:n=7 elect": (24, "70f0b0d90b0e2d8d", "b0a8ba38ba5af299"),
+    "path:n=7 diameter": (77, "4899e24401d18fbc", "2862a9a701aa86b9"),
+    "path:n=7 collect": (139, "b1bd377a9ae91c31", "0af8622e12941ceb"),
+    "path:n=7 collect dtilde": (62, "0d1485487a0e9b05", "0af8622e12941ceb"),
+    "path:n=7 msglen": (184, "d065b4e9ad16579e", "05e9151f4979bce5"),
+    "path:n=7 msglen dtilde": (107, "500b353553d0ee40", "05e9151f4979bce5"),
+    "path:n=7 dfs": (967, "af41b064ecc5625b", "659f02d4c99df547"),
+    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "c790edf83d07e9ca"),
+    "path:n=7 mb-prov": (697, "6d0a8a727fe2c8f9", "c687136fcf1ba941"),
+    "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "b20cb31ee1220408"),
+    "grid:n=9,seed=2 broadcast": (40, "39d846f500cf495d", "b79b9c901be80176"),
+    "grid:n=9,seed=2 broadcast start5": (32, "7f4b6786757c9527", "81992cbad417937e"),
+    "grid:n=9,seed=2 elect": (40, "5fd80d7e43a5a25b", "7b300af0509a0c8d"),
+    "grid:n=9,seed=2 diameter": (59, "da303dccf12f4246", "c6d173fa571a6cbc"),
+    "grid:n=9,seed=2 collect": (109, "1f3ae8a6eefaeba9", "8d444df1f6c65aaa"),
+    "grid:n=9,seed=2 collect dtilde": (70, "4370ea55b8045fe2", "04f8f9ecfe1c19a5"),
+    "grid:n=9,seed=2 msglen": (148, "14bc7ac555d38838", "ae8aade6c2d307f6"),
+    "grid:n=9,seed=2 msglen dtilde": (119, "2af8137e45847e4a", "ae8aade6c2d307f6"),
+    "grid:n=9,seed=2 dfs": (1333, "5dc378b18c6a2ffa", "9822cee152f98619"),
+    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "6d0498287daf30ee"),
+    "grid:n=9,seed=2 mb-prov": (689, "4cc506644a3dddec", "d645a104e1a6a526"),
+    "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "3e8afa67ccf2da6e"),
+    "er:n=16,seed=4,range=64 broadcast": (39, "f9132a082ecc8ad8", "52939bbd52586314"),
+    "er:n=16,seed=4,range=64 broadcast start5": (31, "e7467ceb4dbc14f5", "da167164cbf48295"),
+    "er:n=16,seed=4,range=64 elect": (102, "371c80b96ef6c608", "65e8270e91324d7f"),
+    "er:n=16,seed=4,range=64 diameter": (53, "bee84026e350d056", "392d73eda75f33f2"),
+    "er:n=16,seed=4,range=64 collect": (97, "3ea3b7876cb6ce25", "3861984df13f2f67"),
+    "er:n=16,seed=4,range=64 collect dtilde": (98, "26ec3466a0dfd668", "664ce2e462a91c6a"),
+    "er:n=16,seed=4,range=64 msglen": (133, "9ee91e7cd8bb239a", "631875f52d1beac6"),
+    "er:n=16,seed=4,range=64 msglen dtilde": (161, "338eaa7fbce8f631", "631875f52d1beac6"),
+    "er:n=16,seed=4,range=64 dfs": (2855, "1c79230bf8b15f81", "345d5c2727151629"),
+    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "a6751e4b6cb2cc5c"),
+    "er:n=16,seed=4,range=64 mb-prov": (877, "d9ede9539f5736b0", "622bc255f5411339"),
+    "er:n=16,seed=4,range=64 mb-noprov": (877, "d9ede9539f5736b0", "99db9fb37121c284"),
+}
+
+
+def _cases():
+    for spec in GRAPHS:
+        graph = generate(parse_graph_spec(spec))
+        for name, thunk in _runs(graph):
+            yield f"{spec} {name}", thunk
+
+
+def test_every_runner_matches_its_golden_digest():
+    got = {}
+    for key, thunk in _cases():
+        run = thunk()
+        assert run.report.all_passed, key
+        got[key] = fingerprint(run)
+    assert got == GOLDEN
+
+
+if __name__ == "__main__":
+    for key, thunk in _cases():
+        rounds, trace, outputs = fingerprint(thunk())
+        print(f'    "{key}": ({rounds}, "{trace}", "{outputs}"),')

@@ -12,6 +12,7 @@ from beepsim.engine import (
     ProtocolError,
     diameter,
     distances,
+    now,
     simulate,
     verify_reception,
 )
@@ -19,6 +20,7 @@ from beepsim.graphs import FAMILIES, GraphSpec, generate, or_oracle
 from beepsim.multicast import multi_broadcast
 from beepsim.waves import (
     WaveConfig,
+    await_quiet,
     beep_wave_relay,
     beep_wave_source,
     broadcast,
@@ -30,6 +32,7 @@ from beepsim.waves import (
     estimate_diameter,
     estimate_len,
     get_message_length,
+    idle_until,
     msglen_phase_len,
     wave_source_rounds,
 )
@@ -70,6 +73,67 @@ def test_source_start_round_offset():
 def test_source_rejects_empty_message():
     with pytest.raises(ValueError):
         beep_wave_source("")
+
+
+# --- the phase clock --------------------------------------------------------
+
+def test_idle_until_a_passed_round_names_node_and_round():
+    g = Graph.from_edges([(0, 1)])
+
+    def late():
+        yield LISTEN
+        yield LISTEN
+        yield from idle_until(1)
+
+    def early():
+        yield from idle_until(2)
+
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {0: early(), 1: late()}, 10)
+    assert (err.value.node, err.value.round) == (1, 2)
+    assert err.value.reason == "phase end 1 has already passed"
+
+
+def test_await_quiet_returns_after_the_quiet_window():
+    g = Graph.from_edges([(0, 1)])
+
+    def beeper():
+        yield BEEP
+        yield LISTEN
+        yield BEEP
+
+    def waiter():
+        yield from await_quiet(3)
+        return now()
+
+    _, report = simulate(g, {0: beeper(), 1: waiter()}, 20)
+    assert report.outputs[1] == 6  # beeps in rounds 1 and 3, quiet 4..6
+
+
+def test_round_count_checks_flag_a_phase_that_overruns(monkeypatch):
+    def one_round_late(phase):
+        def late(*args, **kwargs):
+            out = yield from phase(*args, **kwargs)
+            yield LISTEN
+            return out
+        return late
+
+    g = generate(GraphSpec("grid", 9, seed=2))
+    sources, msgs = {g.nodes[0]}, {g.nodes[0]: "101"}
+    cases = [
+        ("diameter_phase", "estimate_round_count", lambda: estimate_diameter(g)),
+        ("collect_phase", "collect_round_count",
+         lambda: collect_messages(g, None, sources, msgs, dtilde=8)),
+        ("msglen_phase", "msglen_round_count",
+         lambda: get_message_length(g, None, sources, msgs, dtilde=8)),
+    ]
+    for phase, name, runner in cases:
+        checks = {c.name: c for c in runner().report.bound_checks}
+        assert (checks[name].measured, checks[name].passed) == (0, True)
+        with monkeypatch.context() as m:
+            m.setattr(waves, phase, one_round_late(getattr(waves, phase)))
+            checks = {c.name: c for c in runner().report.bound_checks}
+        assert (checks[name].measured, checks[name].passed) == (1, False), name
 
 
 # --- broadcast ------------------------------------------------------------
