@@ -75,7 +75,13 @@ def _parse_messages(text: str | None, nodes: list[int], rng: random.Random,
         key, _, val = item.partition("=")
         if not val:
             raise ValueError(f"message entry {item!r} is not id=bits")
-        msgs[int(key)] = val
+        try:
+            u = int(key)
+        except ValueError:
+            raise ValueError(f"message entry {item!r}: {key!r} is not a node id") from None
+        if u in msgs:
+            raise ValueError(f"message entry {item!r}: node {u} is given twice")
+        msgs[u] = val
     return msgs
 
 

@@ -180,22 +180,50 @@ def distances(graph: Graph, source: int) -> dict[int, int]:
 def diameter(graph: Graph) -> int:
     """Max eccentricity over all nodes (0 for a single-node graph).
 
-    All sources advance together: ``reach[i]`` is the int bitset of the
-    nodes within d hops of node i, and the next level ORs in the level-d
-    sets of i's neighbours.  D is the first d at which every set is full,
-    after D * 2|E| ORs at most.
+    A double sweep bounds D from below: a BFS from node 0 finds a far node
+    a, and a BFS from a gives ``lb = ecc(a)`` and a far node b.  Let c be the
+    node ``lb // 2`` steps from b on a shortest a-b path, and call x a
+    candidate if ``2 d(c, x) > lb``.  Lemma: if ``d(x, y) > lb`` then
+    ``d(c, x) + d(c, y) >= d(x, y) > lb``, so x or y is a candidate.  Hence
+    D is the larger of lb and the largest eccentricity among the candidates
+    other than a, whose eccentricity is lb.
+
+    The candidates advance together: ``reach[i]`` is the int bitset of the
+    candidates within d hops of node i, and the next level ORs in the
+    level-d sets of i's neighbours.  Every set holds every candidate first
+    at d = the candidates' largest eccentricity.
     """
     adj = graph.adjacency()
     index = {u: i for i, u in enumerate(graph.nodes)}
     nbrs = [[index[v] for v in adj[u]] for u in graph.nodes]
-    full = (1 << graph.n) - 1
-    reach = [1 << i for i in range(graph.n)]
+
+    def bfs(source: int) -> tuple[list[int], int]:
+        """Hop distances from node ``source`` and the last node reached."""
+        dist = [-1] * graph.n
+        dist[source] = 0
+        order = [source]
+        for i in order:
+            for j in nbrs[i]:
+                if dist[j] < 0:
+                    dist[j] = dist[i] + 1
+                    order.append(j)
+        return dist, order[-1]
+
+    dist, a = bfs(0)
+    if -1 in dist:
+        raise ValueError("graph is not connected")
+    dist, b = bfs(a)
+    lb = dist[b]
+    c = b
+    for _ in range(lb // 2):
+        c = next(j for j in nbrs[c] if dist[j] == dist[c] - 1)
+    dist, _ = bfs(c)
+    full = sum(1 << i for i in range(graph.n) if 2 * dist[i] > lb and i != a)
+    reach = [(1 << i) & full for i in range(graph.n)]
     todo = [i for i in range(graph.n) if reach[i] != full]
     d = 0
     while todo:
         d += 1
-        if d == graph.n:
-            raise ValueError("graph is not connected")
         level = reach[:]
         for i in todo:
             r = level[i]
@@ -203,7 +231,7 @@ def diameter(graph: Graph) -> int:
                 r |= level[j]
             reach[i] = r
         todo = [i for i in todo if reach[i] != full]
-    return d
+    return max(lb, d)
 
 
 # The round ``simulate`` is running: 0 while it primes the programs, r while

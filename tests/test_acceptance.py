@@ -30,8 +30,10 @@ from beepsim.waves import (
     broadcast,
     codeword_rounds,
     collect_messages,
+    collect_phase_len,
     elect_leader,
     estimate_diameter,
+    estimate_len,
 )
 
 from conftest import random_bits, random_connected_graph
@@ -109,8 +111,12 @@ def test_criterion_04_collect_500_instances():
         run = collect_messages(g, g.max_id, sources, msgs, p)
         assert run.report.outputs[g.max_id]["or"] == or_oracle(list(msgs.values()), p), i
         dtilde = run.report.extras["dtilde"]
-        assert run.report.extras["collection_rounds"] <= dtilde + 3 * p + 12, i
-    _report("4 collect", "500 instances equal the OR oracle within budget")
+        rounds = estimate_len(dtilde) + collect_phase_len(p, dtilde)
+        assert run.report.total_rounds == rounds, i
+        start = run.report.extras["collection_start"]
+        end = start + run.report.extras["collection_rounds"]
+        assert all(r.round <= end for r in run.trace if r.round > start and r.beep_mask), i
+    _report("4 collect", "500 instances equal the OR oracle in exactly their phase lengths")
 
 
 def test_criterion_05_dfs_200_graphs():

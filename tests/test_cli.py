@@ -198,3 +198,18 @@ def test_run_bad_source_list_names_the_token(capsys, sources, named):
     assert code == EXIT_USAGE
     assert named in err and "--sources" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "messages, named",
+    [("x=1", "'x'"), ("0=1,=0", "''"), ("0=1,0=0", "node 0"), ("0=1,3=1,3=0", "node 3")],
+)
+def test_run_bad_message_list_names_the_token(capsys, messages, named):
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "collect", "--graph", "path:n=5",
+        "--sources", "0,3", "--messages", messages,
+    )
+    assert code == EXIT_USAGE
+    assert named in err and "message entry" in err
+    assert "invalid literal" not in err
+    assert out == ""

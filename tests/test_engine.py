@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -282,6 +283,45 @@ def test_oracles_match_input_edges_adversarial(pairs):
     g = Graph.from_edges(edges)
     assert g.label_range == max(ids) + 1 and g.n == n
     assert_oracles_match(g, ids, edges)
+
+
+def _tree_plus_chords(rng, n_max):
+    n = rng.randint(2, n_max)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n // 2)):
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    ids = rng.sample(range(10**6), n)
+    return Graph.from_edges([(ids[u], ids[v]) for u, v in pairs], nodes=ids)
+
+
+def test_diameter_equals_the_largest_bfs_eccentricity():
+    rng = random.Random(0xD1A)
+    above_double_sweep = 0
+    for _ in range(1500):
+        g = _tree_plus_chords(rng, 40)
+        ecc = {u: max(distances(g, u).values()) for u in g.nodes}
+        assert diameter(g) == max(ecc.values())
+        # Count the draws whose double-sweep bound, the eccentricity of the
+        # last node a BFS from node 0 reaches, is below D: on those D comes
+        # from the candidate sweep.
+        far = list(distances(g, g.nodes[0]))[-1]
+        above_double_sweep += ecc[far] < max(ecc.values())
+    assert above_double_sweep >= 50
+
+
+def test_diameter_of_a_long_path_is_not_quadratic():
+    assert diameter(generate(GraphSpec("path", 20000, seed=0))) == 19999
+
+
+def test_diameter_of_an_odd_cycle_sweeps_half_the_nodes():
+    assert diameter(generate(GraphSpec("cycle", 501, seed=3))) == 250
+
+
+def test_diameter_rejects_a_disconnected_graph():
+    g = Graph((0, 1, 2), MappingProxyType({0: (1,), 1: (0,), 2: ()}), 3)
+    with pytest.raises(ValueError, match="not connected"):
+        diameter(g)
 
 
 def test_graph_value_ignores_edge_order_and_orientation():

@@ -313,7 +313,10 @@ def test_collect_phase_budget(rng):
         msgs = {g.nodes[0]: random_bits(rng, 4)}
         run = collect_messages(g, g.max_id, sources, msgs, 4)
         dt = run.report.extras["dtilde"]
-        assert run.report.extras["collection_rounds"] <= dt + 3 * 4 + 12
+        assert run.report.total_rounds == estimate_len(dt) + collect_phase_len(4, dt)
+        start = run.report.extras["collection_start"]
+        end = start + run.report.extras["collection_rounds"]
+        assert all(r.round <= end for r in run.trace if r.round > start and r.beep_mask)
 
 
 # --- message length ----------------------------------------------------------
