@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from . import bounds, selfcheck
+from . import bounds, codec, selfcheck
 from .engine import (
     Graph,
     ProtocolError,
@@ -108,7 +108,10 @@ def _dispatch(protocol: str, graph: Graph, args: argparse.Namespace,
     msgs: dict[int, str] = {}
     if protocol == "broadcast":
         source = args.source if args.source is not None else graph.max_id
-        msgs = _parse_messages(args.message and f"{source}={args.message}", [source], rng, width)
+        if args.message is None:
+            msgs = _parse_messages(None, [source], rng, width)
+        else:
+            msgs = {source: codec.check_bits(args.message, "--message")}
         run = broadcast(graph, source, msgs[source], max_rounds=args.max_rounds)
     elif protocol == "elect":
         run = elect_leader(graph, args.dhat, args.lhat, max_rounds=args.max_rounds)

@@ -15,6 +15,13 @@ only in the round it hears a beep, or after the deadline round, so each round
 costs work for the nodes that act or hear and not for every live node.  A
 sleeping node is still a listener: reception and the trace are unchanged.
 
+A program that only relays a beep wave yields ``Echo(until, gate)``.  Until
+round ``until`` the kernel beeps for it in round r + 1 iff it heard a beep in
+round r, r is ``gate`` mod 3 (any r if ``gate`` is None), and it did not beep
+in round r - 1: one bitset rule for all echoing nodes per round.  The node is
+resumed after round ``until`` as after a LISTEN or BEEP, and ``Echo.heard``
+and ``Echo.beeped`` read its window rounds back from the trace.
+
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
 two int bitsets in that order: bit i set means node i is in the set.  The
@@ -258,6 +265,36 @@ def _check_deadline(until: int, round_no: int) -> None:
         raise ProtocolError(f"wait deadline {until} is not after round {round_no}")
 
 
+class Echo:
+    """Relay action: the kernel acts for the node by the relay rule (module
+    docstring) in every round after the one it yields this in, up to and
+    including round ``until``, and resumes it after round ``until``."""
+
+    __slots__ = ("until", "gate", "_view")
+
+    def __init__(self, until: int, gate: int | None = None):
+        _check_deadline(until, _round)
+        self.until = until
+        self.gate = gate
+        self._view: tuple[Trace, int, int] | None = None  # (trace, node bit, start), by simulate
+
+    # Parsing a bit string is faster than OR-ing in one bit per round.
+    @property
+    def heard(self) -> int:
+        """Bit j set: the node heard a beep in window round j, the j-th round
+        after the one it yielded this action in."""
+        trace, b, start = self._view
+        window = reversed(trace[start:self.until])
+        return int("".join(["1" if rec._heard & b else "0" for rec in window]) + "0", 2)
+
+    @property
+    def beeped(self) -> int:
+        """Bit j set: the node beeped in window round j."""
+        trace, b, start = self._view
+        window = reversed(trace[start:self.until])
+        return int("".join(["1" if rec._beeps & b else "0" for rec in window]) + "0", 2)
+
+
 @dataclass
 class ProtocolRecorder:
     """Optional side-channel protocols use to expose internal events to
@@ -405,13 +442,17 @@ def simulate(
     # ``waiting`` is the set of sleeping nodes and ``until[i]`` node i's
     # deadline (0 for none, and for every node that is not waiting); ``due``
     # lists the nodes whose deadline is each round, and keeps stale entries
-    # of nodes that woke early until that round comes.
+    # of nodes that woke early until that round comes.  ``echo_at[k]`` holds
+    # the echoing nodes that may relay a beep heard in a round r = k mod 3,
+    # ``echoing`` all of them; they sleep on ``until`` and ``due`` too.
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
     beeps = (1 << len(nodes)) - 1
     heard = 0
     waiting = 0
+    echoing = 0
+    echo_at = [0, 0, 0]
     until = [0] * len(nodes)
     due: dict[int, list[int]] = {}
     round_no = 0
@@ -435,7 +476,13 @@ def simulate(
                         waiting |= b
                     else:
                         deadline = until[i] = _deadline(action, round_no)
-                        waiting |= b
+                        if type(action) is Echo:
+                            action._view = (trace, b, round_no)
+                            echoing |= b
+                            for k in (0, 1, 2) if action.gate is None else (action.gate % 3,):
+                                echo_at[k] |= b
+                        else:
+                            waiting |= b
                         due.setdefault(deadline, []).append(i)
                 except StopIteration as stop:
                     report.outputs[nodes[i]] = stop.value
@@ -443,6 +490,11 @@ def simulate(
                 except ProtocolError as err:
                     err.node, err.round = nodes[i], round_no
                     raise
+            if echoing:
+                relays = echo_at[round_no % 3] & heard & ~(trace[-2]._beeps if round_no > 1 else 0)
+                sent |= relays
+                for i in _indices(relays):
+                    reached |= reach[i]
             if not live:
                 break
             if round_no >= max_rounds:
@@ -457,7 +509,10 @@ def simulate(
                 if until[i] == round_no:
                     woken |= bits[i]
             if woken:
-                waiting ^= woken
+                waiting &= ~woken
+                if echoing & woken:
+                    echoing &= ~woken
+                    echo_at = [m & ~woken for m in echo_at]
                 for i in _indices(woken):
                     until[i] = 0
                     awake.append(i)
@@ -471,12 +526,15 @@ def simulate(
 
 
 def _deadline(action: Any, round_no: int) -> int:
-    """The deadline round of a ``wait(until)`` action.  Any other action
-    that is not LISTEN, BEEP or WAIT, and a deadline that is not after the
-    current round, is invalid."""
-    if type(action) is not int or action <= WAIT:
+    """The deadline round of a ``wait(until)`` or ``Echo`` action.  Any other
+    action that is not LISTEN, BEEP or WAIT, and a deadline that is not after
+    the current round, is invalid."""
+    if type(action) is Echo:
+        until = action.until
+    elif type(action) is int and action > WAIT:
+        until = action - WAIT
+    else:
         raise ProtocolError(f"invalid action {action!r}")
-    until = action - WAIT
     _check_deadline(until, round_no)
     return until
 

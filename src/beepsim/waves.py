@@ -30,6 +30,7 @@ from .engine import (
     LISTEN,
     WAIT,
     Action,
+    Echo,
     Graph,
     ProtocolError,
     ProtocolRecorder,  # re-exported for callers that import it from here
@@ -79,7 +80,8 @@ def ceil_log2(x: int) -> int:
 
 
 def codeword_rounds(payload: str) -> int:
-    return SLOT_PERIOD * len(codec.encode(payload))
+    codec.check_bits(payload, "payload")
+    return SLOT_PERIOD * (2 * len(payload) + 4)
 
 
 def value_codeword_rounds(value: int) -> int:
@@ -146,7 +148,7 @@ def source_wave_phase(m: str) -> Phase:
         yield BEEP if bit == "1" else LISTEN
 
 
-def relay_decode_one() -> Generator[Action, "bool | None", str]:
+def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None", str]:
     """Relay-and-decode a single wave codeword.
 
     Arms on the first heard beep (slot alignment re-locks per message),
@@ -154,7 +156,12 @@ def relay_decode_one() -> Generator[Action, "bool | None", str]:
     rounds before the relay round, and feeds 3-round slot values into the
     incremental codeword parser.  Returns the payload, exactly
     ``codeword_rounds(payload) - 1`` rounds after the round that armed it.
+
+    With the payload ``width`` known, one ``Echo`` has the kernel relay the
+    whole expected codeword, and the loop goes on only if the word has not
+    ended by then.  A malformed or short word shows at the window's end.
     """
+    waited = now()
     yield WAIT  # silent until armed, so asleep until the first beep
     r = 0  # rounds since the arming round
     heard_prev = True
@@ -163,7 +170,28 @@ def relay_decode_one() -> Generator[Action, "bool | None", str]:
     flags = {1}
     parser = codec.CodewordParser()
     next_pos = 1
+    # The loop takes the round before arming as silent; the kernel's rule
+    # agrees only if this node was already asleep in that round.
+    if width is not None and now() > waited + 1:
+        r = codeword_rounds("0" * width) - 1
+        window = Echo(now() + r)
+        fb = yield window
+        bits = window.heard | 1  # bit j: heard j rounds after arming (bit 0: arming)
+        flags = {q for q in range(1, r // SLOT_PERIOD + 2) if bits >> SLOT_PERIOD * (q - 1) & 7}
+        heard_prev = fb is True
+        beeped_prev = fb is None
+        # read only where the next round's relay depends on it
+        beeped_prev2 = heard_prev and window.beeped >> (r - 1) & 1 == 1
     while True:
+        # position q is fully observed 3q - 1 rounds after arming
+        while r >= SLOT_PERIOD * next_pos - 1:
+            try:
+                done = parser.push(1 if next_pos in flags else 0)
+            except codec.MalformedWord as bad:
+                raise ProtocolError(f"wave decode failed: {bad}") from None
+            next_pos += 1
+            if done is not None:
+                return done
         r += 1
         will_beep = heard_prev and not beeped_prev2
         fb = yield (BEEP if will_beep else LISTEN)
@@ -172,15 +200,6 @@ def relay_decode_one() -> Generator[Action, "bool | None", str]:
         heard_prev = heard
         if heard:
             flags.add(1 + r // SLOT_PERIOD)
-        # position q is fully observed 3q - 1 rounds after arming
-        while r == SLOT_PERIOD * next_pos - 1:
-            try:
-                done = parser.push(1 if next_pos in flags else 0)
-            except codec.MalformedWord as bad:
-                raise ProtocolError(f"wave decode failed: {bad}") from None
-            next_pos += 1
-            if done is not None:
-                return done
 
 
 def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:
@@ -318,7 +337,7 @@ def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None",
         yield from source_wave_phase(CALIBRATION_PAYLOAD)
         dist = 0
     else:
-        payload = yield from relay_decode_one()
+        payload = yield from relay_decode_one(len(CALIBRATION_PAYLOAD))
         if payload != CALIBRATION_PAYLOAD:
             raise ProtocolError(f"bad calibration payload {payload!r}")
         # The first beep arrives in phase round dist + 2, and the decoder
@@ -347,24 +366,28 @@ def collect_phase(
     if transmit_bits is not None and len(transmit_bits) > width:
         raise ProtocolError("transmit bits wider than collection width")
     dist = yield from _calibrate(dtilde, is_leader)
-    my_slots = _collection_slots(transmit_bits or "", dtilde, dist) if not is_leader else set()
-    trigger = (2 + dtilde - dist) % 3
+    if not is_leader:
+        # Every beep of this node, slot or relay, falls in one residue class
+        # mod 3, so the echo rule's "not beeped two rounds before" never
+        # blocks a relay here.  No slot comes before round 3 (dist <= dtilde).
+        start = now()
+        gate = (start + 2 + dtilde - dist) % 3
+        yield LISTEN
+        for slot in sorted(_collection_slots(transmit_bits or "", dtilde, dist)):
+            yield Echo(start + slot - 1, gate)
+            yield BEEP
+        yield Echo(start + collection_len(width, dtilde), gate)
+        return None
     leader_class = (dtilde + 2) % 3
     ones: set[int] = set()
-    heard_prev = False
     for local in range(1, collection_len(width, dtilde) + 1):
-        relay = not is_leader and heard_prev and (local - 1) % 3 == trigger
-        fb = yield (BEEP if local in my_slots or relay else LISTEN)
-        heard_prev = fb is True
-        if is_leader and heard_prev:
+        if (yield LISTEN) is True:
             if local % 3 != leader_class:
                 raise ProtocolError("collection beep outside leader class")
             slot = (local - dtilde + 1) // 3
             if not 1 <= slot <= width:
                 raise ProtocolError(f"collection slot {slot} out of range")
             ones.add(slot)
-    if not is_leader:
-        return None
     merged = ["1" if i in ones else "0" for i in range(1, width + 1)]
     for i, b in enumerate(leader_local_bits or ""):
         if b == "1":
@@ -434,7 +457,7 @@ def broadcast_value_phase(
         yield from source_wave_phase(value_bits)
         payload = value_bits
     else:
-        payload = yield from relay_decode_one()
+        payload = yield from relay_decode_one(expected_bits)
         if len(payload) != expected_bits:
             raise ProtocolError(f"expected {expected_bits}-bit wave, decoded {len(payload)}")
     yield from idle_until(start + wave_phase_len(expected_bits, dtilde))
@@ -474,7 +497,8 @@ def _checked_messages(graph: Graph, sources: set[int], msgs: dict[int, str]) -> 
     if unknown:
         raise ValueError(f"unknown sources {sorted(unknown)}")
     if set(msgs) != sources:
-        raise ValueError("msgs must cover exactly the source set")
+        raise ValueError(f"sources without a message {sorted(sources - msgs.keys())}, "
+                         f"messages of non-sources {sorted(msgs.keys() - sources)}")
     for s, m in msgs.items():
         codec.check_bits(m, f"message of {s}")
         if not m:

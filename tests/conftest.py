@@ -42,6 +42,27 @@ def hop_distance_oracle(nodes, edges):
     return idx, dist
 
 
+# Adversarial topologies as index pairs: node ids 0 .. max.
+
+def barbell(m, bridge):
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    path = [(i, i + 1) for i in range(m - 1, m + bridge)]
+    return clique + path + [(a + m + bridge, b + m + bridge) for a, b in clique]
+
+
+def lollipop(m, tail):
+    return [(i, j) for i in range(m) for j in range(i + 1, m)] + [
+        (i, i + 1) for i in range(m - 1, m + tail - 1)
+    ]
+
+
+def caterpillar(spine, legs):
+    pairs = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        pairs += [(i, spine + i * legs + j) for j in range(legs)]
+    return pairs
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xBEE9)

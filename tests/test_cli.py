@@ -213,3 +213,32 @@ def test_run_bad_message_list_names_the_token(capsys, messages, named):
     assert named in err and "message entry" in err
     assert "invalid literal" not in err
     assert out == ""
+
+
+def test_run_broadcast_names_a_bad_message(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "broadcast", "--graph", "path:n=5", "--message", "1,0",
+    )
+    assert code == EXIT_USAGE
+    assert "--message" in err and "'1,0'" in err
+    assert "message entry" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "sources, messages, named",
+    [
+        ("0,3", "0=1", "sources without a message [3], messages of non-sources []"),
+        ("0", "3=1", "sources without a message [0], messages of non-sources [3]"),
+    ],
+)
+def test_run_names_sources_without_messages_and_messages_of_non_sources(
+    capsys, sources, messages, named
+):
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "collect", "--graph", "path:n=5",
+        "--sources", sources, "--messages", messages,
+    )
+    assert code == EXIT_USAGE
+    assert named in err
+    assert out == ""

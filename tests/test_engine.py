@@ -11,6 +11,7 @@ from beepsim.engine import (
     BEEP,
     LISTEN,
     WAIT,
+    Echo,
     Graph,
     ProtocolError,
     RoundRecord,
@@ -28,7 +29,7 @@ from beepsim.engine import (
 )
 from beepsim.graphs import FAMILIES, GraphSpec, generate
 
-from conftest import hop_distance_oracle, random_connected_graph
+from conftest import barbell, caterpillar, hop_distance_oracle, lollipop, random_connected_graph
 
 
 def one_shot(action, then_listen: int = 0):
@@ -251,27 +252,8 @@ def test_oracles_match_input_edges_every_family(family, n, monkeypatch):
     assert_oracles_match(g, *given[-1])
 
 
-def _barbell(m, bridge):
-    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    path = [(i, i + 1) for i in range(m - 1, m + bridge)]
-    return clique + path + [(a + m + bridge, b + m + bridge) for a, b in clique]
-
-
-def _lollipop(m, tail):
-    return [(i, j) for i in range(m) for j in range(i + 1, m)] + [
-        (i, i + 1) for i in range(m - 1, m + tail - 1)
-    ]
-
-
-def _caterpillar(spine, legs):
-    pairs = [(i, i + 1) for i in range(spine - 1)]
-    for i in range(spine):
-        pairs += [(i, spine + i * legs + j) for j in range(legs)]
-    return pairs
-
-
 @pytest.mark.parametrize(
-    "pairs", [_barbell(8, 30), _lollipop(12, 60), _caterpillar(40, 3)],
+    "pairs", [barbell(8, 30), lollipop(12, 60), caterpillar(40, 3)],
     ids=["barbell", "lollipop", "caterpillar"],
 )
 def test_oracles_match_input_edges_adversarial(pairs):
@@ -475,6 +457,97 @@ def test_a_node_woken_early_ignores_its_old_deadline_when_it_waits_again():
     assert [rec.round for rec in trace] == list(range(1, 21))
     assert [rec.beepers for rec in trace] == [frozenset()] * 2 + [frozenset({0})] + [frozenset()] * 17
     verify_reception(trace, g)
+
+
+# --- echo windows -------------------------------------------------------------
+
+
+def rule_relay(until, gate=None):
+    """Applies the echo rule one round at a time up to round ``until``: beep
+    in round r + 1 iff heard in round r, r = gate mod 3, and silent in r - 1."""
+    def gen():
+        heard = beeped = beeped_before = False  # heard and beeped in round r, beeped in r - 1
+        while now() < until:
+            will = heard and (gate is None or now() % 3 == gate % 3) and not beeped_before
+            fb = yield BEEP if will else LISTEN
+            beeped_before, beeped, heard = beeped, fb is None, fb is True
+        return now(), fb
+    return gen()
+
+
+def echoer(until, gate=None, log=None):
+    """Yields one Echo in round 0; returns the round it was resumed in and the
+    feedback, and logs the window's heard and beeped bits."""
+    def gen():
+        window = Echo(until, gate)
+        fb = yield window
+        if log is not None:
+            log.append((window.heard, window.beeped))
+        return now(), fb
+    return gen()
+
+
+# A path 0-1-2-3-4-5 whose end 0 beeps; a star whose hub 0 relays for leaf 1.
+ECHO_CASES = [
+    (Graph.from_edges([(i, i + 1) for i in range(5)]), 0, (1, 2, 4, 5, 6, 10, 13, 14, 15)),
+    (Graph.from_edges([(0, i) for i in range(1, 6)]), 1, (1, 2, 3, 5, 8, 9, 11, 14, 15, 16)),
+]
+
+
+@pytest.mark.parametrize("gate", [None, 0, 1, 2, 5])
+@pytest.mark.parametrize("case", range(len(ECHO_CASES)))
+def test_echo_traces_equal_a_per_round_relay_of_the_rule(case, gate):
+    g, source, rounds = ECHO_CASES[case]
+    until = 24
+    runs = []
+    for relay in (rule_relay, echoer):
+        programs = {u: relay(until, gate) for u in g.nodes if u != source}
+        programs[source] = beeper_at(*rounds)
+        trace, report = simulate(g, programs, 100)
+        verify_reception(trace, g)
+        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+    assert runs[0] == runs[1]
+    relayed = [(rec.round, u) for rec in trace for u in rec.beepers if u != source]
+    assert relayed  # the rule fired
+    if gate is not None:
+        assert {(r - 1) % 3 for r, _ in relayed} == {gate % 3}
+
+
+def test_an_echoing_node_is_resumed_once_after_until_with_its_window_bits():
+    g, source, rounds = ECHO_CASES[0]
+    log = []
+    programs = {u: echoer(9 + u, None, log if u == 2 else None) for u in g.nodes if u != source}
+    programs[source] = beeper_at(*rounds)
+    trace, report = simulate(g, programs, 100)
+    heard, beeped = log[0]  # the only resumption of node 2
+    last = trace[10]  # round 11
+    assert report.outputs[2] == (11, None if 2 in last.beepers else 2 in last.heard)
+    assert heard == sum(1 << j for j in range(1, 12) if 2 in trace[j - 1].heard)
+    assert beeped == sum(1 << j for j in range(1, 12) if 2 in trace[j - 1].beepers)
+    assert heard and beeped
+
+
+def test_echo_deadline_not_after_the_round_names_the_node_and_round():
+    g = Graph.from_edges([(0, 1)])
+
+    def late(make):
+        yield LISTEN
+        yield LISTEN
+        yield make()
+
+    kept = Echo(2)  # valid in round 0, yielded in round 2
+    for make in (lambda: Echo(now()), lambda: kept):
+        with pytest.raises(ProtocolError) as err:
+            simulate(g, {0: beeper_at(5), 1: late(make)}, 10)
+        assert (err.value.node, err.value.round) == (1, 2)
+        assert err.value.reason == "wait deadline 2 is not after round 2"
+
+
+def test_an_echoing_node_is_live_when_the_round_cap_hits():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    with pytest.raises(SimulationTimeout) as err:
+        simulate(g, {0: beeper_at(1, 2, 3), 1: echoer(100), 2: listener(3)}, 40)
+    assert len(err.value.trace) == 40 and err.value.live == {1}
 
 
 # --- verify_reception on hand-built traces --------------------------------------

@@ -24,6 +24,7 @@ from beepsim.waves import (
     beep_wave_relay,
     beep_wave_source,
     broadcast,
+    broadcast_value_phase,
     codeword_rounds,
     collect_messages,
     collect_phase_len,
@@ -34,10 +35,11 @@ from beepsim.waves import (
     get_message_length,
     idle_until,
     msglen_phase_len,
+    relay_decode_one,
     wave_source_rounds,
 )
 
-from conftest import random_bits, random_connected_graph
+from conftest import barbell, caterpillar, lollipop, random_bits, random_connected_graph
 
 
 # --- beep-wave source schedule -------------------------------------------
@@ -360,6 +362,114 @@ def test_malformed_wave_error_names_node_and_absolute_round():
         simulate(g, programs, 100)
     assert (err.value.node, err.value.round) == (0, 18)
     assert "invalid 01 pair" in err.value.reason
+
+
+# --- known-width waves: one echo window in front of the per-round loop -------------
+
+
+def slot_sender(codeword, start):
+    """Sends ``codeword`` one bit per 3-round slot, the first in round start + 3."""
+    def gen():
+        yield from idle_until(start)
+        for bit in codeword:
+            yield LISTEN
+            yield LISTEN
+            yield BEEP if bit == "1" else LISTEN
+    return gen()
+
+
+def wave_decoder(width, start):
+    def gen():
+        yield from idle_until(start)
+        payload = yield from relay_decode_one(width)
+        return payload, now()
+    return gen()
+
+
+def echo_cases(rng):
+    for _ in range(8):
+        yield random_connected_graph(rng, 200)
+    for pairs in (barbell(8, 30), lollipop(12, 60), caterpillar(40, 3)):
+        yield Graph.from_edges(pairs)
+
+
+def test_known_width_relay_equals_the_per_round_relay(rng):
+    for g in echo_cases(rng):
+        source = rng.choice(g.nodes)
+        payload = random_bits(rng, rng.randint(1, 8))
+        # A width below the payload's makes the loop go on after the window.
+        expected = rng.choice((len(payload), rng.randint(1, len(payload))))
+        # Decoders that wait from round 2 are armed in their first round
+        # awake and keep the per-round loop; those from round 0 echo.
+        starts = {u: rng.choice((0, 2)) for u in g.nodes}
+        runs = []
+        for width in (expected, None):
+            programs = {u: wave_decoder(width, starts[u]) for u in g.nodes}
+            programs[source] = slot_sender(codec.encode(payload), 0)
+            trace, report = simulate(g, programs, 10_000)
+            runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+        assert runs[0] == runs[1]
+        dist = distances(g, source)
+        assert all(
+            out == (payload, codeword_rounds(payload) + dist[u] + 1)
+            for u, out in runs[0][1].items() if u != source
+        )
+
+
+def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
+    # Node 1 beeps in round 2 and is armed in round 3; the per-round loop
+    # relays that beep in round 4, where the echo rule would not.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+
+    def beeps_then_decodes(width):
+        yield LISTEN
+        yield BEEP
+        return (yield from relay_decode_one(width))
+
+    runs = []
+    for width in (2, None):
+        programs = {0: slot_sender(codec.encode("10"), 0), 1: beeps_then_decodes(width),
+                    2: wave_decoder(width, 2)}
+        trace, report = simulate(g, programs, 100)
+        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+    assert runs[0] == runs[1]
+    assert 1 in trace[3].beepers
+
+
+def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
+    # Node 0 sends "101" to node 1, which expects 1 bit, so its 18-round
+    # window ends in round 20.  Node 2's beeps in rounds 16 and 19 make node 1
+    # beep in round 20; it hears the source in round 21 and, having beeped
+    # two rounds before, must not relay in round 22.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+
+    def injector():
+        for r in range(1, 40):
+            yield BEEP if r in (16, 19) else LISTEN
+
+    runs = []
+    for width in (1, None):
+        programs = {0: slot_sender(codec.encode("101"), 0), 1: wave_decoder(width, 0),
+                    2: injector()}
+        trace, report = simulate(g, programs, 100)
+        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+    assert runs[0] == runs[1]
+    assert 1 in trace[19].beepers and 1 in trace[20].heard and 1 not in trace[21].beepers
+    assert report.outputs[1] == ("111", 32)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_known_width_wave_with_one_flipped_bit_raises(width, rng):
+    payload = random_bits(rng, width)
+    codeword = codec.encode(payload)
+    path, star = [(i, i + 1) for i in range(5)], [(0, i) for i in range(1, 6)]
+    for g in (Graph.from_edges(path), Graph.from_edges(star)):
+        for k in range(1, 2 * width + 2):  # the start marker's 0 and every payload bit
+            bad = codeword[:k] + "10"[int(codeword[k])] + codeword[k + 1:]
+            programs = {u: broadcast_value_phase(10, width, None) for u in g.nodes}
+            programs[1] = slot_sender(bad, 0)
+            with pytest.raises(ProtocolError):
+                simulate(g, programs, 1000)
 
 
 # --- runner preamble -----------------------------------------------------------
