@@ -594,15 +594,18 @@ def read_graph(fh: TextIO, label_range: int | None = None) -> Graph:
     count = int(header[1])
     edges: list[tuple[int, int]] = []
     nodes: set[int] = set()
-    for line in fh:
+    for number, line in enumerate(fh, 2):
         line = line.strip()
         if not line:
             continue
-        ends = [int(tok) for tok in line.split()]
+        tokens = line.split()
+        if len(tokens) > 2 or not all(tok.isdecimal() for tok in tokens):
+            # a line is one edge "u v" or one lone node "u"
+            raise ValueError(f"line {number}: expected 'u v' or 'u', got {line!r}")
+        ends = [int(tok) for tok in tokens]
         nodes.update(ends)
-        if len(ends) != 1:  # a line is one edge "u v" or one lone node "u"
-            u, v = ends
-            edges.append((u, v))
+        if len(ends) == 2:
+            edges.append((ends[0], ends[1]))
     if len(nodes) != count:
         raise ValueError(f"header says {count} nodes, edge list mentions {len(nodes)}")
     return Graph.from_edges(edges, nodes=nodes, label_range=label_range)

@@ -19,8 +19,8 @@ FAMILIES = ("path", "cycle", "star", "complete", "grid", "randomTree", "erConnec
 _ER_RETRIES = 200
 
 
-class GenerationError(RuntimeError):
-    pass
+class GenerationError(ValueError):
+    """No graph fits the spec, such as a connected G(n, p) draw for a tiny p."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class GraphSpec:
             raise ValueError("n must be >= 1")
         if self.family == "cycle" and self.n < 3:
             raise ValueError("cycle needs n >= 3")
+        if self.edge_probability is not None and not 0 < self.edge_probability <= 1:
+            raise ValueError("edge probability p must be in (0, 1]")
         if self.label_range is not None and self.label_range < self.n:
             raise ValueError("label_range must be >= n")
 

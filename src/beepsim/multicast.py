@@ -2,15 +2,17 @@
 and the explicit-constant lower-bound floors.
 
 Both variants run the same set-up (leader election, diameter estimation,
-message-length determination) and then iterative prefix search: per round,
-each source marks the child of its known-prefix list that matches its own
-ID (or message) in a 2k-wide indicator string, the leader collects the OR,
-and broadcasts it back, doubling the community's prefix knowledge.  With
-provenance the ID search runs to full width and a final k*p-bit table wave
-ships the messages in ID order; without provenance the ID search aborts as
-soon as the prefix count exceeds the diameter estimate and the same search
-re-runs over message bits, whose surviving prefixes after p rounds are
-exactly the distinct messages.
+message-length determination) and then one primitive, iterative prefix
+search (``_prefix_search``): per round, each source marks the child of its
+known-prefix list that matches its own word in a 2k-wide indicator string,
+the leader collects the OR, and broadcasts it back, doubling the
+community's prefix knowledge.  The search runs first over IDs.  With
+provenance it runs to full width and a final k*p-bit table wave ships the
+messages in ID order; without provenance it stops as soon as the prefix
+count exceeds the diameter estimate, and then the same search runs over
+message bits, whose surviving prefixes after p rounds are exactly the
+distinct messages.  If the ID search does not stop early, the table wave
+ships the messages then too.
 """
 
 from __future__ import annotations
@@ -164,16 +166,30 @@ def _collect_and_share(
     return (yield from broadcast_value_phase(dtilde, width, z))
 
 
-def _prefix_round(
-    is_leader: bool,
-    dtilde: int,
-    prefixes: list[str],
-    own_prefix: str | None,
-) -> Generator[Any, Any, str]:
-    """One collect-and-rebroadcast step; the phase returns the OR indicator
-    Z.  A plain function, so the step adds no generator frame per round."""
-    own_ind = _indicator(prefixes, own_prefix) if own_prefix is not None else None
-    return _collect_and_share(is_leader, dtilde, 2 * len(prefixes), own_ind)
+def _prefix_search(
+    node: int, is_leader: bool, dtilde: int, word: str | None, width: int,
+    ks: list[int], recorder: ProtocolRecorder, event: str, cap: float = math.inf,
+) -> Generator[Any, Any, list[str]]:
+    """Iterative prefix search over ``width``-bit words, one bit per round.
+
+    Each round a source marks the child of the known prefix list that its
+    own ``word`` extends (a non-source passes None), the leader collects the
+    OR of these 2k-bit indicators and waves it back, and every node expands
+    its list.  The round's prefix count k is appended to ``ks`` and the new
+    list is logged as ``event``.  Returns the surviving prefixes after
+    ``width`` rounds, or as soon as more than ``cap`` survive."""
+    prefixes = [""]
+    for i in range(1, width + 1):
+        ks.append(len(prefixes))
+        own = _indicator(prefixes, word[:i]) if word is not None else None
+        z = yield from _collect_and_share(is_leader, dtilde, 2 * len(prefixes), own)
+        prefixes = _expand(prefixes, z)
+        if not 0 < len(prefixes) <= 2 * ks[-1]:
+            raise ProtocolError("prefix count outside the doubling cap")
+        recorder.log(event, node, round=i, value=tuple(prefixes))
+        if len(prefixes) > cap:
+            break
+    return prefixes
 
 
 def _mb_program(
@@ -195,65 +211,33 @@ def _mb_program(
     id_width = leader.bit_length()
     my_id_bits = codec.fixed_width_bits(node, id_width) if is_source else None
 
-    prefixes = [""]
-    id_round_ks: list[int] = []
-    decode_count = 0
-    aborted = False
-    for i in range(1, id_width + 1):
-        id_round_ks.append(len(prefixes))
-        own = my_id_bits[:i] if is_source else None
-        z = yield from _prefix_round(is_leader, dtilde, prefixes, own)
-        decode_count += 1
-        new_prefixes = _expand(prefixes, z)
-        if not 0 < len(new_prefixes) <= 2 * len(prefixes):
-            raise ProtocolError("prefix count outside the doubling cap")
-        prefixes = new_prefixes
-        recorder.log("id_prefixes", node, round=i, value=tuple(prefixes))
-        if not provenance and len(prefixes) > dtilde:
-            aborted = True
-            break
-
-    if provenance or not aborted:
+    id_ks: list[int] = []
+    msg_ks: list[int] = []
+    final_k = None
+    prefixes = yield from _prefix_search(
+        node, is_leader, dtilde, my_id_bits, id_width, id_ks, recorder, "id_prefixes",
+        math.inf if provenance else dtilde,
+    )
+    if provenance or len(prefixes) <= dtilde:
         ids = [codec.bits_to_int(px) for px in prefixes] if id_width else [node]
-        k = len(ids)
+        final_k = k = len(ids)
         own_table = None
         if is_source:
             rank = ids.index(node)
             own_table = "0" * (rank * p) + my_msg + "0" * ((k - rank - 1) * p)
         table = yield from _collect_and_share(is_leader, dtilde, k * p, own_table)
-        decode_count += 1
         pairs = frozenset(
             (ids[j], table[j * p : (j + 1) * p]) for j in range(k)
         )
         result = pairs if provenance else frozenset(m for _, m in pairs)
-        recorder.log(
-            "schedule",
-            node,
-            spans=tuple(
-                compute_schedule(dhat, lhat, dtilde, p, tuple(id_round_ks), final_k=k)
-            ),
+    else:
+        distinct = yield from _prefix_search(
+            node, is_leader, dtilde, my_msg, p, msg_ks, recorder, "msg_prefixes"
         )
-        return MbOutput(result, decode_count)
-
-    msg_prefixes = [""]
-    msg_round_ks: list[int] = []
-    for i in range(1, p + 1):
-        msg_round_ks.append(len(msg_prefixes))
-        own = my_msg[:i] if is_source else None
-        z = yield from _prefix_round(is_leader, dtilde, msg_prefixes, own)
-        decode_count += 1
-        msg_prefixes = _expand(msg_prefixes, z)
-        recorder.log("msg_prefixes", node, round=i, value=tuple(msg_prefixes))
-    recorder.log(
-        "schedule",
-        node,
-        spans=tuple(
-            compute_schedule(
-                dhat, lhat, dtilde, p, tuple(id_round_ks), None, tuple(msg_round_ks)
-            )
-        ),
-    )
-    return MbOutput(frozenset(msg_prefixes), decode_count)
+        result = frozenset(distinct)
+    spans = compute_schedule(dhat, lhat, dtilde, p, tuple(id_ks), final_k, tuple(msg_ks))
+    recorder.log("schedule", node, spans=tuple(spans))
+    return MbOutput(result, len(id_ks) + len(msg_ks) + (final_k is not None))
 
 
 def multi_broadcast(

@@ -359,25 +359,18 @@ def _dfs_round_estimate(n: int, width: int, dhat: int) -> int:
 
 
 def _gossip_root(
-    ctx: _DfsShared, threshold: int, dhat: int, message: str
-) -> Generator[Any, Any, GossipOutput]:
+    ctx: _DfsShared, threshold: int, dhat: int
+) -> Generator[Any, Any, tuple[int, int]]:
     _, n = yield from _dfs_root(ctx, threshold)
     yield from idle_until(now() + (dhat + 1) * threshold + 3)
     yield from source_wave_phase(codec.int_to_bits(n))
     yield LISTEN  # slack so every trailing-zero window closes before our wave
-    yield from source_wave_phase(message)
-    decoded: list[str] = []
-    for _ in range(n - 1):
-        payload = yield from relay_decode_one()
-        ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
-        decoded.append(payload)
-    pairs = [(1, message)] + [(i + 2, m) for i, m in enumerate(decoded)]
-    return GossipOutput(tuple(pairs), len(decoded))
+    return 1, n
 
 
 def _gossip_non_root(
-    ctx: _DfsShared, my_bits: str, threshold: int, message: str
-) -> Generator[Any, Any, GossipOutput]:
+    ctx: _DfsShared, my_bits: str, threshold: int
+) -> Generator[Any, Any, tuple[int, int]]:
     g = yield from _dfs_non_root(ctx, my_bits, threshold)
     yield from await_quiet(ARM_SILENCE)
     count_bits = yield from relay_decode_one()
@@ -385,23 +378,22 @@ def _gossip_non_root(
     n = codec.bits_to_int(count_bits)
     if not 1 <= g <= n:
         raise ProtocolError(f"number {g} outside 1..{n}")
-    before: list[str] = []
-    for _ in range(g - 1):
-        payload = yield from relay_decode_one()
-        ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
-        before.append(payload)
-    yield from source_wave_phase(message)
-    after: list[str] = []
-    for _ in range(n - g):
-        payload = yield from relay_decode_one()
-        ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
-        after.append(payload)
-    pairs = (
-        [(i + 1, m) for i, m in enumerate(before)]
-        + [(g, message)]
-        + [(g + 1 + i, m) for i, m in enumerate(after)]
-    )
-    return GossipOutput(tuple(pairs), 1 + len(before) + len(after))
+    return g, n
+
+
+def _gossip_waves(ctx: _DfsShared, g: int, n: int, message: str) -> Generator[Any, Any, list[str]]:
+    """One wave per node in DFS order: decode waves 1..g-1, send this node's
+    ``message`` as wave g, decode waves g+1..n; returns the n messages."""
+    messages: list[str] = []
+    for i in range(1, n + 1):
+        if i == g:
+            yield from source_wave_phase(message)
+            messages.append(message)
+        else:
+            payload = yield from relay_decode_one()
+            ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
+            messages.append(payload)
+    return messages
 
 
 def gossip(
@@ -425,12 +417,12 @@ def gossip(
         threshold = flood_threshold(width)
         ctx.bit_width = width
         if u == leader:
-            out = yield from _gossip_root(ctx, threshold, dhat, msgs[u])
+            g, n = yield from _gossip_root(ctx, threshold, dhat)
         else:
-            out = yield from _gossip_non_root(
-                ctx, codec.fixed_width_bits(u, width), threshold, msgs[u]
-            )
-        return out
+            g, n = yield from _gossip_non_root(ctx, codec.fixed_width_bits(u, width), threshold)
+        # run from the program itself, so a wave decoder stays two generator frames deep
+        messages = yield from _gossip_waves(ctx, g, n, msgs[u])
+        return GossipOutput(tuple(enumerate(messages, 1)), n - 1 if u == leader else n)
 
     programs = {u: program(u, _DfsShared(u, 0, recorder)) for u in graph.nodes}
 

@@ -157,49 +157,48 @@ def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None
     incremental codeword parser.  Returns the payload, exactly
     ``codeword_rounds(payload) - 1`` rounds after the round that armed it.
 
-    With the payload ``width`` known, one ``Echo`` has the kernel relay the
-    whole expected codeword, and the loop goes on only if the word has not
-    ended by then.  A malformed or short word shows at the window's end.
+    The arming beep is always relayed: the rule only keeps a node from
+    relaying the echo of its own relay, and none of this wave has been
+    relayed yet (a beep just before arming belongs to an earlier phase).
+    With the payload ``width`` known, the rest is ``Echo`` windows, in which
+    the kernel applies the rule from the trace: the first ends at the
+    expected word's last slot, and each later one, needed only while the
+    word runs past its width, adds one codeword pair.  A malformed or short
+    word shows at the end of its window.
     """
-    waited = now()
     yield WAIT  # silent until armed, so asleep until the first beep
-    r = 0  # rounds since the arming round
-    heard_prev = True
-    beeped_prev = False
+    yield BEEP
+    r = 1  # rounds since the arming round
+    heard = 1  # bit j: heard a beep j rounds after the arming round
+    heard_prev = False
+    beeped_prev = True
     beeped_prev2 = False
-    flags = {1}
     parser = codec.CodewordParser()
-    next_pos = 1
-    # The loop takes the round before arming as silent; the kernel's rule
-    # agrees only if this node was already asleep in that round.
-    if width is not None and now() > waited + 1:
-        r = codeword_rounds("0" * width) - 1
-        window = Echo(now() + r)
-        fb = yield window
-        bits = window.heard | 1  # bit j: heard j rounds after arming (bit 0: arming)
-        flags = {q for q in range(1, r // SLOT_PERIOD + 2) if bits >> SLOT_PERIOD * (q - 1) & 7}
-        heard_prev = fb is True
-        beeped_prev = fb is None
-        # read only where the next round's relay depends on it
-        beeped_prev2 = heard_prev and window.beeped >> (r - 1) & 1 == 1
+    slot_end = SLOT_PERIOD - 1  # position q is fully observed 3q - 1 rounds after arming
+    window_end = codeword_rounds("0" * width) - 1 if width is not None else None
     while True:
-        # position q is fully observed 3q - 1 rounds after arming
-        while r >= SLOT_PERIOD * next_pos - 1:
+        while r >= slot_end:
             try:
-                done = parser.push(1 if next_pos in flags else 0)
+                done = parser.push(1 if heard >> (slot_end - 2) & 7 else 0)
             except codec.MalformedWord as bad:
                 raise ProtocolError(f"wave decode failed: {bad}") from None
-            next_pos += 1
+            slot_end += SLOT_PERIOD
             if done is not None:
                 return done
+        if window_end is not None:
+            window = Echo(now() + window_end - r)
+            yield window
+            heard |= window.heard << r
+            r = window_end
+            window_end += 2 * SLOT_PERIOD
+            continue
         r += 1
         will_beep = heard_prev and not beeped_prev2
         fb = yield (BEEP if will_beep else LISTEN)
-        heard = fb is True
         beeped_prev2, beeped_prev = beeped_prev, will_beep
-        heard_prev = heard
-        if heard:
-            flags.add(1 + r // SLOT_PERIOD)
+        heard_prev = fb is True
+        if heard_prev:
+            heard |= 1 << r
 
 
 def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:

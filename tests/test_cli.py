@@ -37,6 +37,18 @@ def test_run_empty_source_set_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [("er:n=30,p=0", "(0, 1]"), ("er:n=30,p=-1", "(0, 1]"), ("er:n=30,p=1.5", "(0, 1]"),
+     ("er:n=30,p=0.001", "no connected G(30, 0.001)")],
+)
+def test_run_on_an_er_spec_that_cannot_be_generated_is_usage_error(capsys, spec, named):
+    code, out, err = run_cli(capsys, "run", "--protocol", "elect", "--graph", spec)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and named in err
+    assert out == ""
+
+
 def test_run_diameter_star(capsys):
     code, out, _ = run_cli(capsys, "run", "--protocol", "diameter",
                            "--graph", "star:n=6")

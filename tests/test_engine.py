@@ -218,6 +218,13 @@ def test_graph_file_roundtrip_keeps_lone_node_and_edges():
         assert read_graph(buf) == g
 
 
+@pytest.mark.parametrize("line", ["1 2 3", "1 x", "-1 2"])
+def test_read_graph_names_a_line_that_is_not_an_edge_or_a_node(line):
+    with pytest.raises(ValueError) as err:
+        read_graph(io.StringIO(f"n 3\n0 1\n\n{line}\n"))
+    assert str(err.value) == f"line 4: expected 'u v' or 'u', got {line!r}"
+
+
 def test_trace_jsonl_format():
     g = Graph.from_edges([(0, 1)])
     trace, _ = simulate(g, {0: one_shot(BEEP), 1: listener(1)}, 5)

@@ -3,7 +3,9 @@
 A change that is meant to keep behaviour must keep every entry of GOLDEN.
 Each entry is (total_rounds, sha256 of the ``write_trace`` bytes, sha256
 of the outputs in a canonical form that does not depend on the hash seed),
-both digests cut to 16 hex digits.  To see the table a tree produces, run
+both digests cut to 16 hex digits.  The runners that keep a recorder (dfs,
+gossip, mb-prov, mb-noprov) add a fourth column, the digest of the recorder
+events in the order they were logged.  To see the table a tree produces, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -31,7 +33,7 @@ GRAPHS = ("path:n=7", "grid:n=9,seed=2", "er:n=16,seed=4,range=64")
 
 
 def _runs(graph):
-    """(name, thunk) for the 9 runners and three variants on ``graph``."""
+    """(name, thunk) for the 9 runners and four variants on ``graph``."""
     nodes = graph.nodes
     sources = set(nodes[:3])
     ragged = {u: "1011"[: 1 + i] for i, u in enumerate(nodes[:3])}
@@ -51,6 +53,8 @@ def _runs(graph):
         ("gossip", lambda: gossip(graph, everyone)),
         ("mb-prov", lambda: multi_broadcast(graph, sources, fixed, provenance=True)),
         ("mb-noprov", lambda: multi_broadcast(graph, sources, fixed, provenance=False)),
+        # More sources than D~: on the ER graph the message-prefix search runs.
+        ("mb-noprov all", lambda: multi_broadcast(graph, set(nodes), everyone, provenance=False)),
     ]
 
 
@@ -72,10 +76,12 @@ def _sha16(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def fingerprint(run) -> tuple[int, str, str]:
+def fingerprint(run) -> tuple:
     buf = io.StringIO()
     write_trace(run.trace, buf)
-    return run.report.total_rounds, _sha16(buf.getvalue()), _sha16(_canon(run.report.outputs))
+    digest = (run.report.total_rounds, _sha16(buf.getvalue()), _sha16(_canon(run.report.outputs)))
+    recorder = run.report.extras.get("recorder")
+    return digest if recorder is None else digest + (_sha16(_canon(recorder.events)),)
 
 
 GOLDEN = {
@@ -87,10 +93,11 @@ GOLDEN = {
     "path:n=7 collect dtilde": (62, "0d1485487a0e9b05", "0af8622e12941ceb"),
     "path:n=7 msglen": (184, "d065b4e9ad16579e", "05e9151f4979bce5"),
     "path:n=7 msglen dtilde": (107, "500b353553d0ee40", "05e9151f4979bce5"),
-    "path:n=7 dfs": (967, "af41b064ecc5625b", "659f02d4c99df547"),
-    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "c790edf83d07e9ca"),
-    "path:n=7 mb-prov": (697, "6d0a8a727fe2c8f9", "c687136fcf1ba941"),
-    "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "b20cb31ee1220408"),
+    "path:n=7 dfs": (967, "af41b064ecc5625b", "659f02d4c99df547", "22cc32452034ba4b"),
+    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "c790edf83d07e9ca", "d86235d7a0f20b88"),
+    "path:n=7 mb-prov": (697, "6d0a8a727fe2c8f9", "c687136fcf1ba941", "4ac312d23c005b77"),
+    "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "b20cb31ee1220408", "4ac312d23c005b77"),
+    "path:n=7 mb-noprov all": (859, "7b04d732beb36959", "75d5f5c8d079f548", "312ffabcd0e9fade"),
     "grid:n=9,seed=2 broadcast": (40, "39d846f500cf495d", "b79b9c901be80176"),
     "grid:n=9,seed=2 broadcast start5": (32, "7f4b6786757c9527", "81992cbad417937e"),
     "grid:n=9,seed=2 elect": (40, "5fd80d7e43a5a25b", "7b300af0509a0c8d"),
@@ -99,10 +106,11 @@ GOLDEN = {
     "grid:n=9,seed=2 collect dtilde": (70, "4370ea55b8045fe2", "04f8f9ecfe1c19a5"),
     "grid:n=9,seed=2 msglen": (148, "14bc7ac555d38838", "ae8aade6c2d307f6"),
     "grid:n=9,seed=2 msglen dtilde": (119, "2af8137e45847e4a", "ae8aade6c2d307f6"),
-    "grid:n=9,seed=2 dfs": (1333, "5dc378b18c6a2ffa", "9822cee152f98619"),
-    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "6d0498287daf30ee"),
-    "grid:n=9,seed=2 mb-prov": (689, "4cc506644a3dddec", "d645a104e1a6a526"),
-    "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "3e8afa67ccf2da6e"),
+    "grid:n=9,seed=2 dfs": (1333, "5dc378b18c6a2ffa", "9822cee152f98619", "af8bb284d49f360d"),
+    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "6d0498287daf30ee", "53f7bdc7cf05f254"),
+    "grid:n=9,seed=2 mb-prov": (689, "4cc506644a3dddec", "d645a104e1a6a526", "defcb66cbff23758"),
+    "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "3e8afa67ccf2da6e", "defcb66cbff23758"),
+    "grid:n=9,seed=2 mb-noprov all": (959, "ec8a18fa795b9946", "3a95e4db581cb500", "4e589a88eaba04b9"),
     "er:n=16,seed=4,range=64 broadcast": (39, "f9132a082ecc8ad8", "52939bbd52586314"),
     "er:n=16,seed=4,range=64 broadcast start5": (31, "e7467ceb4dbc14f5", "da167164cbf48295"),
     "er:n=16,seed=4,range=64 elect": (102, "371c80b96ef6c608", "65e8270e91324d7f"),
@@ -111,10 +119,11 @@ GOLDEN = {
     "er:n=16,seed=4,range=64 collect dtilde": (98, "26ec3466a0dfd668", "664ce2e462a91c6a"),
     "er:n=16,seed=4,range=64 msglen": (133, "9ee91e7cd8bb239a", "631875f52d1beac6"),
     "er:n=16,seed=4,range=64 msglen dtilde": (161, "338eaa7fbce8f631", "631875f52d1beac6"),
-    "er:n=16,seed=4,range=64 dfs": (2855, "1c79230bf8b15f81", "345d5c2727151629"),
-    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "a6751e4b6cb2cc5c"),
-    "er:n=16,seed=4,range=64 mb-prov": (877, "d9ede9539f5736b0", "622bc255f5411339"),
-    "er:n=16,seed=4,range=64 mb-noprov": (877, "d9ede9539f5736b0", "99db9fb37121c284"),
+    "er:n=16,seed=4,range=64 dfs": (2855, "1c79230bf8b15f81", "345d5c2727151629", "8a7ea5ca39795611"),
+    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "a6751e4b6cb2cc5c", "039da5fd4f1105a5"),
+    "er:n=16,seed=4,range=64 mb-prov": (877, "d9ede9539f5736b0", "622bc255f5411339", "d39302a5344752df"),
+    "er:n=16,seed=4,range=64 mb-noprov": (877, "d9ede9539f5736b0", "99db9fb37121c284", "d39302a5344752df"),
+    "er:n=16,seed=4,range=64 mb-noprov all": (1030, "832a44eb2db4ce42", "68a54d1c0ebd847c", "d8b567244673c098"),
 }
 
 
@@ -136,5 +145,5 @@ def test_every_runner_matches_its_golden_digest():
 
 if __name__ == "__main__":
     for key, thunk in _cases():
-        rounds, trace, outputs = fingerprint(thunk())
-        print(f'    "{key}": ({rounds}, "{trace}", "{outputs}"),')
+        rounds, *digests = fingerprint(thunk())
+        print(f'    "{key}": ({rounds}, ' + ", ".join(f'"{d}"' for d in digests) + "),")

@@ -37,6 +37,24 @@ def test_er_retries_exhausted():
         generate(GraphSpec("erConnected", 30, seed=1, edge_probability=0.001))
 
 
+def test_generation_error_is_a_value_error():
+    with pytest.raises(ValueError, match="no connected G"):
+        generate(GraphSpec("erConnected", 30, seed=1, edge_probability=0.001))
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, 1.5, float("nan")])
+def test_edge_probability_outside_0_1_is_rejected(p):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        GraphSpec("erConnected", 30, edge_probability=p)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        parse_graph_spec(f"er:n=30,p={p}")
+
+
+def test_edge_probability_one_gives_the_complete_graph():
+    g = generate(GraphSpec("erConnected", 6, seed=3, edge_probability=1.0))
+    assert len(g.edges) == 15
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 24])
 def test_every_family_satisfies_graph_invariants(family, n):

@@ -364,7 +364,7 @@ def test_malformed_wave_error_names_node_and_absolute_round():
     assert "invalid 01 pair" in err.value.reason
 
 
-# --- known-width waves: one echo window in front of the per-round loop -------------
+# --- known-width waves: echo windows after the arming beep --------------------------
 
 
 def slot_sender(codeword, start):
@@ -456,6 +456,38 @@ def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
     assert runs[0] == runs[1]
     assert 1 in trace[19].beepers and 1 in trace[20].heard and 1 not in trace[21].beepers
     assert report.outputs[1] == ("111", 32)
+
+
+def counting(program, resumptions, u):
+    """Runs ``program`` and counts in ``resumptions[u]`` how often it is
+    resumed after its first action."""
+    action = next(program)
+    while True:
+        fb = yield action
+        resumptions[u] += 1
+        try:
+            action = program.send(fb)
+        except StopIteration as stop:
+            return stop.value
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_a_known_width_relay_takes_no_per_round_step(short):
+    # Resumed on its WAIT's wake, after the arming BEEP and after each Echo
+    # window; a width one pair short of the word's takes one more window.
+    payload = "1101"
+    path, star = [(i, i + 1) for i in range(5)], [(0, i) for i in range(1, 6)]
+    for g in (Graph.from_edges(path), Graph.from_edges(star)):
+        resumptions = dict.fromkeys(g.nodes, 0)
+        programs = {
+            u: counting(relay_decode_one(len(payload) - short), resumptions, u)
+            for u in g.nodes
+        }
+        programs[1] = slot_sender(codec.encode(payload), 0)
+        _, report = simulate(g, programs, 1000)
+        relays = [u for u in g.nodes if u != 1]
+        assert all(report.outputs[u] == payload for u in relays)
+        assert {resumptions[u] for u in relays} == {3 + short}
 
 
 @pytest.mark.parametrize("width", [1, 3])
