@@ -13,8 +13,11 @@ never occur at a pair boundary of a well-formed codeword.
 
 from __future__ import annotations
 
+import re
+
 START_MARKER = "10"
 END_MARKER = "10"
+_WORD = re.compile("10(?:00|11)*10")  # exactly one codeword
 
 
 class DecodeError(ValueError):
@@ -105,6 +108,12 @@ def _parse_at(s: str, start: int) -> tuple[str, int]:
         if payload is not None:
             return payload, i + 1
     raise DecodeError("no terminating 10 at pair boundary", len(s))
+
+
+def match_word(s: str) -> str | None:
+    """The payload if ``s`` is exactly one codeword, else None: the whole
+    word in one match, where CodewordParser takes a push per position."""
+    return s[2:-2:2] if _WORD.fullmatch(s) else None
 
 
 class CodewordParser:

@@ -22,6 +22,11 @@ in round r - 1: one bitset rule for all echoing nodes per round.  The node is
 resumed after round ``until`` as after a LISTEN or BEEP, and ``Echo.heard``
 and ``Echo.beeped`` read its window rounds back from the trace.
 
+In the armed form, ``Echo.armed(length)``, the node sleeps like WAIT until
+the round a in which it first hears a beep, and then echoes with ``until =
+a + length``: it relays the arming beep in round a + 1 whatever it did in
+round a - 1, then follows the rule, and bit 0 of ``heard`` is round a.
+
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
 two int bitsets in that order: bit i set means node i is in the set.  The
@@ -268,24 +273,35 @@ def _check_deadline(until: int, round_no: int) -> None:
 class Echo:
     """Relay action: the kernel acts for the node by the relay rule (module
     docstring) in every round after the one it yields this in, up to and
-    including round ``until``, and resumes it after round ``until``."""
+    including round ``until``, and resumes it after round ``until``.
+    ``Echo.armed(length)`` starts in the round the node is armed in instead."""
 
-    __slots__ = ("until", "gate", "_view")
+    __slots__ = ("until", "gate", "length", "_view")
 
     def __init__(self, until: int, gate: int | None = None):
         _check_deadline(until, _round)
         self.until = until
         self.gate = gate
+        self.length: int | None = None
         self._view: tuple[Trace, int, int] | None = None  # (trace, node bit, start), by simulate
+
+    @classmethod
+    def armed(cls, length: int) -> "Echo":
+        """The armed form (module docstring); the kernel sets ``until`` on arming."""
+        echo = cls(_round + length)
+        echo.length = length
+        return echo
 
     # Parsing a bit string is faster than OR-ing in one bit per round.
     @property
     def heard(self) -> int:
         """Bit j set: the node heard a beep in window round j, the j-th round
-        after the one it yielded this action in."""
+        after the one it yielded this action in, or after the arming round,
+        which is bit 0 of an armed echo."""
         trace, b, start = self._view
         window = reversed(trace[start:self.until])
-        return int("".join(["1" if rec._heard & b else "0" for rec in window]) + "0", 2)
+        bits = int("".join(["1" if rec._heard & b else "0" for rec in window]) + "0", 2)
+        return bits | (self.length is not None)
 
     @property
     def beeped(self) -> int:
@@ -445,6 +461,8 @@ def simulate(
     # of nodes that woke early until that round comes.  ``echo_at[k]`` holds
     # the echoing nodes that may relay a beep heard in a round r = k mod 3,
     # ``echoing`` all of them; they sleep on ``until`` and ``due`` too.
+    # ``armed`` holds the nodes asleep in an armed echo (``arming[i]``), and
+    # ``fresh`` those armed in the last round, whose relay is unconditional.
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
@@ -453,6 +471,8 @@ def simulate(
     waiting = 0
     echoing = 0
     echo_at = [0, 0, 0]
+    armed = fresh = 0
+    arming: dict[int, Echo] = {}
     until = [0] * len(nodes)
     due: dict[int, list[int]] = {}
     round_no = 0
@@ -474,6 +494,9 @@ def simulate(
                         reached |= reach[i]
                     elif action == WAIT:
                         waiting |= b
+                    elif type(action) is Echo and action.length:
+                        armed |= b
+                        arming[i] = action
                     else:
                         deadline = until[i] = _deadline(action, round_no)
                         if type(action) is Echo:
@@ -492,6 +515,7 @@ def simulate(
                     raise
             if echoing:
                 relays = echo_at[round_no % 3] & heard & ~(trace[-2]._beeps if round_no > 1 else 0)
+                relays |= fresh
                 sent |= relays
                 for i in _indices(relays):
                     reached |= reach[i]
@@ -505,6 +529,16 @@ def simulate(
             heard = reached & ~sent
             trace.append(RoundRecord(round_no, beeps, heard, nodes))
             woken = waiting & heard
+            fresh = armed & heard
+            if fresh:
+                armed ^= fresh
+                echoing |= fresh
+                echo_at = [m | fresh for m in echo_at]
+                for i in _indices(fresh):
+                    echo = arming.pop(i)
+                    echo.until = until[i] = round_no + echo.length
+                    echo._view = (trace, bits[i], round_no)
+                    due.setdefault(echo.until, []).append(i)
             for i in due.pop(round_no, ()):
                 if until[i] == round_no:
                     woken |= bits[i]
@@ -591,6 +625,8 @@ def read_graph(fh: TextIO, label_range: int | None = None) -> Graph:
     header = fh.readline().split()
     if len(header) != 2 or header[0] != "n":
         raise ValueError("graph file must start with a 'n <count>' header line")
+    if not header[1].isdecimal():
+        raise ValueError(f"line 1: header count {header[1]!r} is not a number")
     count = int(header[1])
     edges: list[tuple[int, int]] = []
     nodes: set[int] = set()

@@ -38,6 +38,8 @@ class GraphSpec:
             raise ValueError("n must be >= 1")
         if self.family == "cycle" and self.n < 3:
             raise ValueError("cycle needs n >= 3")
+        if self.edge_probability is not None and self.family != "erConnected":
+            raise ValueError(f"edge probability p applies to erConnected only, not {self.family}")
         if self.edge_probability is not None and not 0 < self.edge_probability <= 1:
             raise ValueError("edge probability p must be in (0, 1]")
         if self.label_range is not None and self.label_range < self.n:

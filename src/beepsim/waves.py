@@ -80,12 +80,18 @@ def ceil_log2(x: int) -> int:
 
 
 def codeword_rounds(payload: str) -> int:
-    codec.check_bits(payload, "payload")
-    return SLOT_PERIOD * (2 * len(payload) + 4)
+    return _width_rounds(len(codec.check_bits(payload, "payload")))
+
+
+def _width_rounds(width: int) -> int:
+    return SLOT_PERIOD * (2 * width + 4)
+
+
+CALIBRATION_ROUNDS = codeword_rounds(CALIBRATION_PAYLOAD)
 
 
 def value_codeword_rounds(value: int) -> int:
-    return codeword_rounds(codec.int_to_bits(value))
+    return _width_rounds(len(codec.int_to_bits(value)))
 
 
 # Phase length formulas.  Every node evaluates these from values it has
@@ -100,7 +106,7 @@ def estimate_len(dtilde: int) -> int:
 
 
 def calibration_len(dtilde: int) -> int:
-    return dtilde + codeword_rounds(CALIBRATION_PAYLOAD) + 1
+    return dtilde + CALIBRATION_ROUNDS + 1
 
 
 def collection_len(width: int, dtilde: int) -> int:
@@ -112,7 +118,7 @@ def collect_phase_len(width: int, dtilde: int) -> int:
 
 
 def wave_phase_len(nbits: int, dtilde: int) -> int:
-    return 3 * (2 * nbits + 4) + dtilde + 2
+    return _width_rounds(nbits) + dtilde + 2
 
 
 def msglen_phase_len(p: int, dtilde: int) -> int:
@@ -160,22 +166,29 @@ def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None
     The arming beep is always relayed: the rule only keeps a node from
     relaying the echo of its own relay, and none of this wave has been
     relayed yet (a beep just before arming belongs to an earlier phase).
-    With the payload ``width`` known, the rest is ``Echo`` windows, in which
-    the kernel applies the rule from the trace: the first ends at the
-    expected word's last slot, and each later one, needed only while the
-    word runs past its width, adds one codeword pair.  A malformed or short
-    word shows at the end of its window.
+    With the payload ``width`` known, one armed ``Echo`` does all of it up
+    to the expected word's last slot, and one whole-word match decodes it.
+    Only if that fails do the slot flags go through the parser, with one
+    more window per codeword pair while the word runs past its width, so a
+    malformed or over-long word raises as it does without a width.
     """
-    yield WAIT  # silent until armed, so asleep until the first beep
-    yield BEEP
-    r = 1  # rounds since the arming round
-    heard = 1  # bit j: heard a beep j rounds after the arming round
-    heard_prev = False
+    if width is None:
+        yield WAIT  # silent until armed, so asleep until the first beep
+        yield BEEP
+        r = heard = 1  # r rounds since the arming round; heard bit j: a beep j rounds after it
+    else:
+        r = _width_rounds(width) - 1
+        window = Echo.armed(r)
+        yield window
+        heard = window.heard
+        slots = heard | heard >> 1 | heard >> 2  # position q's flag is bit 3q - 3
+        payload = codec.match_word(format(slots, f"0{r + 1}b")[::-SLOT_PERIOD])
+        if payload is not None:
+            return payload
+    heard_prev = beeped_prev2 = False
     beeped_prev = True
-    beeped_prev2 = False
     parser = codec.CodewordParser()
     slot_end = SLOT_PERIOD - 1  # position q is fully observed 3q - 1 rounds after arming
-    window_end = codeword_rounds("0" * width) - 1 if width is not None else None
     while True:
         while r >= slot_end:
             try:
@@ -185,12 +198,11 @@ def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None
             slot_end += SLOT_PERIOD
             if done is not None:
                 return done
-        if window_end is not None:
-            window = Echo(now() + window_end - r)
+        if width is not None:  # one more codeword pair
+            window = Echo(now() + 2 * SLOT_PERIOD)
             yield window
             heard |= window.heard << r
-            r = window_end
-            window_end += 2 * SLOT_PERIOD
+            r += 2 * SLOT_PERIOD
             continue
         r += 1
         will_beep = heard_prev and not beeped_prev2
@@ -341,7 +353,7 @@ def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None",
             raise ProtocolError(f"bad calibration payload {payload!r}")
         # The first beep arrives in phase round dist + 2, and the decoder
         # returns codeword_rounds(payload) - 1 rounds after that.
-        dist = now() - start - codeword_rounds(CALIBRATION_PAYLOAD) - 1
+        dist = now() - start - CALIBRATION_ROUNDS - 1
         if not 1 <= dist <= dtilde:
             raise ProtocolError(f"calibration distance {dist} out of range")
     yield from idle_until(start + calibration_len(dtilde))
@@ -531,17 +543,11 @@ def broadcast(
         u: beep_wave_source(message, cfg) if u == source else beep_wave_relay(cfg)
         for u in graph.nodes
     }
-    est = start_round + codeword_rounds(message) + graph.n + 4
-    trace, report = simulate(graph, programs, _cap(est, max_rounds))
+    end = start_round + codeword_rounds(message)  # a relay d hops away returns in end + d
+    trace, report = simulate(graph, programs, _cap(end + graph.n + 4, max_rounds))
     dist = distances(graph, source)
-    ok = True
-    for u in graph.nodes:
-        if u == source:
-            continue
-        out = report.outputs[u]
-        expected_round = (start_round - 1) + codeword_rounds(message) + dist[u] + 1
-        if out.message != message or out.completed_round != expected_round:
-            ok = False
+    ok = all(report.outputs[u] == BroadcastOutput(message, end + dist[u])
+             for u in graph.nodes if u != source)
     report.check("broadcast_exactness", 0 if ok else 1, 0)
     report.extras.update(source=source, message=message, distances=dist)
     return ProtocolRun(trace, report)

@@ -49,6 +49,13 @@ def test_run_on_an_er_spec_that_cannot_be_generated_is_usage_error(capsys, spec,
     assert out == ""
 
 
+def test_run_with_p_on_a_family_other_than_er_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "run", "--protocol", "elect", "--graph", "path:n=5,p=0.5")
+    assert code == EXIT_USAGE
+    assert err == "error: edge probability p applies to erConnected only, not path\n"
+    assert out == ""
+
+
 def test_run_diameter_star(capsys):
     code, out, _ = run_cli(capsys, "run", "--protocol", "diameter",
                            "--graph", "star:n=6")

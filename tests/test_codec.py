@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -105,6 +106,33 @@ def test_numeric_conventions():
         codec.int_to_bits(-1)
     with pytest.raises(ValueError):
         codec.check_bits("10a2")
+
+
+def parser_reading(s):
+    """What CodewordParser makes of ``s`` pushed whole: the payload if its
+    codeword ends at the last position, else None."""
+    parser = codec.CodewordParser()
+    for i, bit in enumerate(s, 1):
+        try:
+            done = parser.push(int(bit))
+        except codec.MalformedWord:
+            return None
+        if done is not None:
+            return done if i == len(s) else None
+    return None
+
+
+def test_whole_word_match_equals_the_parser_exhaustive():
+    t0 = time.monotonic()
+    words = 0
+    for n in range(0, 15):
+        for v in range(1 << n):
+            s = format(v, f"0{n}b") if n else ""
+            payload = parser_reading(s)
+            assert codec.match_word(s) == payload, s
+            words += payload is not None
+    assert words == 2 ** 6 - 1  # one codeword for each payload of at most 5 bits
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_codeword_parser_incremental():

@@ -225,6 +225,13 @@ def test_read_graph_names_a_line_that_is_not_an_edge_or_a_node(line):
     assert str(err.value) == f"line 4: expected 'u v' or 'u', got {line!r}"
 
 
+@pytest.mark.parametrize("header", ["n x", "n -3", "n 2.0"])
+def test_read_graph_says_that_a_header_count_is_not_a_number(header):
+    with pytest.raises(ValueError) as err:
+        read_graph(io.StringIO(f"{header}\n0 1\n"))
+    assert str(err.value) == f"line 1: header count {header.split()[1]!r} is not a number"
+
+
 def test_trace_jsonl_format():
     g = Graph.from_edges([(0, 1)])
     trace, _ = simulate(g, {0: one_shot(BEEP), 1: listener(1)}, 5)
@@ -555,6 +562,76 @@ def test_an_echoing_node_is_live_when_the_round_cap_hits():
     with pytest.raises(SimulationTimeout) as err:
         simulate(g, {0: beeper_at(1, 2, 3), 1: echoer(100), 2: listener(3)}, 40)
     assert len(err.value.trace) == 40 and err.value.live == {1}
+
+
+# --- armed echoes ---------------------------------------------------------------
+
+
+def armed_echo(length, *first):
+    """Yields the actions ``first``, then one armed Echo; returns the round
+    it was resumed in, the feedback and the window's heard and beeped bits."""
+    def gen():
+        for action in first:
+            yield action
+        window = Echo.armed(length)
+        fb = yield window
+        return now(), fb, window.heard, window.beeped
+    return gen()
+
+
+def wakes(count, log):
+    """Sleeps on ``count`` plain WAITs and logs each wake's round and feedback."""
+    def gen():
+        for _ in range(count):
+            fb = yield WAIT
+            log.append((now(), fb))
+    return gen()
+
+
+# A path 0 - 1 - 2 with a leaf 3 on node 0, which beeps in rounds 3 and 9.
+ARMED_PATH = Graph.from_edges([(0, 1), (1, 2), (0, 3)])
+
+
+def test_an_armed_echo_relays_its_arming_beep_after_its_own_beep():
+    # Node 1 beeps in round 2 and is armed by node 0's beep in round 3.
+    trace, report = simulate(
+        ARMED_PATH, {0: beeper_at(3, 9), 1: armed_echo(4, LISTEN, BEEP),
+                     2: listener(9), 3: listener(9)}, 100)
+    verify_reception(trace, ARMED_PATH)
+    assert [r.round for r in trace if 1 in r.beepers] == [2, 4]
+    assert report.outputs[1] == (7, False, 0b1, 0b10)
+
+    # A plain Echo from the same round keeps the rule and stays silent.
+    def beeps_then_echoes():
+        yield LISTEN
+        yield BEEP
+        return (yield from echoer(7))
+
+    plain = {0: beeper_at(3, 9), 1: beeps_then_echoes(), 2: listener(9), 3: listener(9)}
+    trace, _ = simulate(ARMED_PATH, plain, 100)
+    assert [r.round for r in trace if 1 in r.beepers] == [2]
+
+
+def test_an_armed_echo_is_resumed_once_and_heard_bit_0_is_the_arming_round():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    trace, report = simulate(g, {0: beeper_at(5, 8, 14), 1: armed_echo(6), 2: listener(14)}, 100)
+    verify_reception(trace, g)
+    assert [r.round for r in trace if 1 in r.beepers] == [6, 9]
+    # Armed in round 5, so the window is rounds 5 - 11 and bit j is round 5 + j.
+    assert report.outputs[1] == (11, False, 0b1001, 0b10010)
+
+
+def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
+    # Node 1 beeps in rounds 2 and 4 either way; the sleepers on nodes 2 and
+    # 3 must wake in the rounds they hear a beep and in no other.
+    runs = []
+    for relay in (armed_echo(4, LISTEN, BEEP), beeper_at(2, 4)):
+        logs = {2: [], 3: []}
+        programs = {0: beeper_at(3, 9), 1: relay, 2: wakes(2, logs[2]), 3: wakes(2, logs[3])}
+        trace, _ = simulate(ARMED_PATH, programs, 100)
+        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], logs))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == {2: [(2, True), (4, True)], 3: [(3, True), (9, True)]}
 
 
 # --- verify_reception on hand-built traces --------------------------------------

@@ -50,6 +50,15 @@ def test_edge_probability_outside_0_1_is_rejected(p):
         parse_graph_spec(f"er:n=30,p={p}")
 
 
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "erConnected"])
+def test_edge_probability_on_another_family_is_rejected(family):
+    with pytest.raises(ValueError, match=f"p applies to erConnected only, not {family}"):
+        GraphSpec(family, 9, edge_probability=0.5)
+    short = {"randomTree": "tree"}.get(family, family)
+    with pytest.raises(ValueError, match="erConnected only"):
+        parse_graph_spec(f"{short}:n=9,p=0.5")
+
+
 def test_edge_probability_one_gives_the_complete_graph():
     g = generate(GraphSpec("erConnected", 6, seed=3, edge_probability=1.0))
     assert len(g.edges) == 15

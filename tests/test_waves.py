@@ -364,7 +364,7 @@ def test_malformed_wave_error_names_node_and_absolute_round():
     assert "invalid 01 pair" in err.value.reason
 
 
-# --- known-width waves: echo windows after the arming beep --------------------------
+# --- known-width waves: an armed echo window -------------------------------------
 
 
 def slot_sender(codeword, start):
@@ -399,8 +399,8 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
         payload = random_bits(rng, rng.randint(1, 8))
         # A width below the payload's makes the loop go on after the window.
         expected = rng.choice((len(payload), rng.randint(1, len(payload))))
-        # Decoders that wait from round 2 are armed in their first round
-        # awake and keep the per-round loop; those from round 0 echo.
+        # Decoders that start in round 2 may be armed in their first round
+        # asleep; those from round 0 sleep from the start.
         starts = {u: rng.choice((0, 2)) for u in g.nodes}
         runs = []
         for width in (expected, None):
@@ -417,8 +417,8 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
 
 
 def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
-    # Node 1 beeps in round 2 and is armed in round 3; the per-round loop
-    # relays that beep in round 4, where the echo rule would not.
+    # Node 1 beeps in round 2 and is armed in round 3; with a width or
+    # without, it relays that beep in round 4, where the echo rule would not.
     g = Graph.from_edges([(0, 1), (1, 2)])
 
     def beeps_then_decodes(width):
@@ -473,8 +473,8 @@ def counting(program, resumptions, u):
 
 @pytest.mark.parametrize("short", [0, 1])
 def test_a_known_width_relay_takes_no_per_round_step(short):
-    # Resumed on its WAIT's wake, after the arming BEEP and after each Echo
-    # window; a width one pair short of the word's takes one more window.
+    # Resumed only after its armed Echo window and after each later window;
+    # a width one pair short of the word's takes one more window.
     payload = "1101"
     path, star = [(i, i + 1) for i in range(5)], [(0, i) for i in range(1, 6)]
     for g in (Graph.from_edges(path), Graph.from_edges(star)):
@@ -487,7 +487,7 @@ def test_a_known_width_relay_takes_no_per_round_step(short):
         _, report = simulate(g, programs, 1000)
         relays = [u for u in g.nodes if u != 1]
         assert all(report.outputs[u] == payload for u in relays)
-        assert {resumptions[u] for u in relays} == {3 + short}
+        assert {resumptions[u] for u in relays} == {1 + short}
 
 
 @pytest.mark.parametrize("width", [1, 3])
