@@ -11,6 +11,7 @@ import argparse
 import csv
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -24,7 +25,7 @@ from .engine import (
     write_trace,
 )
 from .graphs import GraphSpec, generate, parse_graph_spec
-from .multicast import multi_broadcast
+from .multicast import MbOutput, multi_broadcast
 from .traversal import dfs, gossip
 from .waves import (
     ProtocolRun,
@@ -144,7 +145,10 @@ def _print_report(run: ProtocolRun) -> None:
     report = run.report
     print(f"totalRounds: {report.total_rounds}")
     for node in sorted(report.outputs):
-        print(f"  node {node}: {report.outputs[node]}")
+        out = report.outputs[node]
+        if isinstance(out, MbOutput):  # a frozenset prints in string-hash order
+            out = replace(out, result=sorted(out.result))
+        print(f"  node {node}: {out}")
     for chk in report.bound_checks:
         flag = "pass" if chk.passed else "FAIL"
         print(f"  [{flag}] {chk.name}: measured={chk.measured} bound={chk.bound}")

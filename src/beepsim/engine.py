@@ -20,12 +20,13 @@ round ``until`` the kernel beeps for it in round r + 1 iff it heard a beep in
 round r, r is ``gate`` mod 3 (any r if ``gate`` is None), and it did not beep
 in round r - 1: one bitset rule for all echoing nodes per round.  The node is
 resumed after round ``until`` as after a LISTEN or BEEP, and ``Echo.heard``
-and ``Echo.beeped`` read its window rounds back from the trace.
+reads its window's heard flags back from the trace.
 
 In the armed form, ``Echo.armed(length)``, the node sleeps like WAIT until
 the round a in which it first hears a beep, and then echoes with ``until =
 a + length``: it relays the arming beep in round a + 1 whatever it did in
 round a - 1, then follows the rule, and bit 0 of ``heard`` is round a.
+``waves.relay_decode_width`` relays a known-width wave in one armed echo.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
@@ -302,13 +303,6 @@ class Echo:
         window = reversed(trace[start:self.until])
         bits = int("".join(["1" if rec._heard & b else "0" for rec in window]) + "0", 2)
         return bits | (self.length is not None)
-
-    @property
-    def beeped(self) -> int:
-        """Bit j set: the node beeped in window round j."""
-        trace, b, start = self._view
-        window = reversed(trace[start:self.until])
-        return int("".join(["1" if rec._beeps & b else "0" for rec in window]) + "0", 2)
 
 
 @dataclass

@@ -45,14 +45,6 @@ class GraphSpec:
         if self.label_range is not None and self.label_range < self.n:
             raise ValueError("label_range must be >= n")
 
-    def cli_string(self) -> str:
-        parts = [f"n={self.n}", f"seed={self.seed}"]
-        if self.edge_probability is not None:
-            parts.insert(1, f"p={self.edge_probability}")
-        if self.label_range is not None:
-            parts.append(f"range={self.label_range}")
-        return f"{self.family}:" + ",".join(parts)
-
 
 def parse_graph_spec(text: str) -> GraphSpec:
     """Parse a spec string like ``er:n=25,p=0.2,seed=7`` or ``path:n=10``."""

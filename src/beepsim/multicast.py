@@ -265,19 +265,11 @@ def multi_broadcast(
         for u in graph.nodes
     }
 
+    # Every prefix count is at most k, so this timetable outlasts the run.
     k = len(sources)
-    dt_cap = _dtilde_bound(graph)
-    est = (
-        election_len(ceil_log2(lhat), dhat)
-        + estimate_len(dt_cap)
-        + msglen_phase_len(p, dt_cap)
-        + (graph.max_id.bit_length() + p + 1)
-        * (collect_phase_len(2 * k, dt_cap) + wave_phase_len(2 * k, dt_cap))
-        + collect_phase_len(k * p, dt_cap)
-        + wave_phase_len(k * p, dt_cap)
-        + 200
-    )
-    trace, report = simulate(graph, programs, _cap(est, max_rounds))
+    longest = compute_schedule(dhat, lhat, _dtilde_bound(graph), p,
+                               (k,) * graph.max_id.bit_length(), k, (k,) * p)
+    trace, report = simulate(graph, programs, _cap(longest[-1].end_round, max_rounds))
 
     if provenance:
         expected: frozenset = frozenset((s, msgs[s]) for s in sources)

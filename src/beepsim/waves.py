@@ -50,17 +50,6 @@ CALIBRATION_PAYLOAD = "1"
 Phase = Generator[Action, "bool | None", Any]
 
 
-@dataclass(frozen=True)
-class WaveConfig:
-    """Placement of a single beep-wave: 3-round slots from start_round."""
-
-    start_round: int = 1
-
-    def __post_init__(self) -> None:
-        if self.start_round < 1:
-            raise ValueError("start_round must be >= 1")
-
-
 @dataclass
 class ProtocolRun:
     trace: Trace
@@ -154,8 +143,8 @@ def source_wave_phase(m: str) -> Phase:
         yield BEEP if bit == "1" else LISTEN
 
 
-def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None", str]:
-    """Relay-and-decode a single wave codeword.
+def relay_decode_one() -> Generator[Action, "bool | None", str]:
+    """Relay-and-decode a single wave codeword of unknown width.
 
     Arms on the first heard beep (slot alignment re-locks per message),
     relays every heard beep one round later unless this node beeped two
@@ -166,25 +155,11 @@ def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None
     The arming beep is always relayed: the rule only keeps a node from
     relaying the echo of its own relay, and none of this wave has been
     relayed yet (a beep just before arming belongs to an earlier phase).
-    With the payload ``width`` known, one armed ``Echo`` does all of it up
-    to the expected word's last slot, and one whole-word match decodes it.
-    Only if that fails do the slot flags go through the parser, with one
-    more window per codeword pair while the word runs past its width, so a
-    malformed or over-long word raises as it does without a width.
+    A wave of known width goes through ``relay_decode_width`` instead.
     """
-    if width is None:
-        yield WAIT  # silent until armed, so asleep until the first beep
-        yield BEEP
-        r = heard = 1  # r rounds since the arming round; heard bit j: a beep j rounds after it
-    else:
-        r = _width_rounds(width) - 1
-        window = Echo.armed(r)
-        yield window
-        heard = window.heard
-        slots = heard | heard >> 1 | heard >> 2  # position q's flag is bit 3q - 3
-        payload = codec.match_word(format(slots, f"0{r + 1}b")[::-SLOT_PERIOD])
-        if payload is not None:
-            return payload
+    yield WAIT  # silent until armed, so asleep until the first beep
+    yield BEEP
+    r = heard = 1  # r rounds since the arming round; heard bit j: a beep j rounds after it
     heard_prev = beeped_prev2 = False
     beeped_prev = True
     parser = codec.CodewordParser()
@@ -198,12 +173,6 @@ def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None
             slot_end += SLOT_PERIOD
             if done is not None:
                 return done
-        if width is not None:  # one more codeword pair
-            window = Echo(now() + 2 * SLOT_PERIOD)
-            yield window
-            heard |= window.heard << r
-            r += 2 * SLOT_PERIOD
-            continue
         r += 1
         will_beep = heard_prev and not beeped_prev2
         fb = yield (BEEP if will_beep else LISTEN)
@@ -213,7 +182,28 @@ def relay_decode_one(width: int | None = None) -> Generator[Action, "bool | None
             heard |= 1 << r
 
 
-def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:
+def relay_decode_width(width: int) -> Generator[Action, "bool | None", str]:
+    """Relay-and-decode a wave codeword whose payload is ``width`` bits.
+
+    One armed ``Echo`` relays the wave by ``relay_decode_one``'s rule from
+    the arming beep to the word's last slot, and one whole-word match
+    decodes it, ``codeword_rounds(payload) - 1`` rounds after the arming
+    round.  A word that is not a ``width``-bit codeword raises
+    ProtocolError in that round.
+    """
+    r = _width_rounds(width) - 1
+    window = Echo.armed(r)
+    yield window
+    heard = window.heard
+    slots = heard | heard >> 1 | heard >> 2  # position q's flag is bit 3q - 3
+    word = format(slots, f"0{r + 1}b")[::-SLOT_PERIOD]
+    payload = codec.match_word(word)
+    if payload is None:
+        raise ProtocolError(f"expected a {width}-bit wave, heard {word}")
+    return payload
+
+
+def beep_wave_source(m: str, start_round: int = 1) -> Phase:
     """Source program: beeps at absolute round start_round - 1 + 3i for
     every 1 bit of encode(m); terminates after 3|encode(m)| phase rounds."""
     if not m:
@@ -221,27 +211,27 @@ def beep_wave_source(m: str, cfg: WaveConfig = WaveConfig()) -> Phase:
     codec.check_bits(m, "message")
 
     def program() -> Phase:
-        yield from idle_until(cfg.start_round - 1)
+        yield from idle_until(start_round - 1)
         yield from source_wave_phase(m)
 
     return program()
 
 
-def beep_wave_relay(cfg: WaveConfig = WaveConfig()) -> Phase:
+def beep_wave_relay(start_round: int = 1) -> Phase:
     """Relay program: forwards the wave and returns its decoded message."""
 
     def program():
-        yield from idle_until(cfg.start_round - 1)
+        yield from idle_until(start_round - 1)
         payload = yield from relay_decode_one()
         return BroadcastOutput(payload, now())
 
     return program()
 
 
-def wave_source_rounds(m: str, cfg: WaveConfig = WaveConfig()) -> list[int]:
+def wave_source_rounds(m: str, start_round: int = 1) -> list[int]:
     """Absolute beep rounds of a source wave (handy in tests and demos)."""
     cw = codec.encode(m)
-    return [cfg.start_round - 1 + 3 * i for i, bit in enumerate(cw, 1) if bit == "1"]
+    return [start_round - 1 + 3 * i for i, bit in enumerate(cw, 1) if bit == "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +338,7 @@ def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None",
         yield from source_wave_phase(CALIBRATION_PAYLOAD)
         dist = 0
     else:
-        payload = yield from relay_decode_one(len(CALIBRATION_PAYLOAD))
+        payload = yield from relay_decode_width(len(CALIBRATION_PAYLOAD))
         if payload != CALIBRATION_PAYLOAD:
             raise ProtocolError(f"bad calibration payload {payload!r}")
         # The first beep arrives in phase round dist + 2, and the decoder
@@ -459,8 +449,8 @@ def broadcast_value_phase(
     value_bits: str | None,
 ) -> Generator[Action, "bool | None", str]:
     """Scheduled network-wide wave of a known-width bit string.  The single
-    source passes value_bits; everyone else relays, decodes, and validates
-    the width.  Consumes wave_phase_len(expected_bits, dtilde)."""
+    source passes value_bits; everyone else relays and decodes a word of
+    that width.  Consumes wave_phase_len(expected_bits, dtilde)."""
     start = now()
     if value_bits is not None:
         if len(value_bits) != expected_bits:
@@ -468,9 +458,7 @@ def broadcast_value_phase(
         yield from source_wave_phase(value_bits)
         payload = value_bits
     else:
-        payload = yield from relay_decode_one(expected_bits)
-        if len(payload) != expected_bits:
-            raise ProtocolError(f"expected {expected_bits}-bit wave, decoded {len(payload)}")
+        payload = yield from relay_decode_width(expected_bits)
     yield from idle_until(start + wave_phase_len(expected_bits, dtilde))
     return payload
 
@@ -538,9 +526,10 @@ def broadcast(
 ) -> ProtocolRun:
     """Beep-wave broadcast of ``message`` from ``source`` to every node."""
     _checked_messages(graph, {source}, {source: message})
-    cfg = WaveConfig(start_round=start_round)
+    if start_round < 1:
+        raise ValueError("start_round must be >= 1")
     programs = {
-        u: beep_wave_source(message, cfg) if u == source else beep_wave_relay(cfg)
+        u: beep_wave_source(message, start_round) if u == source else beep_wave_relay(start_round)
         for u in graph.nodes
     }
     end = start_round + codeword_rounds(message)  # a relay d hops away returns in end + d

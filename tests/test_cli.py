@@ -3,6 +3,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("protocol", ["mb-prov", "mb-noprov"])
+def test_run_prints_multi_broadcast_output_the_same_under_any_hash_seed(protocol):
+    # The result is a frozenset, whose own order follows string hashing.
+    argv = [sys.executable, "-m", "beepsim", "run", "--protocol", protocol,
+            "--graph", "er:n=12,p=0.4,seed=5", "--k", "4"]
+    src = str(Path(beepsim.cli.__file__).parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert "node 0: MbOutput(result=[" in outs[0]
 
 
 def test_run_broadcast_on_path(capsys):

@@ -134,7 +134,6 @@ def test_parse_graph_spec():
     assert spec.family == "path" and spec.n == 10
     spec = parse_graph_spec("tree:n=6,seed=2,range=64")
     assert spec.family == "randomTree" and spec.label_range == 64
-    assert spec.cli_string() == "randomTree:n=6,seed=2,range=64"
     with pytest.raises(ValueError):
         parse_graph_spec("blob:n=5")
     with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from beepsim.engine import (
 from beepsim.graphs import FAMILIES, GraphSpec, generate, or_oracle
 from beepsim.multicast import multi_broadcast
 from beepsim.waves import (
-    WaveConfig,
     await_quiet,
     beep_wave_relay,
     beep_wave_source,
@@ -36,6 +35,7 @@ from beepsim.waves import (
     idle_until,
     msglen_phase_len,
     relay_decode_one,
+    relay_decode_width,
     wave_source_rounds,
 )
 
@@ -69,7 +69,13 @@ def test_source_beep_rounds_m0():
 
 
 def test_source_start_round_offset():
-    assert wave_source_rounds("1", WaveConfig(start_round=7)) == [9, 15, 18, 21]
+    assert wave_source_rounds("1", start_round=7) == [9, 15, 18, 21]
+
+
+def test_broadcast_rejects_a_start_round_before_round_1():
+    g = Graph.from_edges([(0, 1)])
+    with pytest.raises(ValueError, match="start_round must be >= 1"):
+        broadcast(g, 0, "1", start_round=0)
 
 
 def test_source_rejects_empty_message():
@@ -357,7 +363,7 @@ def test_malformed_wave_error_names_node_and_absolute_round():
             yield LISTEN
             yield BEEP if bit == "1" else LISTEN
 
-    programs = {0: beep_wave_relay(WaveConfig(start_round=5)), 1: sender()}
+    programs = {0: beep_wave_relay(start_round=5), 1: sender()}
     with pytest.raises(ProtocolError) as err:
         simulate(g, programs, 100)
     assert (err.value.node, err.value.round) == (0, 18)
@@ -378,12 +384,24 @@ def slot_sender(codeword, start):
     return gen()
 
 
+def decoder(width):
+    """The known-width decoder for a width, the per-round one for None."""
+    return relay_decode_one() if width is None else relay_decode_width(width)
+
+
 def wave_decoder(width, start):
     def gen():
         yield from idle_until(start)
-        payload = yield from relay_decode_one(width)
+        payload = yield from decoder(width)
         return payload, now()
     return gen()
+
+
+def assert_window_end_error(err, node, width):
+    """A ``width``-bit decoder armed in round 3 by a neighbouring source
+    raises at the end of its window."""
+    assert (err.value.node, err.value.round) == (node, waves._width_rounds(width) + 2)
+    assert err.value.reason.startswith(f"expected a {width}-bit wave, heard ")
 
 
 def echo_cases(rng):
@@ -397,7 +415,8 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
     for g in echo_cases(rng):
         source = rng.choice(g.nodes)
         payload = random_bits(rng, rng.randint(1, 8))
-        # A width below the payload's makes the loop go on after the window.
+        # A width below the payload's is a word that does not match: the
+        # source's neighbours, armed first, raise at their window end.
         expected = rng.choice((len(payload), rng.randint(1, len(payload))))
         # Decoders that start in round 2 may be armed in their first round
         # asleep; those from round 0 sleep from the start.
@@ -406,13 +425,18 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
         for width in (expected, None):
             programs = {u: wave_decoder(width, starts[u]) for u in g.nodes}
             programs[source] = slot_sender(codec.encode(payload), 0)
+            if width is not None and width != len(payload):
+                with pytest.raises(ProtocolError) as err:
+                    simulate(g, programs, 10_000)
+                assert_window_end_error(err, min(g.neighbors(source)), width)
+                continue
             trace, report = simulate(g, programs, 10_000)
             runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[-1]
         dist = distances(g, source)
         assert all(
             out == (payload, codeword_rounds(payload) + dist[u] + 1)
-            for u, out in runs[0][1].items() if u != source
+            for u, out in runs[-1][1].items() if u != source
         )
 
 
@@ -424,7 +448,7 @@ def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
     def beeps_then_decodes(width):
         yield LISTEN
         yield BEEP
-        return (yield from relay_decode_one(width))
+        return (yield from decoder(width))
 
     runs = []
     for width in (2, None):
@@ -437,23 +461,25 @@ def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
 
 
 def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
-    # Node 0 sends "101" to node 1, which expects 1 bit, so its 18-round
-    # window ends in round 20.  Node 2's beeps in rounds 16 and 19 make node 1
-    # beep in round 20; it hears the source in round 21 and, having beeped
-    # two rounds before, must not relay in round 22.
+    # Node 0 sends "101" to node 1.  Node 2's beeps in rounds 16 and 19 make
+    # node 1 beep in round 20; it hears the source in round 21 and, having
+    # beeped two rounds before, must not relay in round 22.  A node that
+    # expects 1 bit has an 18-round window that ends in round 20, and the
+    # longer word does not match it.
     g = Graph.from_edges([(0, 1), (1, 2)])
 
     def injector():
         for r in range(1, 40):
             yield BEEP if r in (16, 19) else LISTEN
 
-    runs = []
-    for width in (1, None):
-        programs = {0: slot_sender(codec.encode("101"), 0), 1: wave_decoder(width, 0),
-                    2: injector()}
-        trace, report = simulate(g, programs, 100)
-        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
-    assert runs[0] == runs[1]
+    def programs(width):
+        return {0: slot_sender(codec.encode("101"), 0), 1: wave_decoder(width, 0),
+                2: injector()}
+
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, programs(1), 100)
+    assert_window_end_error(err, 1, 1)
+    trace, report = simulate(g, programs(None), 100)
     assert 1 in trace[19].beepers and 1 in trace[20].heard and 1 not in trace[21].beepers
     assert report.outputs[1] == ("111", 32)
 
@@ -473,21 +499,26 @@ def counting(program, resumptions, u):
 
 @pytest.mark.parametrize("short", [0, 1])
 def test_a_known_width_relay_takes_no_per_round_step(short):
-    # Resumed only after its armed Echo window and after each later window;
-    # a width one pair short of the word's takes one more window.
+    # Resumed only after its armed Echo window; a width one bit short of the
+    # word's raises there, first at node 0, a neighbour of the source.
     payload = "1101"
     path, star = [(i, i + 1) for i in range(5)], [(0, i) for i in range(1, 6)]
     for g in (Graph.from_edges(path), Graph.from_edges(star)):
         resumptions = dict.fromkeys(g.nodes, 0)
         programs = {
-            u: counting(relay_decode_one(len(payload) - short), resumptions, u)
+            u: counting(relay_decode_width(len(payload) - short), resumptions, u)
             for u in g.nodes
         }
         programs[1] = slot_sender(codec.encode(payload), 0)
+        if short:
+            with pytest.raises(ProtocolError) as err:
+                simulate(g, programs, 1000)
+            assert_window_end_error(err, 0, len(payload) - short)
+            continue
         _, report = simulate(g, programs, 1000)
         relays = [u for u in g.nodes if u != 1]
         assert all(report.outputs[u] == payload for u in relays)
-        assert {resumptions[u] for u in relays} == {1 + short}
+        assert {resumptions[u] for u in relays} == {1}
 
 
 @pytest.mark.parametrize("width", [1, 3])
