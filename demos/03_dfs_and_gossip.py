@@ -5,11 +5,11 @@ Run:  python demos/03_dfs_and_gossip.py
 
 import random
 
-from beepsim import ProtocolRecorder, dfs, generate, gossip, parse_graph_spec, reference_dfs
+from beepsim import dfs, generate, gossip, parse_graph_spec, reference_dfs
 
 g = generate(parse_graph_spec("tree:n=9,seed=5"))
-rec = ProtocolRecorder()
-run = dfs(g, recorder=rec)
+run = dfs(g)
+rec = run.report.extras["recorder"]
 
 print(f"distributed DFS finished in {run.report.total_rounds} rounds")
 print("numbering:", dict(sorted(run.report.extras["numbering"].items())))

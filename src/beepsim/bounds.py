@@ -14,6 +14,7 @@ import math
 
 from .multicast import lower_bound
 from .waves import (
+    _width_rounds,
     ceil_log2,
     collect_phase_len,
     election_len,
@@ -77,7 +78,7 @@ def upper_rounds(
     dhat = dhat if dhat is not None else n
     dt_cap = 2 * d + 7
     if protocol == "broadcast":
-        return 3 * (2 * p + 4) + d + 1
+        return _width_rounds(p) + d + 1
     if protocol == "elect":
         return election_len(ceil_log2(lhat), dhat)
     if protocol == "diameter":

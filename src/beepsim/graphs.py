@@ -71,35 +71,43 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
 
 def generate(spec: GraphSpec) -> Graph:
-    """Deterministically build the requested family."""
+    """Deterministically build the requested family.
+
+    ``Graph.from_edges`` is the one connectivity check: an erConnected draw
+    it rejects is redrawn from the same RNG, up to ``_ER_RETRIES`` times."""
     rng = random.Random(spec.seed)
     lr = spec.label_range if spec.label_range is not None else spec.n
     ids = rng.sample(range(lr), spec.n)
     n = spec.n
+    p = spec.edge_probability
+    if p is None:  # dense enough that connected draws dominate at small n
+        p = min(1.0, 2.0 * max(1.0, math.log2(n)) / n)
 
-    pairs: list[tuple[int, int]]
-    if spec.family == "path":
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    elif spec.family == "cycle":
-        pairs = [(i, (i + 1) % n) for i in range(n)]
-    elif spec.family == "star":
-        pairs = [(0, i) for i in range(1, n)]
-    elif spec.family == "complete":
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif spec.family == "grid":
-        pairs = _grid_pairs(n)
-    elif spec.family == "randomTree":
-        pairs = [(i, rng.randrange(i)) for i in range(1, n)]
-    elif spec.family == "erConnected":
-        pairs = _er_pairs(n, spec.edge_probability, rng)
-    else:  # pragma: no cover - guarded by GraphSpec
-        raise AssertionError(spec.family)
-
-    return Graph.from_edges(
-        [(ids[a], ids[b]) for a, b in pairs],
-        nodes=ids,
-        label_range=lr,
-    )
+    for _ in range(_ER_RETRIES):
+        pairs: list[tuple[int, int]]
+        if spec.family == "path":
+            pairs = [(i, i + 1) for i in range(n - 1)]
+        elif spec.family == "cycle":
+            pairs = [(i, (i + 1) % n) for i in range(n)]
+        elif spec.family == "star":
+            pairs = [(0, i) for i in range(1, n)]
+        elif spec.family == "complete":
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        elif spec.family == "grid":
+            pairs = _grid_pairs(n)
+        elif spec.family == "randomTree":
+            pairs = [(i, rng.randrange(i)) for i in range(1, n)]
+        elif spec.family == "erConnected":
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        else:  # pragma: no cover - guarded by GraphSpec
+            raise AssertionError(spec.family)
+        try:
+            return Graph.from_edges([(ids[a], ids[b]) for a, b in pairs], nodes=ids,
+                                    label_range=lr)
+        except ValueError:
+            if spec.family != "erConnected":
+                raise
+    raise GenerationError(f"no connected G({n}, {p}) draw in {_ER_RETRIES} tries")
 
 
 def _grid_pairs(n: int) -> list[tuple[int, int]]:
@@ -111,37 +119,6 @@ def _grid_pairs(n: int) -> list[tuple[int, int]]:
         if k + cols < n:
             pairs.append((k, k + cols))
     return pairs
-
-
-def _er_pairs(n: int, p: float | None, rng: random.Random) -> list[tuple[int, int]]:
-    if n == 1:
-        return []
-    if p is None:
-        # Dense enough that connected draws dominate at small n.
-        p = min(1.0, 2.0 * max(1.0, math.log2(n)) / n)
-    for _ in range(_ER_RETRIES):
-        pairs = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
-        if _connected(n, pairs):
-            return pairs
-    raise GenerationError(f"no connected G({n}, {p}) draw in {_ER_RETRIES} tries")
-
-
-def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
 
 
 def reference_dfs(graph: Graph, root: int) -> dict[int, int]:

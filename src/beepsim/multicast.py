@@ -159,10 +159,7 @@ def _collect_and_share(
 ) -> Generator[Any, Any, str]:
     """Collect the OR of every node's ``own_bits`` at the leader, then wave
     it to every node; returns the OR."""
-    if is_leader:
-        z = yield from collect_phase(dtilde, width, None, True, own_bits)
-    else:
-        z = yield from collect_phase(dtilde, width, own_bits, False)
+    z = yield from collect_phase(dtilde, width, own_bits, is_leader)
     return (yield from broadcast_value_phase(dtilde, width, z))
 
 
@@ -194,22 +191,24 @@ def _prefix_search(
 
 def _mb_program(
     node: int,
-    is_source: bool,
     my_msg: str | None,
     dhat: int,
     lhat: int,
     provenance: bool,
     recorder: ProtocolRecorder,
 ) -> Generator[Any, Any, MbOutput]:
+    """One node's multi-broadcast; ``my_msg`` is None at a non-source.
+
+    A source's table row is its message after ``rank * p`` zeros: the
+    collection pads every node's bits to the table width."""
     leader = yield from election_phase(node, ceil_log2(lhat), dhat)
     is_leader = node == leader
     dtilde = yield from diameter_phase(is_leader)
-    own_len = len(my_msg) if is_source else 0
-    p = yield from msglen_phase(dtilde, own_len, is_leader)
-    if is_source and len(my_msg) != p:
+    p = yield from msglen_phase(dtilde, len(my_msg or ""), is_leader)
+    if my_msg is not None and len(my_msg) != p:
         raise ProtocolError("multi-broadcast needs uniform-width messages")
     id_width = leader.bit_length()
-    my_id_bits = codec.fixed_width_bits(node, id_width) if is_source else None
+    my_id_bits = codec.fixed_width_bits(node, id_width) if my_msg is not None else None
 
     id_ks: list[int] = []
     msg_ks: list[int] = []
@@ -221,10 +220,7 @@ def _mb_program(
     if provenance or len(prefixes) <= dtilde:
         ids = [codec.bits_to_int(px) for px in prefixes] if id_width else [node]
         final_k = k = len(ids)
-        own_table = None
-        if is_source:
-            rank = ids.index(node)
-            own_table = "0" * (rank * p) + my_msg + "0" * ((k - rank - 1) * p)
+        own_table = None if my_msg is None else "0" * (ids.index(node) * p) + my_msg
         table = yield from _collect_and_share(is_leader, dtilde, k * p, own_table)
         pairs = frozenset(
             (ids[j], table[j * p : (j + 1) * p]) for j in range(k)
@@ -248,9 +244,9 @@ def multi_broadcast(
     lhat: int | None = None,
     provenance: bool = True,
     max_rounds: int | None = None,
-    recorder: ProtocolRecorder | None = None,
 ) -> ProtocolRun:
-    """Run the full multi-broadcast stack; every node outputs the result set."""
+    """Run the full multi-broadcast stack; every node outputs the result set.
+    The run's events are in ``report.extras["recorder"]``."""
     sources = set(sources)
     p = _checked_messages(graph, sources, msgs)
     if any(len(m) != p for m in msgs.values()):
@@ -259,11 +255,9 @@ def multi_broadcast(
             "provide messages of one common width"
         )
     dhat, lhat = _bounds(graph, dhat, lhat)
-    recorder = recorder if recorder is not None else ProtocolRecorder()
-    programs = {
-        u: _mb_program(u, u in sources, msgs.get(u), dhat, lhat, provenance, recorder)
-        for u in graph.nodes
-    }
+    recorder = ProtocolRecorder()
+    programs = {u: _mb_program(u, msgs.get(u), dhat, lhat, provenance, recorder)
+                for u in graph.nodes}
 
     # Every prefix count is at most k, so this timetable outlasts the run.
     k = len(sources)

@@ -16,7 +16,7 @@ from .engine import diameter, verify_reception
 from .graphs import GraphSpec, generate, or_oracle, reference_dfs
 from .multicast import lower_bound, multi_broadcast
 from .traversal import dfs, gossip
-from .waves import broadcast, collect_messages, elect_leader, estimate_diameter
+from .waves import broadcast, collect_messages, elect_leader, estimate_diameter, get_message_length
 
 SUITES = ("codec", "waves", "traversal", "multicast", "all")
 
@@ -80,6 +80,15 @@ def _waves_suite() -> list[CheckResult]:
         want = or_oracle(list(msgs.values()), p)
         ok = ok and run.report.outputs[g.max_id]["or"] == want and run.report.all_passed
     out.append(CheckResult("waves", "collect_or_oracle", ok))
+    ok = True
+    for seed in range(3):
+        g = generate(GraphSpec("erConnected", 10, seed=seed + 70))
+        srcs = set(rng.sample(list(g.nodes), 3))
+        msgs = {s: "".join(rng.choice("01") for _ in range(rng.randint(1, 5))) for s in srcs}
+        run = get_message_length(g, g.max_id, srcs, msgs)
+        verify_reception(run.trace, g)
+        ok = ok and run.report.all_passed
+    out.append(CheckResult("waves", "msglen_agreement", ok))
     return out
 
 

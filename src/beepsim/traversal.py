@@ -228,10 +228,10 @@ def _await_return(ctx: _DfsShared, child: int) -> Generator[Any, Any, int]:
             return fields["count"]
 
 
-def _candidate_block(ctx: _DfsShared, my_bits: str) -> Generator[Any, Any, tuple[bool, int, int]]:
+def _candidate_block(ctx: _DfsShared, my_bits: str) -> Generator[Any, Any, tuple[bool, int]]:
     """Respond to a child-acknowledge and run the ID bidding.
 
-    Returns (won, my_number_if_won, parent_id)."""
+    Returns (won, my_number_if_won)."""
     yield BEEP
     yield BEEP
     kind, _ = yield from _listen_word(ctx.bit_width)
@@ -259,7 +259,7 @@ def _candidate_block(ctx: _DfsShared, my_bits: str) -> Generator[Any, Any, tuple
     won = fields["target"] == ctx.node
     if won != in_running:
         raise ProtocolError("handoff target disagrees with bidding")
-    return won, fields["count"], fields["sender"]
+    return won, fields["count"]
 
 
 def _dfs_root(ctx: _DfsShared, threshold: int) -> Generator[Any, Any, tuple[int, int]]:
@@ -284,7 +284,7 @@ def _dfs_non_root(ctx: _DfsShared, my_bits: str, threshold: int) -> Generator[An
         if word is None:
             break
         if word[0] == "CHILD_ACK" and not visited:
-            won, cnt, _parent = yield from _candidate_block(ctx, my_bits)
+            won, cnt = yield from _candidate_block(ctx, my_bits)
             if won:
                 visited = True
                 number = cnt
@@ -315,14 +315,14 @@ def dfs(
     leader: int | None = None,
     lhat: int | None = None,
     max_rounds: int | None = None,
-    recorder: ProtocolRecorder | None = None,
 ) -> ProtocolRun:
-    """Distributed DFS from the leader; every node outputs its number."""
+    """Distributed DFS from the leader; every node outputs its number.
+    The run's events are in ``report.extras["recorder"]``."""
     leader = _leader(graph, leader)
     _, lhat = _bounds(graph, None, lhat)
     width = ceil_log2(lhat)
     threshold = flood_threshold(width)
-    recorder = recorder if recorder is not None else ProtocolRecorder()
+    recorder = ProtocolRecorder()
 
     programs = {}
     for u in graph.nodes:
@@ -402,20 +402,20 @@ def gossip(
     dhat: int | None = None,
     lhat: int | None = None,
     max_rounds: int | None = None,
-    recorder: ProtocolRecorder | None = None,
 ) -> ProtocolRun:
     """All-to-all message dissemination: election, DFS, count broadcast,
-    then one pipelined wave per node in DFS order."""
+    then one pipelined wave per node in DFS order.  The run's events are in
+    ``report.extras["recorder"]``."""
     p = _checked_messages(graph, set(graph.nodes), msgs)
     dhat, lhat = _bounds(graph, dhat, lhat)
     elect_width = ceil_log2(lhat)
-    recorder = recorder if recorder is not None else ProtocolRecorder()
+    recorder = ProtocolRecorder()
 
-    def program(u: int, ctx: _DfsShared) -> Phase:
+    def program(u: int) -> Phase:
         leader = yield from election_phase(u, elect_width, dhat)
         width = leader.bit_length()
         threshold = flood_threshold(width)
-        ctx.bit_width = width
+        ctx = _DfsShared(u, width, recorder)
         if u == leader:
             g, n = yield from _gossip_root(ctx, threshold, dhat)
         else:
@@ -424,7 +424,7 @@ def gossip(
         messages = yield from _gossip_waves(ctx, g, n, msgs[u])
         return GossipOutput(tuple(enumerate(messages, 1)), n - 1 if u == leader else n)
 
-    programs = {u: program(u, _DfsShared(u, 0, recorder)) for u in graph.nodes}
+    programs = {u: program(u) for u in graph.nodes}
 
     width_eff = graph.max_id.bit_length()
     est = (

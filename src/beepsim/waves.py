@@ -33,7 +33,6 @@ from .engine import (
     Echo,
     Graph,
     ProtocolError,
-    ProtocolRecorder,  # re-exported for callers that import it from here
     RunReport,
     Trace,
     distances,
@@ -353,18 +352,18 @@ def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None",
 def collect_phase(
     dtilde: int,
     width: int,
-    transmit_bits: str | None,
+    own_bits: str | None,
     is_leader: bool,
-    leader_local_bits: str | None = None,
 ) -> Generator[Action, "bool | None", str | None]:
     """Calibration wave + one fixed-width upward OR collection.
 
-    Sources transmit ``transmit_bits`` (right-padded to width); everyone
-    except the leader relays leaderward inside its residue class.  The
-    leader returns the OR string (its own contribution, if any, comes in
-    via leader_local_bits).  Consumes collect_phase_len(width, dtilde).
+    Every node passes its own bits, or None if it has none: at most
+    ``width`` bits, read as right-padded to width.  A non-leader transmits
+    its bits and relays leaderward inside its residue class; the leader
+    starts the OR from its own bits, reads the rest and returns the OR
+    string.  Consumes collect_phase_len(width, dtilde).
     """
-    if transmit_bits is not None and len(transmit_bits) > width:
+    if own_bits is not None and len(own_bits) > width:
         raise ProtocolError("transmit bits wider than collection width")
     dist = yield from _calibrate(dtilde, is_leader)
     if not is_leader:
@@ -374,13 +373,13 @@ def collect_phase(
         start = now()
         gate = (start + 2 + dtilde - dist) % 3
         yield LISTEN
-        for slot in sorted(_collection_slots(transmit_bits or "", dtilde, dist)):
+        for slot in sorted(_collection_slots(own_bits or "", dtilde, dist)):
             yield Echo(start + slot - 1, gate)
             yield BEEP
         yield Echo(start + collection_len(width, dtilde), gate)
         return None
     leader_class = (dtilde + 2) % 3
-    ones: set[int] = set()
+    ones = {i for i, b in enumerate(own_bits or "", 1) if b == "1"}
     for local in range(1, collection_len(width, dtilde) + 1):
         if (yield LISTEN) is True:
             if local % 3 != leader_class:
@@ -389,11 +388,7 @@ def collect_phase(
             if not 1 <= slot <= width:
                 raise ProtocolError(f"collection slot {slot} out of range")
             ones.add(slot)
-    merged = ["1" if i in ones else "0" for i in range(1, width + 1)]
-    for i, b in enumerate(leader_local_bits or ""):
-        if b == "1":
-            merged[i] = "1"
-    return "".join(merged)
+    return "".join("1" if i in ones else "0" for i in range(1, width + 1))
 
 
 def msglen_phase(
@@ -603,39 +598,31 @@ def collect_messages(
     p = p if p is not None else longest
     if longest > p:
         raise ValueError(f"a source message exceeds p={p}")
-    run_estimate = dtilde is None
+
+    def rounds(dt: int) -> int:
+        return (estimate_len(dt) if dtilde is None else 0) + collect_phase_len(p, dt)
 
     def program(u: int) -> Phase:
         dt = dtilde
         if dt is None:
             dt = yield from diameter_phase(u == leader)
-        if u == leader:
-            local = msgs.get(u)
-            result = yield from collect_phase(dt, p, None, True, leader_local_bits=local)
-            return {"or": result, "dtilde": dt}
-        transmit = msgs.get(u) if u in sources else None
-        yield from collect_phase(dt, p, transmit, False)
-        return {"dtilde": dt}
+        result = yield from collect_phase(dt, p, msgs.get(u), u == leader)
+        return {"or": result, "dtilde": dt} if u == leader else {"dtilde": dt}
 
     programs = {u: program(u) for u in graph.nodes}
-    dt_cap = _dtilde_bound(graph) if run_estimate else dtilde
-    est = (estimate_len(dt_cap) if run_estimate else 0) + collect_phase_len(p, dt_cap)
-    trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
+    cap_dt = _dtilde_bound(graph) if dtilde is None else dtilde
+    trace, report = simulate(graph, programs, _cap(rounds(cap_dt) + 10, max_rounds))
     dt = report.outputs[leader]["dtilde"]
     collected = report.outputs[leader]["or"]
     expected = or_oracle([msgs[s] for s in sources], p)
     report.check("collect_equals_or_oracle", 0 if collected == expected else 1, 0)
-    offset = estimate_len(dt) if run_estimate else 0
-    expected_rounds = offset + collect_phase_len(p, dt)
-    report.check("collect_round_count", abs(report.total_rounds - expected_rounds), 0)
+    report.check("collect_round_count", abs(report.total_rounds - rounds(dt)), 0)
     report.extras.update(
         leader=leader,
         dtilde=dt,
         p=p,
-        or_string=collected,
-        collection_start=offset + calibration_len(dt),
+        collection_start=rounds(dt) - collection_len(p, dt),
         collection_rounds=collection_len(p, dt),
-        phase_offset=offset,
     )
     return ProtocolRun(trace, report)
 
@@ -652,26 +639,23 @@ def get_message_length(
     leader = _leader(graph, leader)
     sources = set(sources)
     pmax = _checked_messages(graph, sources, msgs)
-    run_estimate = dtilde is None
     learned: dict[int, int] = {}  # the D~ each node used
+
+    def rounds(dt: int) -> int:
+        return (estimate_len(dt) if dtilde is None else 0) + msglen_phase_len(pmax, dt)
 
     def program(u: int) -> Phase:
         dt = dtilde
         if dt is None:
             dt = yield from diameter_phase(u == leader)
         learned[u] = dt
-        own = len(msgs[u]) if u in sources else 0
-        p = yield from msglen_phase(dt, own, u == leader)
-        return p
+        return (yield from msglen_phase(dt, len(msgs.get(u, "")), u == leader))
 
     programs = {u: program(u) for u in graph.nodes}
-    dt_cap = _dtilde_bound(graph) if run_estimate else dtilde
-    est = (estimate_len(dt_cap) if run_estimate else 0) + msglen_phase_len(pmax, dt_cap)
-    trace, report = simulate(graph, programs, _cap(est + 10, max_rounds))
+    cap_dt = _dtilde_bound(graph) if dtilde is None else dtilde
+    trace, report = simulate(graph, programs, _cap(rounds(cap_dt) + 10, max_rounds))
     values = {report.outputs[u] for u in graph.nodes}
     report.check("msglen_agreement", 0 if values == {pmax} else 1, 0)
-    dt = learned[leader]
-    expected_rounds = (estimate_len(dt) if run_estimate else 0) + msglen_phase_len(pmax, dt)
-    report.check("msglen_round_count", abs(report.total_rounds - expected_rounds), 0)
+    report.check("msglen_round_count", abs(report.total_rounds - rounds(learned[leader])), 0)
     report.extras.update(leader=leader, p=pmax)
     return ProtocolRun(trace, report)

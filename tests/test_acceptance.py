@@ -26,7 +26,6 @@ from beepsim.graphs import GraphSpec, generate, or_oracle, reference_dfs
 from beepsim.multicast import multi_broadcast
 from beepsim.traversal import dfs, gossip
 from beepsim.waves import (
-    ProtocolRecorder,
     broadcast,
     codeword_rounds,
     collect_messages,
@@ -124,8 +123,8 @@ def test_criterion_05_dfs_200_graphs():
     worst = 0.0
     for i in range(200):
         g = random_connected_graph(rng, 100)
-        rec = ProtocolRecorder()
-        run = dfs(g, recorder=rec)
+        run = dfs(g)
+        rec = run.report.extras["recorder"]
         assert run.report.extras["numbering"] == reference_dfs(g, g.max_id), i
         bound = dfs_bound(g.n, run.report.extras["lhat"])
         assert run.report.total_rounds <= bound, (i, run.report.total_rounds, bound)
@@ -170,8 +169,8 @@ def test_criterion_07_mb_prov_sweep():
             p = rng.randint(2, 6)
             msgs = {s: random_bits(rng, p) for s in sources}
             d = diameter(g)
-            rec = ProtocolRecorder()
-            run = multi_broadcast(g, sources, msgs, dhat=d, provenance=True, recorder=rec)
+            run = multi_broadcast(g, sources, msgs, dhat=d, provenance=True)
+            rec = run.report.extras["recorder"]
             expected = frozenset((s, msgs[s]) for s in sources)
             for u in g.nodes:
                 assert run.report.outputs[u].result == expected, (k, trial, u)
@@ -201,8 +200,8 @@ def test_criterion_08_mb_noprov_four_cases():
         p = len(next(iter(msgs.values())))
         m = 2**p
         d = diameter(g)
-        rec = ProtocolRecorder()
-        run = multi_broadcast(g, set(sources), msgs, dhat=d, provenance=False, recorder=rec)
+        run = multi_broadcast(g, set(sources), msgs, dhat=d, provenance=False)
+        rec = run.report.extras["recorder"]
         aborted = bool(rec.of_kind("msg_prefixes"))
         assert aborted == expect_abort, (name, aborted)
         for u in g.nodes:

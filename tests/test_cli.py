@@ -169,7 +169,7 @@ def test_verify_suites(capsys):
     assert "roundtrip" in out
     code, out, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == EXIT_OK
-    assert "12/12 checks passed" in out
+    assert "13/13 checks passed" in out
 
 
 def test_run_unknown_leader_is_usage_error(capsys):

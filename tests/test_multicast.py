@@ -5,10 +5,11 @@ import random
 import pytest
 
 from beepsim import codec
-from beepsim.engine import Graph
+from beepsim.engine import Graph, ProtocolError, simulate
 from beepsim.graphs import GraphSpec, generate
 from beepsim.multicast import (
     PhaseSpan,
+    _collect_and_share,
     compute_schedule,
     lower_bound,
     multi_broadcast,
@@ -16,8 +17,8 @@ from beepsim.multicast import (
     multi_broadcast_prov,
 )
 from beepsim.waves import (
-    ProtocolRecorder,
     calibration_len,
+    diameter_phase,
     election_len,
     estimate_len,
 )
@@ -100,8 +101,8 @@ def test_schedule_growth_per_new_prefix():
 
 def test_prov_two_source_prefix_walkthrough():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    rec = ProtocolRecorder()
-    run = multi_broadcast_prov(g, {2, 3}, {2: "10", 3: "01"}, lhat=4, recorder=rec)
+    run = multi_broadcast_prov(g, {2, 3}, {2: "10", 3: "01"}, lhat=4)
+    rec = run.report.extras["recorder"]
     assert run.report.all_passed
     per_round = recorded_prefixes(rec)
     assert per_round[1] == {("1",)}
@@ -122,8 +123,8 @@ def test_prov_random_tree_prefix_oracle(rng):
     g = generate(GraphSpec("randomTree", 20, seed=6))
     sources = set(rng.sample(list(g.nodes), 3))
     msgs = {s: random_bits(rng, 3) for s in sources}
-    rec = ProtocolRecorder()
-    run = multi_broadcast_prov(g, sources, msgs, recorder=rec)
+    run = multi_broadcast_prov(g, sources, msgs)
+    rec = run.report.extras["recorder"]
     assert run.report.all_passed
     width = g.max_id.bit_length()
     oracle = true_prefix_sets(sources, width)
@@ -137,8 +138,8 @@ def test_prov_doubling_cap(rng):
     g = generate(GraphSpec("erConnected", 16, seed=13))
     sources = set(rng.sample(list(g.nodes), 6))
     msgs = {s: random_bits(rng, 2) for s in sources}
-    rec = ProtocolRecorder()
-    run = multi_broadcast_prov(g, sources, msgs, recorder=rec)
+    run = multi_broadcast_prov(g, sources, msgs)
+    rec = run.report.extras["recorder"]
     assert run.report.all_passed
     per_round = recorded_prefixes(rec)
     ks = [1] + [len(next(iter(per_round[i]))) for i in sorted(per_round)]
@@ -151,6 +152,20 @@ def test_prov_leader_is_source():
     g = Graph.from_edges([(0, 1), (1, 2)])
     run = multi_broadcast_prov(g, {2, 0}, {2: "11", 0: "01"})
     assert run.report.all_passed  # leader 2 merges its own indicator locally
+
+
+def test_a_leader_with_bits_wider_than_the_collection_names_its_node_and_round():
+    # The leader's own bits take the same width check as everyone's, in the
+    # round the collection starts: after the estimate, estimate_len(8) = 53.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+
+    def program(u):
+        dtilde = yield from diameter_phase(u == 2)
+        return (yield from _collect_and_share(u == 2, dtilde, 2, "001" if u == 2 else None))
+
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {u: program(u) for u in g.nodes}, 1000)
+    assert str(err.value) == "node 2, round 53: transmit bits wider than collection width"
 
 
 def test_mb_input_validation():
@@ -184,8 +199,8 @@ def test_noprov_two_bits_on_path():
 def test_noprov_abort_runs_message_search(rng):
     g = Graph.from_edges([(8, i) for i in range(8)])
     msgs = {i: random_bits(rng, 4) for i in range(8)}
-    rec = ProtocolRecorder()
-    run = multi_broadcast_noprov(g, set(range(8)), msgs, recorder=rec)
+    run = multi_broadcast_noprov(g, set(range(8)), msgs)
+    rec = run.report.extras["recorder"]
     assert run.report.all_passed
     assert rec.of_kind("msg_prefixes"), "abort branch should have run"
     assert run.report.outputs[8].result == frozenset(msgs.values())
@@ -198,8 +213,8 @@ def test_noprov_without_abort_projects_prov(rng):
     g = generate(GraphSpec("path", 12, seed=2))
     sources = set(rng.sample(list(g.nodes), 2))
     msgs = {s: random_bits(rng, 3) for s in sources}
-    rec = ProtocolRecorder()
-    run = multi_broadcast_noprov(g, sources, msgs, recorder=rec)
+    run = multi_broadcast_noprov(g, sources, msgs)
+    rec = run.report.extras["recorder"]
     assert run.report.all_passed
     assert not rec.of_kind("msg_prefixes")
     assert run.report.outputs[g.nodes[0]].result == frozenset(msgs.values())
@@ -209,8 +224,8 @@ def test_schedule_agreement_recorded(rng):
     g = generate(GraphSpec("erConnected", 12, seed=3))
     sources = set(rng.sample(list(g.nodes), 3))
     msgs = {s: random_bits(rng, 2) for s in sources}
-    rec = ProtocolRecorder()
-    run = multi_broadcast_prov(g, sources, msgs, recorder=rec)
+    run = multi_broadcast_prov(g, sources, msgs)
+    rec = run.report.extras["recorder"]
     schedules = {node: data["spans"] for _, node, _, data in rec.of_kind("schedule")}
     assert len(schedules) == g.n
     assert len(set(schedules.values())) == 1

@@ -11,6 +11,7 @@ import pytest
 from beepsim import traversal
 from beepsim.engine import (
     Graph,
+    ProtocolError,
     RoundRecord,
     SimulationTimeout,
     diameter,
@@ -19,7 +20,6 @@ from beepsim.engine import (
 )
 from beepsim.graphs import GraphSpec, generate, reference_dfs
 from beepsim.traversal import control_word, dfs, flood_threshold, gossip, parse_control_payload
-from beepsim.waves import ProtocolRecorder
 
 from conftest import random_bits, random_connected_graph
 
@@ -92,6 +92,33 @@ def test_control_word_roundtrip():
     assert kind == "RETURN" and fields == {"sender": 2, "count": 11}
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ("00", "control payload too short: '00'"),
+    ("111", "unknown opcode 111"),
+    ("100" + "1011" + "0110", "handoff payload truncated"),  # no count bit
+    ("101" + "101", "return payload truncated"),
+    ("0011", "CHILD_SEARCH carries unexpected payload bits"),
+])
+def test_parse_control_payload_rejects_malformed_payloads(payload, reason):
+    with pytest.raises(ValueError) as err:
+        parse_control_payload(payload, 4)
+    assert str(err.value) == reason
+
+
+def test_a_wrong_control_word_names_the_listening_node_and_round(monkeypatch):
+    # The token sends ACK0 where CHILD_SEARCH belongs; the candidate that
+    # answered its probe rejects the word in the round it ends.
+    real = traversal.control_word
+
+    def swapped(kind, *args, **kwargs):
+        return real("ACK0" if kind == "CHILD_SEARCH" else kind, *args, **kwargs)
+
+    monkeypatch.setattr(traversal, "control_word", swapped)
+    with pytest.raises(ProtocolError) as err:
+        dfs(Graph.from_edges([(0, 1), (1, 2)]))
+    assert str(err.value) == "node 1, round 22: expected CHILD_SEARCH, got ACK0"
+
+
 def test_flood_threshold_exceeds_word_runs():
     # worst in-word run of 1s: doubled all-ones sender+target+count plus the
     # end-marker 1
@@ -121,8 +148,8 @@ def test_dfs_path_golden():
 def test_dfs_matches_reference_and_isolation(rng):
     for _ in range(8):
         g = random_connected_graph(rng, 18)
-        rec = ProtocolRecorder()
-        run = dfs(g, recorder=rec)
+        run = dfs(g)
+        rec = run.report.extras["recorder"]
         assert run.report.extras["numbering"] == reference_dfs(g, g.max_id)
         verify_reception(run.trace, g)
         assert_token_isolation(g, run.trace, rec)
