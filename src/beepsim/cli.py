@@ -41,6 +41,20 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
+# The options of ``run`` and ``bench`` without a default that each protocol
+# reads; any other protocol given one of them is a usage error.
+OPTIONS_READ = {
+    "broadcast": ("message", "source"),
+    "elect": ("dhat", "lhat"),
+    "dfs": ("leader", "lhat"),
+    "gossip": ("messages", "dhat", "lhat"),
+    "diameter": ("leader",),
+    "collect": ("messages", "sources", "leader"),
+    "msglen": ("messages", "sources", "leader"),
+    "mb-prov": ("messages", "sources", "dhat", "lhat"),
+    "mb-noprov": ("messages", "sources", "dhat", "lhat"),
+}
+
 BENCH_COLUMNS = [
     "family",
     "n",
@@ -102,6 +116,19 @@ def _parse_sources(text: str | None, graph: Graph, rng: random.Random, k: int) -
     return sorted(sources)
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject an option the protocol does not read instead of ignoring it."""
+    read = OPTIONS_READ[args.protocol]
+    checked = {name for names in OPTIONS_READ.values() for name in names}
+    unread = [
+        f"--{name}"
+        for name, value in vars(args).items()
+        if name in checked and name not in read and value is not None
+    ]
+    if unread:
+        raise ValueError(f"--protocol {args.protocol} does not read {', '.join(unread)}")
+
+
 def _dispatch(protocol: str, graph: Graph, args: argparse.Namespace,
               rng: random.Random) -> tuple[ProtocolRun, dict[int, str]]:
     """Run one protocol; returns the run and the messages it carried."""
@@ -155,6 +182,7 @@ def _print_report(run: ProtocolRun) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_options(args)
     graph, _family = _load_graph(args.graph)
     rng = random.Random(args.seed)
     run, _msgs = _dispatch(args.protocol, graph, args, rng)
@@ -167,6 +195,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _check_options(args)
     rows: list[dict[str, Any]] = []
     status = EXIT_OK
     try:

@@ -5,7 +5,11 @@ control words with its neighbors at one round per codeword bit (no relay
 framing is needed since every participant is adjacent).  Presence votes and
 ID-bit bids are two-round ``11`` pulses: a lone pulse overheard two hops
 away malforms immediately in a stream decoder, which is what keeps
-bystanders from ever assembling a phantom control word.
+bystanders from ever assembling a phantom control word.  Listeners decode
+the codec's codewords in their own loops, a payload pair per two rounds;
+``codec.CodewordParser`` serves only the gossip waves' unknown-width relays.
+Since every word's length follows from the reference DFS tree,
+``dfs_round_count`` gives a run's exact round count.
 
 Control codebook (payload layouts inside one self-delimiting codeword):
 
@@ -27,6 +31,7 @@ decoder window.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Generator
 
@@ -38,6 +43,7 @@ from .engine import (
     Graph,
     ProtocolError,
     ProtocolRecorder,
+    distances,
     now,
     simulate,
 )
@@ -130,16 +136,24 @@ def _parsed(payload: str, bit_width: int) -> tuple[str, dict[str, int]]:
 
 
 def _listen_word(bit_width: int) -> Generator[Any, Any, tuple[str, dict[str, int]]]:
-    """Decode one control word that is guaranteed to start next round."""
-    parser = codec.CodewordParser()
+    """Decode one control word that is guaranteed to start next round: the
+    ``10`` start marker, then one payload pair per two rounds up to the
+    ``10`` end marker.  A bad position raises in the round it is heard."""
+    if (yield LISTEN) is not True:
+        raise ProtocolError("control word parse: position 1: codeword must start with 1")
+    if (yield LISTEN) is True:
+        raise ProtocolError("control word parse: position 2: start marker must be 10")
+    payload = ""
     while True:
-        fb = yield LISTEN
-        try:
-            done = parser.push(1 if fb is True else 0)
-        except codec.MalformedWord as bad:
-            raise ProtocolError(f"control word parse: {bad}") from None
-        if done is not None:
-            return _parsed(done, bit_width)
+        first = (yield LISTEN) is True
+        second = (yield LISTEN) is True
+        if first == second:
+            payload += "1" if first else "0"
+        elif first:
+            return _parsed(payload, bit_width)
+        else:
+            pos = 2 * len(payload) + 4
+            raise ProtocolError(f"control word parse: position {pos}: invalid 01 pair")
 
 
 def _overheard_word(
@@ -147,34 +161,44 @@ def _overheard_word(
 ) -> Generator[Any, Any, tuple[str, dict[str, int]] | None]:
     """Listen until an overheard control word completes, log and return it.
 
-    Locks on the first heard beep and starts over whenever the bits stop
-    forming a codeword.  With ``flood``, returns None instead once that many
-    consecutive rounds carried a beep.  Unlocked after a silent round, it
-    sleeps until the next beep."""
-    parser: codec.CodewordParser | None = None
+    Locks on the first heard beep.  A 1 at position 2 or a ``01`` pair
+    drops the lock, and that bit does not start a new word.  With
+    ``flood``, returns None instead once that many consecutive rounds
+    carried a beep; that test comes before the decode step.  Unlocked
+    after a silent round, it sleeps until the next beep."""
+    limit = sys.maxsize if flood is None else flood
+    pos = 0  # positions of the locked word heard so far; 0 while unlocked
     streak = 0
     while True:
-        if parser is None and streak == 0:
-            heard = yield WAIT
-        else:
+        if pos or streak:
             heard = (yield LISTEN) is True
-        streak = streak + 1 if heard else 0
-        if flood is not None and streak >= flood:
-            return None
-        if parser is None:
+        else:
+            heard = yield WAIT
+        if heard:
+            streak += 1
+            if streak >= limit:
+                return None
+        else:
+            streak = 0
+        if pos == 0:
             if heard:
-                parser = codec.CodewordParser()
-                parser.push(1)
+                pos = 1
+                payload = ""
             continue
-        try:
-            done = parser.push(1 if heard else 0)
-        except codec.MalformedWord:
-            parser = None
-            continue
-        if done is not None:
-            kind, fields = _parsed(done, ctx.bit_width)
+        pos += 1
+        if pos & 1:
+            first = heard  # the first bit of a payload pair
+        elif pos == 2:
+            if heard:
+                pos = 0
+        elif first == heard:
+            payload += "1" if heard else "0"
+        elif first:
+            kind, fields = _parsed(payload, ctx.bit_width)
             ctx.recorder.log("word", ctx.node, kind=kind, **fields)
             return kind, fields
+        else:
+            pos = 0
 
 
 @dataclass
@@ -213,19 +237,15 @@ def _token_script(ctx: _DfsShared, my_count: int, is_root: bool) -> Generator[An
                          count=count + 1)
         )
         ctx.recorder.log("token_release", ctx.node)
-        count = yield from _await_return(ctx, target)
+        while True:  # wait for RETURN(target); the child's own exchanges pass by
+            kind, fields = yield from _overheard_word(ctx)
+            if kind == "RETURN" and fields["sender"] == target:
+                break
+        count = fields["count"]
         ctx.recorder.log("token_acquire", ctx.node)
     if is_root:
         ctx.recorder.log("token_release", ctx.node)
     return count
-
-
-def _await_return(ctx: _DfsShared, child: int) -> Generator[Any, Any, int]:
-    """Parent waits for RETURN(child); ignores the child's own exchanges."""
-    while True:
-        kind, fields = yield from _overheard_word(ctx)
-        if kind == "RETURN" and fields["sender"] == child:
-            return fields["count"]
 
 
 def _candidate_block(ctx: _DfsShared, my_bits: str) -> Generator[Any, Any, tuple[bool, int]]:
@@ -342,6 +362,8 @@ def dfs(
     final_count = report.outputs[leader][1]
     report.check("dfs_count_equals_n", final_count, graph.n)
     report.check("dfs_count_equals_n_lower", final_count, graph.n, lower=True)
+    rounds = dfs_round_count(graph, expected, width)
+    report.check("dfs_round_count", abs(report.total_rounds - rounds), 0)
     report.extras.update(
         leader=leader,
         lhat=lhat,
@@ -351,6 +373,29 @@ def dfs(
         flood_threshold=threshold,
     )
     return ProtocolRun(trace, report)
+
+
+def dfs_round_count(graph: Graph, numbering: dict[int, int], bit_width: int) -> int:
+    """The exact round count of ``dfs`` from the reference ``numbering``.
+
+    A node's parent is its earlier-numbered neighbour with the highest
+    number.  Over the children c of v, with |x| = 2 len(payload) + 4,
+        T(v) = 12 + sum_c [22 + 12 w + |HANDOFF| + T(c) + |RETURN|],
+    where HANDOFF carries num(c) and RETURN the last number in c's subtree,
+    and the run takes T(root) + 1 + (ecc(root) + 1) * flood_threshold(w)."""
+    adj = graph.adjacency()
+    order = sorted(numbering, key=numbering.__getitem__)
+    t = dict.fromkeys(order, 12)
+    last = dict(numbering)
+    for c in reversed(order[1:]):  # every child before its parent
+        num = numbering[c]
+        v = max((u for u in adj[c] if numbering[u] < num), key=numbering.__getitem__)
+        last[v] = max(last[v], last[c])
+        handoff = 2 * (3 + 2 * bit_width + num.bit_length()) + 4
+        ret = 2 * (3 + bit_width + last[c].bit_length()) + 4
+        t[v] += 22 + 12 * bit_width + handoff + t[c] + ret
+    ecc = max(distances(graph, order[0]).values())
+    return t[order[0]] + 1 + (ecc + 1) * flood_threshold(bit_width)
 
 
 def _dfs_round_estimate(n: int, width: int, dhat: int) -> int:

@@ -12,7 +12,8 @@ import pytest
 
 import beepsim.cli
 import beepsim.waves
-from beepsim.cli import BENCH_COLUMNS, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
+from beepsim.bounds import PROTOCOLS
+from beepsim.cli import BENCH_COLUMNS, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, OPTIONS_READ, main
 from beepsim.engine import Graph, diameter, write_graph
 
 
@@ -279,4 +280,41 @@ def test_run_names_sources_without_messages_and_messages_of_non_sources(
     )
     assert code == EXIT_USAGE
     assert named in err
+    assert out == ""
+
+
+OPTION_VALUES = {"message": "1", "messages": "random", "sources": "random", "source": "0",
+                 "leader": "0", "dhat": "4", "lhat": "8"}
+
+
+def test_every_protocol_has_a_row_of_options_it_reads():
+    assert list(OPTIONS_READ) == list(PROTOCOLS)
+    assert set().union(*OPTIONS_READ.values()) == set(OPTION_VALUES)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_run_accepts_every_option_its_protocol_reads(capsys, protocol):
+    given = [a for name in OPTIONS_READ[protocol] for a in (f"--{name}", OPTION_VALUES[name])]
+    code, _, err = run_cli(capsys, "run", "--protocol", protocol, "--graph", "path:n=5", *given)
+    assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_an_option_the_protocol_does_not_read_is_a_usage_error(capsys, command, protocol):
+    for name, value in OPTION_VALUES.items():
+        if name in OPTIONS_READ[protocol]:
+            continue
+        code, out, err = run_cli(capsys, command, "--protocol", protocol,
+                                 "--graph", "path:n=5", f"--{name}", value)
+        assert code == EXIT_USAGE
+        assert err == f"error: --protocol {protocol} does not read --{name}\n"
+        assert out == ""
+
+
+def test_every_unread_option_is_named(capsys):
+    code, out, err = run_cli(capsys, "bench", "--protocol", "dfs", "--graph", "path:n=5",
+                             "--lhat", "8", "--dhat", "3", "--message", "1")
+    assert code == EXIT_USAGE
+    assert err == "error: --protocol dfs does not read --message, --dhat\n"
     assert out == ""

@@ -2,26 +2,37 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import pytest
 
-from beepsim import traversal
+from beepsim import codec, traversal
 from beepsim.engine import (
+    LISTEN,
+    WAIT,
     Graph,
     ProtocolError,
+    ProtocolRecorder,
     RoundRecord,
     SimulationTimeout,
     diameter,
     simulate,
     verify_reception,
 )
-from beepsim.graphs import GraphSpec, generate, reference_dfs
-from beepsim.traversal import control_word, dfs, flood_threshold, gossip, parse_control_payload
+from beepsim.graphs import FAMILIES, GraphSpec, generate, reference_dfs
+from beepsim.traversal import (
+    control_word,
+    dfs,
+    dfs_round_count,
+    flood_threshold,
+    gossip,
+    parse_control_payload,
+)
 
-from conftest import random_bits, random_connected_graph
+from conftest import barbell, caterpillar, lollipop, random_bits, random_connected_graph
 
 
 def tenure_spans(recorder):
@@ -83,8 +94,6 @@ def test_control_word_roundtrip():
         w = control_word(kind)
         assert len(w) == 10
     w = control_word("HANDOFF", 4, sender=9, target=3, count=6)
-    from beepsim import codec
-
     kind, fields = parse_control_payload(codec.decode(w), 4)
     assert kind == "HANDOFF" and fields == {"sender": 9, "target": 3, "count": 6}
     w = control_word("RETURN", 4, sender=2, count=11)
@@ -267,3 +276,183 @@ def test_dfs_trace_records_read_as_the_label_frozensets():
     assert type(err.value.trace) is list
     assert all(type(rec) is RoundRecord for rec in err.value.trace)
     assert err.value.trace == run.trace[:5000]
+
+
+# ---------------------------------------------------------------------------
+# The DFS listeners against reference loops over codec.CodewordParser.
+
+
+def reference_listen_word(bit_width):
+    parser = codec.CodewordParser()
+    while True:
+        fb = yield LISTEN
+        try:
+            done = parser.push(1 if fb is True else 0)
+        except codec.MalformedWord as bad:
+            raise ProtocolError(f"control word parse: {bad}") from None
+        if done is not None:
+            return traversal._parsed(done, bit_width)
+
+
+def reference_overheard_word(ctx, flood=None):
+    parser = None
+    streak = 0
+    while True:
+        if parser is None and streak == 0:
+            heard = yield WAIT
+        else:
+            heard = (yield LISTEN) is True
+        streak = streak + 1 if heard else 0
+        if flood is not None and streak >= flood:
+            return None
+        if parser is None:
+            if heard:
+                parser = codec.CodewordParser()
+                parser.push(1)
+            continue
+        try:
+            done = parser.push(1 if heard else 0)
+        except codec.MalformedWord:
+            parser = None
+            continue
+        if done is not None:
+            kind, fields = traversal._parsed(done, ctx.bit_width)
+            ctx.recorder.log("word", ctx.node, kind=kind, **fields)
+            return kind, fields
+
+
+def drive(decoder, bits):
+    """Feed ``bits`` to a decoder as the kernel would, one heard flag per
+    round and no resumption in a silent round after WAIT.  The log holds
+    one entry per round: the next action, "asleep", or how and in which
+    round the decoder returned or raised.  A bit string's log is therefore
+    the prefix of the log of any string it begins."""
+    log = []
+    action = next(decoder)
+    for step, b in enumerate(bits, 1):
+        heard = b == "1"
+        if action == WAIT and not heard:
+            log.append("asleep")
+            continue
+        try:
+            action = decoder.send(heard)
+        except StopIteration as stop:
+            return log + [("return", step, stop.value)]
+        except ProtocolError as err:
+            return log + [("raise", step, str(err))]
+        log.append(action)
+    return log
+
+
+def overheard_log(decoder, bits, bit_width, flood):
+    recorder = ProtocolRecorder()
+    ctx = traversal._DfsShared(7, bit_width, recorder)
+    return drive(decoder(ctx, flood), bits), recorder.events
+
+
+@pytest.mark.parametrize("bit_width", [0, 2])
+def test_listen_word_decodes_every_14_bit_string_like_the_parser(bit_width):
+    # Width 0 lets HANDOFF and RETURN complete inside 14 rounds.  Every
+    # shorter string is a prefix of one of these, with the prefix's log.
+    outcomes = set()
+    for bits in map("".join, itertools.product("01", repeat=14)):
+        got = drive(traversal._listen_word(bit_width), bits)
+        assert got == drive(reference_listen_word(bit_width), bits), bits
+        outcomes.add(got[-1][0] if type(got[-1]) is tuple else "open")
+    assert outcomes == {"return", "raise", "open"}
+
+
+@pytest.mark.parametrize("flood", [None, 4])
+def test_overheard_word_decodes_every_14_bit_string_like_the_parser(flood):
+    outcomes = set()
+    for bits in map("".join, itertools.product("01", repeat=14)):
+        got = overheard_log(traversal._overheard_word, bits, 0, flood)
+        assert got == overheard_log(reference_overheard_word, bits, 0, flood), bits
+        log = got[0]
+        outcomes.add(log[-1][2] is None if type(log[-1]) is tuple else "open")
+    assert outcomes == {True, False, "open"} if flood else {False, "open"}
+
+
+@pytest.mark.parametrize("bit_width", [0, 1, 4])
+def test_overheard_word_floods_at_the_threshold_like_the_parser(bit_width):
+    threshold = flood_threshold(bit_width)
+    word = control_word("RETURN", bit_width, sender=(1 << bit_width) - 1, count=5)
+    prefixes = ["".join(p) for k in range(7) for p in itertools.product("01", repeat=k)]
+    floods = 0
+    for prefix in prefixes:
+        for ones in (threshold - 1, threshold):
+            bits = prefix + "1" * ones + "0" + word
+            got = overheard_log(traversal._overheard_word, bits, bit_width, threshold)
+            assert got == overheard_log(reference_overheard_word, bits, bit_width, threshold)
+            floods += got[0][-1][2] is None
+    assert floods >= len(prefixes)  # every run of ``threshold`` ones floods
+
+
+# ---------------------------------------------------------------------------
+# Exact DFS round counts.
+
+
+def assert_exact_dfs_rounds(graph, leader=None, lhat=None):
+    run = dfs(graph, leader, lhat)
+    extras = run.report.extras
+    assert run.report.all_passed
+    assert [c.measured for c in run.report.bound_checks if c.name == "dfs_round_count"] == [0]
+    assert dfs_round_count(graph, extras["numbering"], extras["bit_width"]) == (
+        run.report.total_rounds
+    )
+    return run
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dfs_round_count_is_exact_on_every_family(family):
+    for n in (2, 5, 18):
+        if family == "cycle" and n < 3:
+            continue
+        g = generate(GraphSpec(family, n, seed=n, label_range=4 * n))
+        lhat = assert_exact_dfs_rounds(g).report.extras["lhat"]
+        assert_exact_dfs_rounds(g, leader=g.nodes[n // 2])
+        assert_exact_dfs_rounds(g, lhat=8 * lhat)
+
+
+@pytest.mark.parametrize("pairs", [barbell(5, 3), lollipop(6, 9), caterpillar(5, 3)])
+def test_dfs_round_count_is_exact_on_adversarial_graphs(pairs):
+    g = Graph.from_edges(pairs)
+    assert_exact_dfs_rounds(g)
+    assert_exact_dfs_rounds(g, leader=g.nodes[0])
+
+
+def test_dfs_round_count_is_exact_on_a_single_node():
+    g = generate(GraphSpec("path", 1))
+    assert assert_exact_dfs_rounds(g).report.total_rounds == 12 + 1 + flood_threshold(0)
+    assert assert_exact_dfs_rounds(g, lhat=8).report.total_rounds == 12 + 1 + flood_threshold(3)
+
+
+def test_dfs_round_count_walks_a_long_path_without_recursion():
+    n, w = 2000, 11
+    g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+    t = 12  # the last node; each earlier one adds its child's exchange
+    for num in range(n, 1, -1):
+        handoff = 2 * (3 + 2 * w + num.bit_length()) + 4
+        ret = 2 * (3 + w + n.bit_length()) + 4
+        t += 12 + 22 + 12 * w + handoff + ret
+    assert dfs_round_count(g, reference_dfs(g, 0), w) == t + 1 + n * flood_threshold(w)
+
+
+def test_a_longer_control_word_fails_the_round_count(monkeypatch):
+    # A leading 0 on RETURN's count decodes to the same number, so the DFS
+    # numbering stays right, but every RETURN takes two rounds more.
+    real = traversal.control_word
+
+    def padded(kind, bit_width=0, **fields):
+        word = real(kind, bit_width, **fields)
+        if kind != "RETURN":
+            return word
+        payload = codec.decode(word)
+        cut = 3 + bit_width  # opcode and sender
+        return codec.encode(payload[:cut] + "0" + payload[cut:])
+
+    monkeypatch.setattr(traversal, "control_word", padded)
+    g = generate(GraphSpec("path", 5))
+    run = dfs(g)
+    failed = [(c.name, c.measured) for c in run.report.bound_checks if not c.passed]
+    assert failed == [("dfs_round_count", 2 * (g.n - 1))]
