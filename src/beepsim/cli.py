@@ -264,11 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beepsim",
         description="Beep-model protocol simulator and verification harness",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Options that ``run`` and ``bench`` share.
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--protocol", required=True, choices=bounds.PROTOCOLS)
     common.add_argument("--message", help="payload bits for broadcast")
     common.add_argument("--messages",
@@ -284,20 +285,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--max-rounds", type=int)
 
-    run_p = sub.add_parser("run", parents=[common], help="run one protocol on one graph")
+    run_p = sub.add_parser("run", parents=[common], allow_abbrev=False,
+                           help="run one protocol on one graph")
     run_p.add_argument("--graph", required=True,
                        help="family spec (e.g. er:n=25,p=0.2,seed=7) or edge-list file")
     run_p.add_argument("--trace", help="write the JSONL trace here")
     run_p.set_defaults(func=_cmd_run)
 
-    bench_p = sub.add_parser("bench", parents=[common], help="sweep graph specs, emit a CSV")
+    bench_p = sub.add_parser("bench", parents=[common], allow_abbrev=False,
+                             help="sweep graph specs, emit a CSV")
     bench_p.add_argument("--graph", action="append",
                          help="family spec; repeat for a sweep")
     bench_p.add_argument("--trials", type=int, default=1)
     bench_p.add_argument("--csv", help="CSV output path (default stdout)")
     bench_p.set_defaults(func=_cmd_bench)
 
-    verify_p = sub.add_parser("verify", help="run built-in invariant suites")
+    verify_p = sub.add_parser("verify", allow_abbrev=False,
+                              help="run built-in invariant suites")
     verify_p.add_argument("--suite", default="all", choices=selfcheck.SUITES)
     verify_p.set_defaults(func=_cmd_verify)
     return parser

@@ -25,7 +25,9 @@ reads its window's heard flags back from the trace.
 In the armed form, ``Echo.armed(length)``, the node sleeps like WAIT until
 the round a in which it first hears a beep, and then echoes with ``until =
 a + length``: it relays the arming beep in round a + 1 whatever it did in
-round a - 1, then follows the rule, and bit 0 of ``heard`` is round a.
+round a - 1, then follows the rule, and bit 0 of ``heard`` is round a.  The
+nodes armed in one round with one ``until`` read their windows back together:
+``Echo.slots(period)`` ORs each slot's heard masks once for the whole group.
 ``waves.relay_decode_width`` relays a known-width wave in one armed echo.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
@@ -284,11 +286,14 @@ class Echo:
         self.until = until
         self.gate = gate
         self.length: int | None = None
-        self._view: tuple[Trace, int, int] | None = None  # (trace, node bit, start), by simulate
+        # (trace, node bit, start, arming group or None), set by simulate
+        self._view: tuple[Trace, int, int, _Arming | None] | None = None
 
     @classmethod
     def armed(cls, length: int) -> "Echo":
         """The armed form (module docstring); the kernel sets ``until`` on arming."""
+        if length <= 0:
+            raise ProtocolError(f"armed echo length must be positive, got {length}")
         echo = cls(_round + length)
         echo.length = length
         return echo
@@ -299,10 +304,37 @@ class Echo:
         """Bit j set: the node heard a beep in window round j, the j-th round
         after the one it yielded this action in, or after the arming round,
         which is bit 0 of an armed echo."""
-        trace, b, start = self._view
+        trace, b, start, _ = self._view
         window = reversed(trace[start:self.until])
         bits = int("".join(["1" if rec._heard & b else "0" for rec in window]) + "0", 2)
         return bits | (self.length is not None)
+
+    def slots(self, period: int) -> str:
+        """An armed echo's window, one '0'/'1' per ``period``-round slot from
+        the arming round: '1' iff the node heard a beep in the slot.  The
+        first member of the arming group to read reads for all of them."""
+        trace, b, start, group = self._view
+        if group.read[0] != period:
+            records = trace[start - 1:self.until]
+            masks = [0] * -(-len(records) // period)
+            for j, rec in enumerate(records):
+                masks[j // period] |= rec._heard & group.mask
+            word = "".join(["1" if m else "0" for m in masks])
+            group.read = (period, masks, word if all(m in (0, group.mask) for m in masks) else "")
+        _, masks, word = group.read
+        return word or "".join(["1" if m & b else "0" for m in masks])
+
+
+class _Arming:
+    """The nodes armed in one round with one deadline, as a bitset, and the
+    period, slot masks and shared word ('' if the members' words differ)
+    that ``Echo.slots`` last read for them."""
+
+    __slots__ = ("mask", "read")
+
+    def __init__(self) -> None:
+        self.mask = 0
+        self.read: tuple[int, list[int], str] = (0, [], "")
 
 
 @dataclass
@@ -494,7 +526,7 @@ def simulate(
                     else:
                         deadline = until[i] = _deadline(action, round_no)
                         if type(action) is Echo:
-                            action._view = (trace, b, round_no)
+                            action._view = (trace, b, round_no, None)
                             echoing |= b
                             for k in (0, 1, 2) if action.gate is None else (action.gate % 3,):
                                 echo_at[k] |= b
@@ -528,10 +560,15 @@ def simulate(
                 armed ^= fresh
                 echoing |= fresh
                 echo_at = [m | fresh for m in echo_at]
+                groups: dict[int, _Arming] = {}
                 for i in _indices(fresh):
                     echo = arming.pop(i)
                     echo.until = until[i] = round_no + echo.length
-                    echo._view = (trace, bits[i], round_no)
+                    group = groups.get(echo.until)
+                    if group is None:
+                        group = groups[echo.until] = _Arming()
+                    group.mask |= bits[i]
+                    echo._view = (trace, bits[i], round_no, group)
                     due.setdefault(echo.until, []).append(i)
             for i in due.pop(round_no, ()):
                 if until[i] == round_no:

@@ -185,17 +185,16 @@ def relay_decode_width(width: int) -> Generator[Action, "bool | None", str]:
     """Relay-and-decode a wave codeword whose payload is ``width`` bits.
 
     One armed ``Echo`` relays the wave by ``relay_decode_one``'s rule from
-    the arming beep to the word's last slot, and one whole-word match
-    decodes it, ``codeword_rounds(payload) - 1`` rounds after the arming
+    the arming beep to the word's last slot.  Its slot flags come from one
+    readback per arming group (``Echo.slots``), and one whole-word match
+    decodes them, ``codeword_rounds(payload) - 1`` rounds after the arming
     round.  A word that is not a ``width``-bit codeword raises
-    ProtocolError in that round.
+    ProtocolError in that round, naming this node's word.
     """
     r = _width_rounds(width) - 1
     window = Echo.armed(r)
     yield window
-    heard = window.heard
-    slots = heard | heard >> 1 | heard >> 2  # position q's flag is bit 3q - 3
-    word = format(slots, f"0{r + 1}b")[::-SLOT_PERIOD]
+    word = window.slots(SLOT_PERIOD)
     payload = codec.match_word(word)
     if payload is None:
         raise ProtocolError(f"expected a {width}-bit wave, heard {word}")

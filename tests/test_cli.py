@@ -128,6 +128,19 @@ def test_usage_errors(capsys):
                    "--graph", "missing.file")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--protocol", "broadcast", "--message", "101", "--pro", "elect",
+     "--graph", "path:n=5"),
+    ("run", "--p", "2", "--protocol", "elect", "--graph", "path:n=5"),
+    ("bench", "--protocol", "elect", "--gr", "path:n=5"),
+    ("verify", "--su", "codec"),
+])
+def test_an_abbreviated_option_is_not_read_as_the_full_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments" in err
+
+
 def test_bench_csv_schema_and_rows(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code, _, _ = run_cli(

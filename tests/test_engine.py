@@ -633,6 +633,57 @@ def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
     assert runs[0][1] == {2: [(2, True), (4, True)], 3: [(3, True), (9, True)]}
 
 
+@pytest.mark.parametrize("length", [0, -3])
+def test_an_armed_echo_length_that_is_not_positive_is_named(length):
+    g = Graph.from_edges([(0, 1)])
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {0: beeper_at(5), 1: armed_echo(length, LISTEN, LISTEN)}, 10)
+    assert (err.value.node, err.value.round) == (1, 2)
+    assert err.value.reason == f"armed echo length must be positive, got {length}"
+
+
+def slot_reader(length, period, *first):
+    """Yields the actions ``first``, then one armed Echo; returns its
+    length, ``period``, the window's slots and its heard bits."""
+    def gen():
+        for action in first:
+            yield action
+        window = Echo.armed(length)
+        yield window
+        return length, period, window.slots(period), window.heard
+    return gen()
+
+
+def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
+    # Readers armed in one round share a group per deadline; the periods
+    # differ between members, and random beepers make their slots differ.
+    # Every reader has a beeper neighbour, and every beeper beeps in round
+    # 40, so every reader is armed.
+    for _ in range(12):
+        g = random_connected_graph(rng, 40)
+        beepers = set(rng.sample(g.nodes, g.n // 4))
+        for u in g.nodes:
+            if u not in beepers and beepers.isdisjoint(g.neighbors(u)):
+                beepers.add(u)
+        programs = {}
+        for u in g.nodes:
+            if u in beepers:
+                programs[u] = beeper_at(40, *rng.sample(range(1, 30), 6))
+            else:
+                first = [LISTEN] * rng.choice((0, 0, 1, 3))
+                programs[u] = slot_reader(rng.choice((5, 8)), rng.choice((2, 3)), *first)
+        _, report = simulate(g, programs, 100)
+        for u in g.nodes:
+            if u in beepers:
+                continue
+            length, period, slots, heard = report.outputs[u]
+            expected = "".join(
+                "1" if heard >> q & ((1 << period) - 1) else "0"
+                for q in range(0, length + 1, period)
+            )
+            assert slots == expected
+
+
 # --- verify_reception on hand-built traces --------------------------------------
 
 

@@ -521,6 +521,42 @@ def test_a_known_width_relay_takes_no_per_round_step(short):
         assert {resumptions[u] for u in relays} == {1}
 
 
+# Source 0 sends "10" (word 10110010) to relays 1 and 2, both armed in round
+# 3; only relay 2 hears the injector 3, and a beep in round 3 + 3q puts a 1
+# in slot q of relay 2's word alone.  Relay 1 is resumed first.
+MIXED = Graph.from_edges([(0, 1), (0, 2), (2, 3)])
+
+
+def mixed_group(injected, log):
+    """Programs for MIXED with the injector beeping in slots ``injected``;
+    each relay logs what it decoded."""
+    def injector():
+        for r in range(1, 30):
+            yield BEEP if r in {3 + 3 * q for q in injected} else LISTEN
+
+    def relay(u):
+        log[u] = yield from relay_decode_width(2)
+        return log[u]
+
+    return {0: slot_sender(codec.encode("10"), 0), 1: relay(1), 2: relay(2), 3: injector()}
+
+
+def test_relays_armed_together_decode_the_words_they_heard():
+    # Without the injector both hear the source's word; slots 4 and 5 turn
+    # relay 2's word into 10111110, the codeword of "11".
+    for injected, decoded in (((), "10"), ((4, 5), "11")):
+        log = {}
+        simulate(MIXED, mixed_group(injected, log), 100)
+        assert log == {1: "10", 2: decoded}
+    # Slot 4 alone gives relay 2 the word 10111010, which is no codeword.
+    log = {}
+    with pytest.raises(ProtocolError) as err:
+        simulate(MIXED, mixed_group((4,), log), 100)
+    assert log == {1: "10"}
+    assert (err.value.node, err.value.round) == (2, 26)
+    assert err.value.reason == "expected a 2-bit wave, heard 10111010"
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_a_known_width_wave_with_one_flipped_bit_raises(width, rng):
     payload = random_bits(rng, width)
