@@ -116,14 +116,25 @@ def match_word(s: str) -> str | None:
     return s[2:-2:2] if _WORD.fullmatch(s) else None
 
 
+def word_stops(masks: list[int], words: int) -> int:
+    """The words of the bitset ``words`` that end at position q = len(masks),
+    as CodewordParser ends them: a 0 at q = 1, a 1 at q = 2, or a 10 or 01
+    pair at an even q >= 4.  Bit i of ``masks[q - 1]`` is position q of word
+    i, and no mask holds a word that an earlier position ended."""
+    q = len(masks)
+    if q <= 2:
+        return words & ~masks[0] if q == 1 else masks[1]
+    return 0 if q % 2 else masks[-2] ^ masks[-1]
+
+
 class CodewordParser:
     """Incremental single-codeword parser fed one position at a time.
 
     The caller pushes bit values in position order starting from the first
     1 it locked onto.  ``push`` returns the payload once the end marker is
     seen, None while incomplete, and raises MalformedWord on a bad pair.
-    Used by relay/listener state machines that learn one codeword position
-    per time slot.
+    ``decode`` reads words with it, and a relay replays a word it heard
+    through it to name the position and the fault of a malformed word.
     """
 
     def __init__(self) -> None:

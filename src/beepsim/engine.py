@@ -19,16 +19,16 @@ A program that only relays a beep wave yields ``Echo(until, gate)``.  Until
 round ``until`` the kernel beeps for it in round r + 1 iff it heard a beep in
 round r, r is ``gate`` mod 3 (any r if ``gate`` is None), and it did not beep
 in round r - 1: one bitset rule for all echoing nodes per round.  The node is
-resumed after round ``until`` as after a LISTEN or BEEP, and ``Echo.heard``
-reads its window's heard flags back from the trace.
+resumed after round ``until`` as after a LISTEN or BEEP.
 
-In the armed form, ``Echo.armed(length)``, the node sleeps like WAIT until
-the round a in which it first hears a beep, and then echoes with ``until =
-a + length``: it relays the arming beep in round a + 1 whatever it did in
-round a - 1, then follows the rule, and bit 0 of ``heard`` is round a.  The
-nodes armed in one round with one ``until`` read their windows back together:
-``Echo.slots(period)`` ORs each slot's heard masks once for the whole group.
-``waves.relay_decode_width`` relays a known-width wave in one armed echo.
+In the armed form the node sleeps like WAIT until the round a in which it
+first hears a beep, relays that beep in round a + 1 whatever it did in round
+a - 1, and then echoes by the rule.  The nodes armed in one round with one
+length form a group, read as SLOT_PERIOD-round slots from round a: slot q
+closes in round a + 3q - 1 with one OR of its heard masks over the group.
+``Echo.armed(length)`` ends in round a + length, ``Echo.armed()`` at the slot
+that ends its codeword or shows it malformed (``codec.word_stops``), and
+``Echo.slots`` then reads the node's word back.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
@@ -46,12 +46,16 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Generator, Iterable, Mapping, TextIO
 
+from . import codec
+
 # Per-round node action.  Plain ints keep the hot send loop cheap.
 Action = int
 LISTEN: Action = 0
 BEEP: Action = 1
 # Listen until a neighbour beeps; the node resumes with True in that round.
 WAIT: Action = 2
+
+SLOT_PERIOD = 3  # rounds per codeword position of a beep wave
 
 # A node program yields Actions and receives heard-feedback each round.
 NodeProgram = Generator[Action, "bool | None", Any]
@@ -277,7 +281,7 @@ class Echo:
     """Relay action: the kernel acts for the node by the relay rule (module
     docstring) in every round after the one it yields this in, up to and
     including round ``until``, and resumes it after round ``until``.
-    ``Echo.armed(length)`` starts in the round the node is armed in instead."""
+    ``Echo.armed`` starts in the round the node is armed in instead."""
 
     __slots__ = ("until", "gate", "length", "_view")
 
@@ -286,55 +290,55 @@ class Echo:
         self.until = until
         self.gate = gate
         self.length: int | None = None
-        # (trace, node bit, start, arming group or None), set by simulate
-        self._view: tuple[Trace, int, int, _Arming | None] | None = None
+        # (node bit, _Arming.read), set by simulate when it ends an armed echo
+        self._view: tuple[int, tuple[list[int], str]] | None = None
 
     @classmethod
-    def armed(cls, length: int) -> "Echo":
-        """The armed form (module docstring); the kernel sets ``until`` on arming."""
-        if length <= 0:
+    def armed(cls, length: int | None = None) -> "Echo":
+        """The armed form (module docstring); the kernel sets ``until``."""
+        if length is not None and length <= 0:
             raise ProtocolError(f"armed echo length must be positive, got {length}")
-        echo = cls(_round + length)
-        echo.length = length
+        echo = cls(_round + 1)
+        echo.length = length or 0
         return echo
 
-    # Parsing a bit string is faster than OR-ing in one bit per round.
-    @property
-    def heard(self) -> int:
-        """Bit j set: the node heard a beep in window round j, the j-th round
-        after the one it yielded this action in, or after the arming round,
-        which is bit 0 of an armed echo."""
-        trace, b, start, _ = self._view
-        window = reversed(trace[start:self.until])
-        bits = int("".join(["1" if rec._heard & b else "0" for rec in window]) + "0", 2)
-        return bits | (self.length is not None)
-
-    def slots(self, period: int) -> str:
-        """An armed echo's window, one '0'/'1' per ``period``-round slot from
-        the arming round: '1' iff the node heard a beep in the slot.  The
-        first member of the arming group to read reads for all of them."""
-        trace, b, start, group = self._view
-        if group.read[0] != period:
-            records = trace[start - 1:self.until]
-            masks = [0] * -(-len(records) // period)
-            for j, rec in enumerate(records):
-                masks[j // period] |= rec._heard & group.mask
-            word = "".join(["1" if m else "0" for m in masks])
-            group.read = (period, masks, word if all(m in (0, group.mask) for m in masks) else "")
-        _, masks, word = group.read
+    def slots(self) -> str:
+        """An ended armed echo's window, one '1' per slot with a beep heard, else '0'."""
+        b, (masks, word) = self._view
         return word or "".join(["1" if m & b else "0" for m in masks])
 
 
 class _Arming:
-    """The nodes armed in one round with one deadline, as a bitset, and the
-    period, slot masks and shared word ('' if the members' words differ)
-    that ``Echo.slots`` last read for them."""
+    """The nodes armed in round ``start`` with one window ``length`` (0: to
+    the end of their words): the open members, the closed slots' masks over
+    them, and ``read``, the masks and shared word ('' if the words differ)
+    of the members the last close ended."""
 
-    __slots__ = ("mask", "read")
+    __slots__ = ("start", "length", "open", "masks", "read")
 
-    def __init__(self) -> None:
-        self.mask = 0
-        self.read: tuple[int, list[int], str] = (0, [], "")
+    def __init__(self, start: int, length: int) -> None:
+        self.start, self.length, self.open, self.masks = start, length, 0, []
+
+    def next_close(self) -> int:
+        """The round the next slot closes in: its last, or the window's."""
+        close = self.start + SLOT_PERIOD * (len(self.masks) + 1) - 1
+        return min(close, self.start + self.length) if self.length else close
+
+    def close(self, trace: Trace) -> int:
+        """Close the next slot in the last round of ``trace``, and end and
+        return the members whose windows end there."""
+        slot = 0
+        for rec in trace[self.start - 1 + SLOT_PERIOD * len(self.masks):]:
+            slot |= rec._heard
+        masks = self.masks
+        masks.append(slot & self.open)
+        at_end = self.open if len(trace) == self.start + self.length else 0
+        stop = at_end if self.length else codec.word_stops(masks, self.open)
+        if stop:
+            self.open ^= stop
+            word = "".join(["1" if m & stop else "0" for m in masks])
+            self.read = (masks[:], word if all(m & stop in (0, stop) for m in masks) else "")
+        return stop
 
 
 @dataclass
@@ -487,8 +491,9 @@ def simulate(
     # of nodes that woke early until that round comes.  ``echo_at[k]`` holds
     # the echoing nodes that may relay a beep heard in a round r = k mod 3,
     # ``echoing`` all of them; they sleep on ``until`` and ``due`` too.
-    # ``armed`` holds the nodes asleep in an armed echo (``arming[i]``), and
-    # ``fresh`` those armed in the last round, whose relay is unconditional.
+    # ``armed`` holds the nodes asleep in an armed echo (``arming[i]`` until
+    # it ends), ``fresh`` those armed in the last round, whose relay is
+    # unconditional, and ``closing`` the groups whose slot closes each round.
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
@@ -499,6 +504,7 @@ def simulate(
     echo_at = [0, 0, 0]
     armed = fresh = 0
     arming: dict[int, Echo] = {}
+    closing: dict[int, list[_Arming]] = {}
     until = [0] * len(nodes)
     due: dict[int, list[int]] = {}
     round_no = 0
@@ -520,13 +526,12 @@ def simulate(
                         reached |= reach[i]
                     elif action == WAIT:
                         waiting |= b
-                    elif type(action) is Echo and action.length:
+                    elif type(action) is Echo and action.length is not None:
                         armed |= b
                         arming[i] = action
                     else:
                         deadline = until[i] = _deadline(action, round_no)
                         if type(action) is Echo:
-                            action._view = (trace, b, round_no, None)
                             echoing |= b
                             for k in (0, 1, 2) if action.gate is None else (action.gate % 3,):
                                 echo_at[k] |= b
@@ -562,14 +567,21 @@ def simulate(
                 echo_at = [m | fresh for m in echo_at]
                 groups: dict[int, _Arming] = {}
                 for i in _indices(fresh):
-                    echo = arming.pop(i)
-                    echo.until = until[i] = round_no + echo.length
-                    group = groups.get(echo.until)
+                    length = arming[i].length
+                    group = groups.get(length)
                     if group is None:
-                        group = groups[echo.until] = _Arming()
-                    group.mask |= bits[i]
-                    echo._view = (trace, bits[i], round_no, group)
-                    due.setdefault(echo.until, []).append(i)
+                        group = groups[length] = _Arming(round_no, length)
+                        closing.setdefault(group.next_close(), []).append(group)
+                    group.open |= bits[i]
+            for group in closing.pop(round_no, ()):
+                ended = group.close(trace)
+                if ended:
+                    woken |= ended
+                    for i in _indices(ended):
+                        echo = arming.pop(i)
+                        echo.until, echo._view = round_no, (bits[i], group.read)
+                if group.open:
+                    closing.setdefault(group.next_close(), []).append(group)
             for i in due.pop(round_no, ()):
                 if until[i] == round_no:
                     woken |= bits[i]

@@ -6,10 +6,10 @@ framing is needed since every participant is adjacent).  Presence votes and
 ID-bit bids are two-round ``11`` pulses: a lone pulse overheard two hops
 away malforms immediately in a stream decoder, which is what keeps
 bystanders from ever assembling a phantom control word.  Listeners decode
-the codec's codewords in their own loops, a payload pair per two rounds;
-``codec.CodewordParser`` serves only the gossip waves' unknown-width relays.
-Since every word's length follows from the reference DFS tree,
-``dfs_round_count`` gives a run's exact round count.
+the codec's codewords in their own loops, a payload pair per two rounds, and
+gossip's waves are ``waves.relay_decode`` relays.  Since every word's length
+follows from the reference DFS tree, ``dfs_round_count`` and
+``gossip_round_count`` give a run's exact round count.
 
 Control codebook (payload layouts inside one self-delimiting codeword):
 
@@ -61,7 +61,7 @@ from .waves import (
     election_phase,
     election_len,
     idle_until,
-    relay_decode_one,
+    relay_decode,
     source_wave_phase,
 )
 
@@ -398,6 +398,24 @@ def dfs_round_count(graph: Graph, numbering: dict[int, int], bit_width: int) -> 
     return t[order[0]] + 1 + (ecc + 1) * flood_threshold(bit_width)
 
 
+def gossip_round_count(graph: Graph, numbering: dict[int, int], msgs: dict[int, str],
+                       dhat: int, lhat: int) -> int:
+    """The exact round count of ``gossip`` from the reference ``numbering``.
+    With |x| = codeword_rounds(x) and s_i the node numbered i, wave 1 starts
+    E + dfs_round_count(w) + (dhat + 1 - ecc(s_1)) th + 5 + |bits(n)| rounds
+    in, and wave i + 1 |m_i| + d(s_i, s_{i+1}) + 1 rounds after wave i; the
+    run ends |m_n| + ecc(s_n) rounds after wave n starts (n = 1: one sooner)."""
+    order = sorted(numbering, key=numbering.__getitem__)
+    w = order[0].bit_length()
+    dist = [distances(graph, s) for s in order]
+    rounds = (election_len(ceil_log2(lhat), dhat) + dfs_round_count(graph, numbering, w)
+              + (dhat + 1 - max(dist[0].values())) * flood_threshold(w) + 5
+              + codeword_rounds(codec.int_to_bits(len(order))))
+    rounds += sum(codeword_rounds(msgs[s]) for s in order) + max(dist[-1].values())
+    rounds += sum(dist[i][s] + 1 for i, s in enumerate(order[1:]))
+    return rounds - (len(order) == 1)
+
+
 def _dfs_round_estimate(n: int, width: int, dhat: int) -> int:
     per_move = 40 + 16 * width + 2 * (n.bit_length() + 1)
     return 2 * n * per_move + flood_threshold(width) * (dhat + 4) + 100
@@ -418,7 +436,7 @@ def _gossip_non_root(
 ) -> Generator[Any, Any, tuple[int, int]]:
     g = yield from _dfs_non_root(ctx, my_bits, threshold)
     yield from await_quiet(ARM_SILENCE)
-    count_bits = yield from relay_decode_one()
+    count_bits = yield from relay_decode()
     ctx.recorder.log("gossip_decode", ctx.node, bits=count_bits)
     n = codec.bits_to_int(count_bits)
     if not 1 <= g <= n:
@@ -435,7 +453,7 @@ def _gossip_waves(ctx: _DfsShared, g: int, n: int, message: str) -> Generator[An
             yield from source_wave_phase(message)
             messages.append(message)
         else:
-            payload = yield from relay_decode_one()
+            payload = yield from relay_decode()
             ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
             messages.append(payload)
     return messages
@@ -492,6 +510,8 @@ def gossip(
         for u in graph.nodes
     )
     report.check("gossip_decode_counts", 0 if decode_ok else 1, 0)
+    rounds = gossip_round_count(graph, numbering, msgs, dhat, lhat)
+    report.check("gossip_round_count", abs(report.total_rounds - rounds), 0)
     report.extras.update(
         leader=leader,
         dhat=dhat,

@@ -28,6 +28,7 @@ from . import codec
 from .engine import (
     BEEP,
     LISTEN,
+    SLOT_PERIOD,
     WAIT,
     Action,
     Echo,
@@ -43,7 +44,6 @@ from .engine import (
 )
 from .graphs import or_oracle
 
-SLOT_PERIOD = 3
 CALIBRATION_PAYLOAD = "1"
 
 Phase = Generator[Action, "bool | None", Any]
@@ -142,60 +142,24 @@ def source_wave_phase(m: str) -> Phase:
         yield BEEP if bit == "1" else LISTEN
 
 
-def relay_decode_one() -> Generator[Action, "bool | None", str]:
-    """Relay-and-decode a single wave codeword of unknown width.
-
-    Arms on the first heard beep (slot alignment re-locks per message),
-    relays every heard beep one round later unless this node beeped two
-    rounds before the relay round, and feeds 3-round slot values into the
-    incremental codeword parser.  Returns the payload, exactly
-    ``codeword_rounds(payload) - 1`` rounds after the round that armed it.
-
-    The arming beep is always relayed: the rule only keeps a node from
-    relaying the echo of its own relay, and none of this wave has been
-    relayed yet (a beep just before arming belongs to an earlier phase).
-    A wave of known width goes through ``relay_decode_width`` instead.
-    """
-    yield WAIT  # silent until armed, so asleep until the first beep
-    yield BEEP
-    r = heard = 1  # r rounds since the arming round; heard bit j: a beep j rounds after it
-    heard_prev = beeped_prev2 = False
-    beeped_prev = True
-    parser = codec.CodewordParser()
-    slot_end = SLOT_PERIOD - 1  # position q is fully observed 3q - 1 rounds after arming
-    while True:
-        while r >= slot_end:
-            try:
-                done = parser.push(1 if heard >> (slot_end - 2) & 7 else 0)
-            except codec.MalformedWord as bad:
-                raise ProtocolError(f"wave decode failed: {bad}") from None
-            slot_end += SLOT_PERIOD
-            if done is not None:
-                return done
-        r += 1
-        will_beep = heard_prev and not beeped_prev2
-        fb = yield (BEEP if will_beep else LISTEN)
-        beeped_prev2, beeped_prev = beeped_prev, will_beep
-        heard_prev = fb is True
-        if heard_prev:
-            heard |= 1 << r
-
-
-def relay_decode_width(width: int) -> Generator[Action, "bool | None", str]:
-    """Relay-and-decode a wave codeword whose payload is ``width`` bits.
-
-    One armed ``Echo`` relays the wave by ``relay_decode_one``'s rule from
-    the arming beep to the word's last slot.  Its slot flags come from one
-    readback per arming group (``Echo.slots``), and one whole-word match
-    decodes them, ``codeword_rounds(payload) - 1`` rounds after the arming
-    round.  A word that is not a ``width``-bit codeword raises
-    ProtocolError in that round, naming this node's word.
-    """
-    r = _width_rounds(width) - 1
-    window = Echo.armed(r)
+def relay_decode(width: int | None = None) -> Generator[Action, "bool | None", str]:
+    """Relay-and-decode one wave codeword, of a ``width``-bit payload or of
+    any width, in one armed ``Echo``: it relays the arming beep, and then a
+    heard beep one round later unless this node beeped two rounds before.
+    Returns the payload ``codeword_rounds(payload) - 1`` rounds after the
+    arming round; in that round a word that is no codeword raises, naming
+    this node's word for a width, and otherwise its first malformed position."""
+    window = Echo.armed() if width is None else Echo.armed(_width_rounds(width) - 1)
     yield window
-    word = window.slots(SLOT_PERIOD)
+    word = window.slots()
     payload = codec.match_word(word)
+    if payload is None and width is None:
+        parser = codec.CodewordParser()
+        try:
+            for bit in word:
+                parser.push(int(bit))
+        except codec.MalformedWord as bad:
+            raise ProtocolError(f"wave decode failed: {bad}") from None
     if payload is None:
         raise ProtocolError(f"expected a {width}-bit wave, heard {word}")
     return payload
@@ -220,7 +184,7 @@ def beep_wave_relay(start_round: int = 1) -> Phase:
 
     def program():
         yield from idle_until(start_round - 1)
-        payload = yield from relay_decode_one()
+        payload = yield from relay_decode()
         return BroadcastOutput(payload, now())
 
     return program()
@@ -315,7 +279,7 @@ def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
         # at gaps of at most two silent rounds, so three fully quiet rounds
         # mean the estimate traffic is over locally.
         yield from await_quiet(3)
-        dtilde = codec.bits_to_int((yield from relay_decode_one()))
+        dtilde = codec.bits_to_int((yield from relay_decode()))
     yield from idle_until(start + estimate_len(dtilde))
     return dtilde
 
@@ -336,7 +300,7 @@ def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None",
         yield from source_wave_phase(CALIBRATION_PAYLOAD)
         dist = 0
     else:
-        payload = yield from relay_decode_width(len(CALIBRATION_PAYLOAD))
+        payload = yield from relay_decode(len(CALIBRATION_PAYLOAD))
         if payload != CALIBRATION_PAYLOAD:
             raise ProtocolError(f"bad calibration payload {payload!r}")
         # The first beep arrives in phase round dist + 2, and the decoder
@@ -432,7 +396,7 @@ def msglen_phase(
             quiet = 0 if (beep or heard_prev) else quiet + 1
             if local >= eligible and quiet >= 3:
                 break
-        p = codec.bits_to_int((yield from relay_decode_one()))
+        p = codec.bits_to_int((yield from relay_decode()))
     yield from idle_until(start + msglen_phase_len(p, dtilde))
     return p
 
@@ -452,7 +416,7 @@ def broadcast_value_phase(
         yield from source_wave_phase(value_bits)
         payload = value_bits
     else:
-        payload = yield from relay_decode_width(expected_bits)
+        payload = yield from relay_decode(expected_bits)
     yield from idle_until(start + wave_phase_len(expected_bits, dtilde))
     return payload
 

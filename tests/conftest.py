@@ -6,7 +6,16 @@ import random
 import numpy as np
 import pytest
 
+from beepsim.engine import BEEP, LISTEN
 from beepsim.graphs import FAMILIES, GraphSpec, generate
+
+
+def beeper_at(*rounds: int):
+    """Beeps in the given rounds and listens in the others up to the last."""
+    def gen():
+        for r in range(1, max(rounds) + 1):
+            yield BEEP if r in rounds else LISTEN
+    return gen()
 
 
 def random_bits(rng: random.Random, length: int) -> str:

@@ -145,3 +145,35 @@ def test_codeword_parser_incremental():
     with pytest.raises(codec.MalformedWord):
         for bit in "1001":  # 01 interior pair
             parser.push(int(bit))
+
+
+def parser_end(s):
+    """The position at which CodewordParser, fed ``s``, returns or raises;
+    None if ``s`` ends first."""
+    parser = codec.CodewordParser()
+    for q, bit in enumerate(s, 1):
+        try:
+            if parser.push(int(bit)) is not None:
+                return q
+        except codec.MalformedWord:
+            return q
+    return None
+
+
+def test_word_stops_ends_every_word_where_the_parser_does():
+    # All bit strings of one length as one bitset per position: bit v is the
+    # string format(v, "0nb"), and each step sees only the open strings.
+    for n in range(1, 15):
+        open_words = (1 << (1 << n)) - 1
+        masks = []
+        ends = [None] * (1 << n)
+        for q in range(1, n + 1):
+            ones = sum(1 << v for v in range(1 << n) if v >> (n - q) & 1)
+            masks.append(ones & open_words)
+            stops = codec.word_stops(masks, open_words)
+            assert stops & ~open_words == 0
+            for v in range(1 << n):
+                if stops >> v & 1:
+                    ends[v] = q
+            open_words ^= stops
+        assert ends == [parser_end(format(v, f"0{n}b")) for v in range(1 << n)], n

@@ -29,7 +29,14 @@ from beepsim.engine import (
 )
 from beepsim.graphs import FAMILIES, GraphSpec, generate
 
-from conftest import barbell, caterpillar, hop_distance_oracle, lollipop, random_connected_graph
+from conftest import (
+    barbell,
+    beeper_at,
+    caterpillar,
+    hop_distance_oracle,
+    lollipop,
+    random_connected_graph,
+)
 
 
 def one_shot(action, then_listen: int = 0):
@@ -342,14 +349,6 @@ def test_adjacency_is_read_only():
 # --- sleeping listeners -----------------------------------------------------------
 
 
-def beeper_at(*rounds: int):
-    """Beeps in the given rounds and listens in the others up to the last."""
-    def gen():
-        for r in range(1, max(rounds) + 1):
-            yield BEEP if r in rounds else LISTEN
-    return gen()
-
-
 def sleeper(make_action):
     """Yields one wait action in round 0; returns the round it was resumed
     in and the feedback it was resumed with."""
@@ -491,14 +490,18 @@ def rule_relay(until, gate=None):
 
 def echoer(until, gate=None, log=None):
     """Yields one Echo in round 0; returns the round it was resumed in and the
-    feedback, and logs the window's heard bits."""
+    feedback, and logs that round."""
     def gen():
-        window = Echo(until, gate)
-        fb = yield window
+        fb = yield Echo(until, gate)
         if log is not None:
-            log.append(window.heard)
+            log.append(now())
         return now(), fb
     return gen()
+
+
+def heard_bits(trace, u, first, last):
+    """Bit j set: node u heard a beep in round first + j, up to round last."""
+    return sum(1 << j for j in range(last - first + 1) if u in trace[first - 1 + j].heard)
 
 
 # A path 0-1-2-3-4-5 whose end 0 beeps; a star whose hub 0 relays for leaf 1.
@@ -533,11 +536,11 @@ def test_an_echoing_node_is_resumed_once_after_until_with_its_window_bits():
     programs = {u: echoer(9 + u, None, log if u == 2 else None) for u in g.nodes if u != source}
     programs[source] = beeper_at(*rounds)
     trace, report = simulate(g, programs, 100)
-    heard, = log  # the only resumption of node 2
+    resumed, = log  # the only resumption of node 2
     last = trace[10]  # round 11
+    assert resumed == 11
     assert report.outputs[2] == (11, None if 2 in last.beepers else 2 in last.heard)
-    assert heard == sum(1 << j for j in range(1, 12) if 2 in trace[j - 1].heard)
-    assert heard and any(2 in rec.beepers for rec in trace[:11])
+    assert heard_bits(trace, 2, 1, 11) and any(2 in rec.beepers for rec in trace[:11])
 
 
 def test_echo_deadline_not_after_the_round_names_the_node_and_round():
@@ -568,13 +571,13 @@ def test_an_echoing_node_is_live_when_the_round_cap_hits():
 
 def armed_echo(length, *first):
     """Yields the actions ``first``, then one armed Echo; returns the round
-    it was resumed in, the feedback and the window's heard bits."""
+    it was resumed in, the feedback and the window's slots."""
     def gen():
         for action in first:
             yield action
         window = Echo.armed(length)
         fb = yield window
-        return now(), fb, window.heard
+        return now(), fb, window.slots()
     return gen()
 
 
@@ -598,7 +601,8 @@ def test_an_armed_echo_relays_its_arming_beep_after_its_own_beep():
                      2: listener(9), 3: listener(9)}, 100)
     verify_reception(trace, ARMED_PATH)
     assert [r.round for r in trace if 1 in r.beepers] == [2, 4]
-    assert report.outputs[1] == (7, False, 0b1)
+    assert report.outputs[1] == (7, False, "10")
+    assert heard_bits(trace, 1, 3, 7) == 0b1
 
     # A plain Echo from the same round keeps the rule and stays silent.
     def beeps_then_echoes():
@@ -616,8 +620,10 @@ def test_an_armed_echo_is_resumed_once_and_heard_bit_0_is_the_arming_round():
     trace, report = simulate(g, {0: beeper_at(5, 8, 14), 1: armed_echo(6), 2: listener(14)}, 100)
     verify_reception(trace, g)
     assert [r.round for r in trace if 1 in r.beepers] == [6, 9]
-    # Armed in round 5, so the window is rounds 5 - 11 and bit j is round 5 + j.
-    assert report.outputs[1] == (11, False, 0b1001)
+    # Armed in round 5, so the window is rounds 5 - 11, its slots are rounds
+    # 5 - 7, 8 - 10 and 11, and bit j is round 5 + j.
+    assert report.outputs[1] == (11, False, "110")
+    assert heard_bits(trace, 1, 5, 11) == 0b1001
 
 
 def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
@@ -642,23 +648,22 @@ def test_an_armed_echo_length_that_is_not_positive_is_named(length):
     assert err.value.reason == f"armed echo length must be positive, got {length}"
 
 
-def slot_reader(length, period, *first):
+def slot_reader(length, *first):
     """Yields the actions ``first``, then one armed Echo; returns its
-    length, ``period``, the window's slots and its heard bits."""
+    length, the round it was resumed in and the window's slots."""
     def gen():
         for action in first:
             yield action
         window = Echo.armed(length)
         yield window
-        return length, period, window.slots(period), window.heard
+        return length, now(), window.slots()
     return gen()
 
 
 def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
-    # Readers armed in one round share a group per deadline; the periods
-    # differ between members, and random beepers make their slots differ.
-    # Every reader has a beeper neighbour, and every beeper beeps in round
-    # 40, so every reader is armed.
+    # Readers armed in one round share a group per length, and random
+    # beepers make their slots differ.  Every reader has a beeper neighbour,
+    # and every beeper beeps in round 40, so every reader is armed.
     for _ in range(12):
         g = random_connected_graph(rng, 40)
         beepers = set(rng.sample(g.nodes, g.n // 4))
@@ -671,15 +676,15 @@ def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
                 programs[u] = beeper_at(40, *rng.sample(range(1, 30), 6))
             else:
                 first = [LISTEN] * rng.choice((0, 0, 1, 3))
-                programs[u] = slot_reader(rng.choice((5, 8)), rng.choice((2, 3)), *first)
-        _, report = simulate(g, programs, 100)
+                programs[u] = slot_reader(rng.choice((5, 8)), *first)
+        trace, report = simulate(g, programs, 100)
         for u in g.nodes:
             if u in beepers:
                 continue
-            length, period, slots, heard = report.outputs[u]
+            length, resumed, slots = report.outputs[u]
+            heard = heard_bits(trace, u, resumed - length, resumed)
             expected = "".join(
-                "1" if heard >> q & ((1 << period) - 1) else "0"
-                for q in range(0, length + 1, period)
+                "1" if heard >> q & 0b111 else "0" for q in range(0, length + 1, 3)
             )
             assert slots == expected
 

@@ -29,6 +29,7 @@ from beepsim.traversal import (
     dfs_round_count,
     flood_threshold,
     gossip,
+    gossip_round_count,
     parse_control_payload,
 )
 
@@ -456,3 +457,46 @@ def test_a_longer_control_word_fails_the_round_count(monkeypatch):
     run = dfs(g)
     failed = [(c.name, c.measured) for c in run.report.bound_checks if not c.passed]
     assert failed == [("dfs_round_count", 2 * (g.n - 1))]
+
+
+def assert_exact_gossip_rounds(graph, rng, **bounds):
+    msgs = {u: random_bits(rng, rng.randint(1, 6)) for u in graph.nodes}
+    run = gossip(graph, msgs, **bounds)
+    extras = run.report.extras
+    assert run.report.all_passed
+    assert [c.measured for c in run.report.bound_checks if c.name == "gossip_round_count"] == [0]
+    rounds = gossip_round_count(graph, extras["numbering"], msgs, extras["dhat"], extras["lhat"])
+    assert rounds == run.report.total_rounds
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gossip_round_count_is_exact_on_every_family(family):
+    # With the default dhat = n, with dhat = D < n and with a wider lhat.
+    rng = random.Random(family)
+    for n in (1, 2, 5, 13):
+        if family == "cycle" and n < 3:
+            continue
+        g = generate(GraphSpec(family, n, seed=n, label_range=4 * n))
+        assert_exact_gossip_rounds(g, rng)
+        assert_exact_gossip_rounds(g, rng, dhat=max(1, diameter(g)), lhat=8 * 4 * n)
+
+
+@pytest.mark.parametrize("pairs", [barbell(5, 3), lollipop(6, 9), caterpillar(5, 3)])
+def test_gossip_round_count_is_exact_on_adversarial_graphs(pairs):
+    assert_exact_gossip_rounds(Graph.from_edges(pairs), random.Random(len(pairs)))
+
+
+def test_a_later_gossip_wave_fails_the_round_count(monkeypatch):
+    # One silent round before every wave, the count wave included, delays
+    # each by one round and leaves every decoded message right.
+    real = traversal.source_wave_phase
+
+    def late(m):
+        yield LISTEN
+        return (yield from real(m))
+
+    monkeypatch.setattr(traversal, "source_wave_phase", late)
+    g = generate(GraphSpec("path", 5))
+    run = gossip(g, {u: "1" * (u + 1) for u in g.nodes})
+    failed = [(c.name, c.measured) for c in run.report.bound_checks if not c.passed]
+    assert failed == [("gossip_round_count", g.n + 1)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,8 +9,11 @@ from beepsim import codec, waves
 from beepsim.engine import (
     BEEP,
     LISTEN,
+    SLOT_PERIOD,
+    WAIT,
     Graph,
     ProtocolError,
+    SimulationTimeout,
     diameter,
     distances,
     now,
@@ -34,12 +38,18 @@ from beepsim.waves import (
     get_message_length,
     idle_until,
     msglen_phase_len,
-    relay_decode_one,
-    relay_decode_width,
+    relay_decode,
     wave_source_rounds,
 )
 
-from conftest import barbell, caterpillar, lollipop, random_bits, random_connected_graph
+from conftest import (
+    barbell,
+    beeper_at,
+    caterpillar,
+    lollipop,
+    random_bits,
+    random_connected_graph,
+)
 
 
 # --- beep-wave source schedule -------------------------------------------
@@ -384,9 +394,44 @@ def slot_sender(codeword, start):
     return gen()
 
 
+def per_round_relay():
+    """The relay of ``relay_decode`` without a width, one step per round:
+    the reference the kernel-ended echo must equal.
+
+    Arms on the first heard beep, relays every heard beep one round later
+    unless this node beeped two rounds before the relay round, and feeds
+    3-round slot values into the incremental codeword parser.  Returns the
+    payload ``codeword_rounds(payload) - 1`` rounds after the arming round.
+    """
+    yield WAIT  # silent until armed, so asleep until the first beep
+    yield BEEP
+    r = heard = 1  # r rounds since the arming round; heard bit j: a beep j rounds after it
+    heard_prev = beeped_prev2 = False
+    beeped_prev = True
+    parser = codec.CodewordParser()
+    slot_end = SLOT_PERIOD - 1  # position q is fully observed 3q - 1 rounds after arming
+    while True:
+        while r >= slot_end:
+            try:
+                done = parser.push(1 if heard >> (slot_end - 2) & 7 else 0)
+            except codec.MalformedWord as bad:
+                raise ProtocolError(f"wave decode failed: {bad}") from None
+            slot_end += SLOT_PERIOD
+            if done is not None:
+                return done
+        r += 1
+        will_beep = heard_prev and not beeped_prev2
+        fb = yield (BEEP if will_beep else LISTEN)
+        beeped_prev2, beeped_prev = beeped_prev, will_beep
+        heard_prev = fb is True
+        if heard_prev:
+            heard |= 1 << r
+
+
 def decoder(width):
-    """The known-width decoder for a width, the per-round one for None."""
-    return relay_decode_one() if width is None else relay_decode_width(width)
+    """The kernel-ended decoder of a width or of none, and for "ref" the
+    per-round reference."""
+    return per_round_relay() if width == "ref" else relay_decode(width)
 
 
 def wave_decoder(width, start):
@@ -422,17 +467,17 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
         # asleep; those from round 0 sleep from the start.
         starts = {u: rng.choice((0, 2)) for u in g.nodes}
         runs = []
-        for width in (expected, None):
+        for width in (expected, None, "ref"):
             programs = {u: wave_decoder(width, starts[u]) for u in g.nodes}
             programs[source] = slot_sender(codec.encode(payload), 0)
-            if width is not None and width != len(payload):
+            if type(width) is int and width != len(payload):
                 with pytest.raises(ProtocolError) as err:
                     simulate(g, programs, 10_000)
                 assert_window_end_error(err, min(g.neighbors(source)), width)
                 continue
             trace, report = simulate(g, programs, 10_000)
             runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
-        assert runs[0] == runs[-1]
+        assert all(run == runs[-1] for run in runs)
         dist = distances(g, source)
         assert all(
             out == (payload, codeword_rounds(payload) + dist[u] + 1)
@@ -451,12 +496,12 @@ def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
         return (yield from decoder(width))
 
     runs = []
-    for width in (2, None):
+    for width in (2, None, "ref"):
         programs = {0: slot_sender(codec.encode("10"), 0), 1: beeps_then_decodes(width),
                     2: wave_decoder(width, 2)}
         trace, report = simulate(g, programs, 100)
         runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert 1 in trace[3].beepers
 
 
@@ -484,6 +529,87 @@ def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
     assert report.outputs[1] == ("111", 32)
 
 
+def noisy_word(rng):
+    """A codeword, the same with one bit flipped, one cut short (silence
+    follows), or random bits after a 1."""
+    word = codec.encode(random_bits(rng, rng.randint(0, 4)))
+    k = rng.randrange(1, len(word))
+    return rng.choice((
+        word,
+        word,
+        word,
+        word[:k] + "10"[int(word[k])] + word[k + 1:],
+        word[:k],
+        "1" + random_bits(rng, rng.randint(1, 12)),
+    ))
+
+
+def words_sender(words, gap):
+    """Sends ``words`` one bit per 3-round slot from round 3, ``gap`` silent
+    rounds after each."""
+    def gen():
+        for word in words:
+            yield from slot_sender(word, now())
+            for _ in range(gap):
+                yield LISTEN
+    return gen()
+
+
+def repeated_decoder(width, start, reps):
+    """Decodes ``reps`` waves in a row from round ``start``; returns each
+    payload with the round it was decoded in."""
+    def gen():
+        yield from idle_until(start)
+        decoded = []
+        for _ in range(reps):
+            payload = yield from decoder(width)
+            decoded.append((payload, now()))
+        return decoded
+    return gen()
+
+
+def relay_outcome(g, programs, max_rounds):
+    """A run's trace and outputs, or its error, or its timeout."""
+    try:
+        trace, report = simulate(g, programs, max_rounds)
+    except ProtocolError as err:
+        return "error", err.node, err.round, err.reason
+    except SimulationTimeout as err:
+        return "timeout", sorted(err.live), masks_of(err.trace)
+    return "ok", masks_of(trace), report.outputs
+
+
+def masks_of(trace):
+    return [(r.round, r.beep_mask, r.heard_mask) for r in trace]
+
+
+def test_relays_of_unknown_width_equal_the_per_round_relay_on_noise():
+    # Noisy words from one source, neighbours that beep at random rounds,
+    # staggered starts and several decodes per node: relays armed in one
+    # round end at different slots, and every run ends in success, in a
+    # decode error or at the round cap, the same with either relay.
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(1500):
+        g = random_connected_graph(rng, 10)
+        source, *others = rng.sample(g.nodes, g.n)
+        injectors = others[:rng.choice((0, 0, 1, 2))]
+        words = [noisy_word(rng) for _ in range(rng.randint(1, 3))]
+        gap = rng.randint(0, 9)
+        starts = {u: rng.choice((0, 0, 0, 2, 5)) for u in g.nodes}
+        reps = {u: rng.randint(1, len(words)) for u in g.nodes}
+        beeps = {u: set(rng.sample(range(1, 90), rng.randint(1, 4))) for u in injectors}
+        runs = []
+        for width in (None, "ref"):
+            programs = {u: repeated_decoder(width, starts[u], reps[u]) for u in g.nodes}
+            programs[source] = words_sender(words, gap)
+            programs.update({u: beeper_at(*beeps[u]) for u in injectors})
+            runs.append(relay_outcome(g, programs, 200))
+        assert runs[0] == runs[1]
+        seen[runs[0][0]] += 1
+    assert min(seen[k] for k in ("ok", "error", "timeout")) >= 150, seen
+
+
 def counting(program, resumptions, u):
     """Runs ``program`` and counts in ``resumptions[u]`` how often it is
     resumed after its first action."""
@@ -506,7 +632,7 @@ def test_a_known_width_relay_takes_no_per_round_step(short):
     for g in (Graph.from_edges(path), Graph.from_edges(star)):
         resumptions = dict.fromkeys(g.nodes, 0)
         programs = {
-            u: counting(relay_decode_width(len(payload) - short), resumptions, u)
+            u: counting(relay_decode(len(payload) - short), resumptions, u)
             for u in g.nodes
         }
         programs[1] = slot_sender(codec.encode(payload), 0)
@@ -535,7 +661,7 @@ def mixed_group(injected, log):
             yield BEEP if r in {3 + 3 * q for q in injected} else LISTEN
 
     def relay(u):
-        log[u] = yield from relay_decode_width(2)
+        log[u] = yield from relay_decode(2)
         return log[u]
 
     return {0: slot_sender(codec.encode("10"), 0), 1: relay(1), 2: relay(2), 3: injector()}
