@@ -32,7 +32,7 @@ class DecodeError(ValueError):
 
 
 def check_bits(s: str, what: str = "bit string") -> str:
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"{what} must be a str over '0'/'1', got {s!r}")
     return s
 
@@ -116,15 +116,17 @@ def match_word(s: str) -> str | None:
     return s[2:-2:2] if _WORD.fullmatch(s) else None
 
 
-def word_stops(masks: list[int], words: int) -> int:
-    """The words of the bitset ``words`` that end at position q = len(masks),
-    as CodewordParser ends them: a 0 at q = 1, a 1 at q = 2, or a 10 or 01
-    pair at an even q >= 4.  Bit i of ``masks[q - 1]`` is position q of word
-    i, and no mask holds a word that an earlier position ended."""
-    q = len(masks)
-    if q <= 2:
-        return words & ~masks[0] if q == 1 else masks[1]
-    return 0 if q % 2 else masks[-2] ^ masks[-1]
+def word_step(words: list[int], slot: int) -> int:
+    """One codeword position for every open word of ``words``, a list of
+    bitsets: the words at position 1, at 2, at an odd position >= 3, at an
+    even position >= 4, and the first bit of each open pair.  Bit i of
+    ``slot`` is word i's bit at this position.  Moves ``words`` on in place
+    and returns the words that end here, as CodewordParser ends them: a 0 at
+    position 1, a 1 at position 2, or a 10 or 01 pair at an even position."""
+    at1, at2, odd, even, first = words
+    stop = at1 & ~slot | at2 & slot | even & (first ^ slot)
+    words[:] = 0, at1 & slot, at2 & ~slot | even & ~stop, odd, odd & slot
+    return stop
 
 
 class CodewordParser:

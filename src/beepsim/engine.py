@@ -23,12 +23,14 @@ resumed after round ``until`` as after a LISTEN or BEEP.
 
 In the armed form the node sleeps like WAIT until the round a in which it
 first hears a beep, relays that beep in round a + 1 whatever it did in round
-a - 1, and then echoes by the rule.  The nodes armed in one round with one
-length form a group, read as SLOT_PERIOD-round slots from round a: slot q
-closes in round a + 3q - 1 with one OR of its heard masks over the group.
-``Echo.armed(length)`` ends in round a + length, ``Echo.armed()`` at the slot
-that ends its codeword or shows it malformed (``codec.word_stops``), and
-``Echo.slots`` then reads the node's word back.
+a - 1, and then echoes by the rule.  Its window is read as SLOT_PERIOD-round
+slots from round a, slot q ending in round a + 3q - 1.  ``Echo.armed(length)``
+ends in round a + length.  ``Echo.armed()`` ends at the slot that ends its
+codeword or shows it malformed: every round r, one ``codec.word_step`` moves
+all such open readers whose slots end in rounds = r mod 3 on by the OR of
+the last three heard masks.  ``Echo.slots`` then reads the node's word back
+from the trace, once for the nodes armed in one round with one length that
+end in one round.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
@@ -290,8 +292,8 @@ class Echo:
         self.until = until
         self.gate = gate
         self.length: int | None = None
-        # (node bit, _Arming.read), set by simulate when it ends an armed echo
-        self._view: tuple[int, tuple[list[int], str]] | None = None
+        # (node bit, its _Arming group), set by simulate when it arms the node
+        self._view: tuple[int, _Arming] | None = None
 
     @classmethod
     def armed(cls, length: int | None = None) -> "Echo":
@@ -303,42 +305,36 @@ class Echo:
         return echo
 
     def slots(self) -> str:
-        """An ended armed echo's window, one '1' per slot with a beep heard, else '0'."""
-        b, (masks, word) = self._view
-        return word or "".join(["1" if m & b else "0" for m in masks])
+        """An ended armed echo's window, one '1' per slot with a beep heard,
+        else '0', read back from the trace."""
+        b, group = self._view
+        return group.read(self.until, b)
 
 
 class _Arming:
-    """The nodes armed in round ``start`` with one window ``length`` (0: to
-    the end of their words): the open members, the closed slots' masks over
-    them, and ``read``, the masks and shared word ('' if the words differ)
-    of the members the last close ended."""
+    """The nodes armed in round ``start`` with one length (0: to the end of
+    their words), and ``last``, the last readback: its end round, its slot
+    masks over the members and their shared word ('' if the members' words
+    differ)."""
 
-    __slots__ = ("start", "length", "open", "masks", "read")
+    __slots__ = ("start", "members", "trace", "last")
 
-    def __init__(self, start: int, length: int) -> None:
-        self.start, self.length, self.open, self.masks = start, length, 0, []
+    def __init__(self, start: int, trace: Trace) -> None:
+        self.start, self.members, self.trace, self.last = start, 0, trace, (0, [], "")
 
-    def next_close(self) -> int:
-        """The round the next slot closes in: its last, or the window's."""
-        close = self.start + SLOT_PERIOD * (len(self.masks) + 1) - 1
-        return min(close, self.start + self.length) if self.length else close
-
-    def close(self, trace: Trace) -> int:
-        """Close the next slot in the last round of ``trace``, and end and
-        return the members whose windows end there."""
-        slot = 0
-        for rec in trace[self.start - 1 + SLOT_PERIOD * len(self.masks):]:
-            slot |= rec._heard
-        masks = self.masks
-        masks.append(slot & self.open)
-        at_end = self.open if len(trace) == self.start + self.length else 0
-        stop = at_end if self.length else codec.word_stops(masks, self.open)
-        if stop:
-            self.open ^= stop
-            word = "".join(["1" if m & stop else "0" for m in masks])
-            self.read = (masks[:], word if all(m & stop in (0, stop) for m in masks) else "")
-        return stop
+    def read(self, end: int, b: int) -> str:
+        """Member ``b``'s window that ended in round ``end``, one bit per slot
+        from ``start``; a slot that ``end`` cuts short ORs the rounds up to it."""
+        last, masks, word = self.last
+        if last != end:
+            members = self.members
+            heard = [rec._heard for rec in self.trace[self.start - 1:end]] + [0, 0]
+            masks = [(heard[k] | heard[k + 1] | heard[k + 2]) & members
+                     for k in range(0, len(heard) - 2, SLOT_PERIOD)]
+            shared = set(masks) <= {0, members}
+            word = "".join(["1" if m else "0" for m in masks]) if shared else ""
+            self.last = (end, masks, word)
+        return word or "".join(["1" if m & b else "0" for m in masks])
 
 
 @dataclass
@@ -491,9 +487,12 @@ def simulate(
     # of nodes that woke early until that round comes.  ``echo_at[k]`` holds
     # the echoing nodes that may relay a beep heard in a round r = k mod 3,
     # ``echoing`` all of them; they sleep on ``until`` and ``due`` too.
-    # ``armed`` holds the nodes asleep in an armed echo (``arming[i]`` until
-    # it ends), ``fresh`` those armed in the last round, whose relay is
-    # unconditional, and ``closing`` the groups whose slot closes each round.
+    # ``armed`` holds the nodes asleep in an armed echo (``arming[i]``, kept
+    # until it ends if it has no length) and ``fresh`` those armed in the last
+    # round, whose relay is unconditional.  An armed echo with a length sleeps
+    # on ``until`` and ``due``.  ``reading`` holds the open ones without a
+    # length, and ``words[c]`` the codeword-grammar state of those whose slots
+    # end in rounds = c mod 3 (``codec.word_step``).
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
@@ -504,7 +503,8 @@ def simulate(
     echo_at = [0, 0, 0]
     armed = fresh = 0
     arming: dict[int, Echo] = {}
-    closing: dict[int, list[_Arming]] = {}
+    reading = 0
+    words = [[0] * 5 for _ in range(3)]
     until = [0] * len(nodes)
     due: dict[int, list[int]] = {}
     round_no = 0
@@ -567,21 +567,30 @@ def simulate(
                 echo_at = [m | fresh for m in echo_at]
                 groups: dict[int, _Arming] = {}
                 for i in _indices(fresh):
-                    length = arming[i].length
+                    echo = arming[i]
+                    length = echo.length
                     group = groups.get(length)
                     if group is None:
-                        group = groups[length] = _Arming(round_no, length)
-                        closing.setdefault(group.next_close(), []).append(group)
-                    group.open |= bits[i]
-            for group in closing.pop(round_no, ()):
-                ended = group.close(trace)
-                if ended:
-                    woken |= ended
-                    for i in _indices(ended):
-                        echo = arming.pop(i)
-                        echo.until, echo._view = round_no, (bits[i], group.read)
-                if group.open:
-                    closing.setdefault(group.next_close(), []).append(group)
+                        group = groups[length] = _Arming(round_no, trace)
+                    group.members |= bits[i]
+                    echo._view = (bits[i], group)
+                    if length:
+                        del arming[i]
+                        deadline = until[i] = echo.until = round_no + length
+                        due.setdefault(deadline, []).append(i)
+                if 0 in groups:
+                    new = groups[0].members
+                    reading |= new
+                    words[(round_no + 2) % 3][0] |= new
+            if reading:
+                state = words[round_no % 3]
+                if state[0] or state[1] or state[2] or state[3]:
+                    stop = codec.word_step(state, heard | trace[-2]._heard | trace[-3]._heard)
+                    if stop:
+                        reading ^= stop
+                        woken |= stop
+                        for i in _indices(stop):
+                            arming.pop(i).until = round_no
             for i in due.pop(round_no, ()):
                 if until[i] == round_no:
                     woken |= bits[i]

@@ -160,20 +160,21 @@ def parser_end(s):
     return None
 
 
-def test_word_stops_ends_every_word_where_the_parser_does():
-    # All bit strings of one length as one bitset per position: bit v is the
-    # string format(v, "0nb"), and each step sees only the open strings.
+def test_word_step_ends_every_word_where_the_parser_does():
+    # All bit strings of one length as bitsets: bit v is the string
+    # format(v, "0nb"), every one starts at position 1, and each step gets
+    # position q of every string and must end only open strings.
     for n in range(1, 15):
         open_words = (1 << (1 << n)) - 1
-        masks = []
+        words = [open_words, 0, 0, 0, 0]
         ends = [None] * (1 << n)
         for q in range(1, n + 1):
             ones = sum(1 << v for v in range(1 << n) if v >> (n - q) & 1)
-            masks.append(ones & open_words)
-            stops = codec.word_stops(masks, open_words)
+            stops = codec.word_step(words, ones)
             assert stops & ~open_words == 0
             for v in range(1 << n):
                 if stops >> v & 1:
                     ends[v] = q
             open_words ^= stops
+            assert words[0] | words[1] | words[2] | words[3] == open_words
         assert ends == [parser_end(format(v, f"0{n}b")) for v in range(1 << n)], n

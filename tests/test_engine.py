@@ -626,6 +626,18 @@ def test_an_armed_echo_is_resumed_once_and_heard_bit_0_is_the_arming_round():
     assert heard_bits(trace, 1, 5, 11) == 0b1001
 
 
+@pytest.mark.parametrize(
+    "beeps, word", [((12,), "101"), ((11,), "101"), ((13,), "100"), ((9, 13), "110")])
+def test_an_armed_echo_window_whose_last_slot_has_two_rounds(beeps, word):
+    # Armed in round 5 with length 7, so the window is rounds 5 - 12, its
+    # slots are rounds 5 - 7, 8 - 10 and 11 - 12, and round 13 is past it.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    trace, report = simulate(g, {0: beeper_at(5, *beeps), 1: armed_echo(7), 2: listener(14)}, 100)
+    verify_reception(trace, g)
+    resumed, _, slots = report.outputs[1]
+    assert (resumed, slots) == (12, word)
+
+
 def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
     # Node 1 beeps in rounds 2 and 4 either way; the sleepers on nodes 2 and
     # 3 must wake in the rounds they hear a beep and in no other.

@@ -610,6 +610,35 @@ def test_relays_of_unknown_width_equal_the_per_round_relay_on_noise():
     assert min(seen[k] for k in ("ok", "error", "timeout")) >= 150, seen
 
 
+def test_relays_of_unknown_width_equal_the_per_round_relay_on_long_paths():
+    # As above on paths and caterpillars of 30 - 45 nodes: a word crosses
+    # many hops, so relays armed three rounds apart read their slots in one
+    # residue class mod 3 at different positions of their words.
+    rng = random.Random(17)
+    seen = Counter()
+    for case in range(150):
+        if case % 2:
+            g = Graph.from_edges([(i, i + 1) for i in range(rng.randint(29, 44))])
+        else:
+            g = Graph.from_edges(caterpillar(rng.randint(10, 15), 2))
+        source, *others = rng.sample(g.nodes, g.n)
+        injectors = others[:rng.choice((0, 0, 0, 1, 2))]
+        words = [noisy_word(rng) for _ in range(rng.randint(1, 2))]
+        gap = rng.randint(0, 9)
+        starts = {u: rng.choice((0, 0, 2)) for u in g.nodes}
+        reps = {u: rng.randint(1, len(words)) for u in g.nodes}
+        beeps = {u: set(rng.sample(range(1, 90), rng.randint(1, 4))) for u in injectors}
+        runs = []
+        for width in (None, "ref"):
+            programs = {u: repeated_decoder(width, starts[u], reps[u]) for u in g.nodes}
+            programs[source] = words_sender(words, gap)
+            programs.update({u: beeper_at(*beeps[u]) for u in injectors})
+            runs.append(relay_outcome(g, programs, 300))
+        assert runs[0] == runs[1]
+        seen[runs[0][0]] += 1
+    assert min(seen[k] for k in ("ok", "error", "timeout")) >= 20, seen
+
+
 def counting(program, resumptions, u):
     """Runs ``program`` and counts in ``resumptions[u]`` how often it is
     resumed after its first action."""
