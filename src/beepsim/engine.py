@@ -34,9 +34,9 @@ end in one round.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
-two int bitsets in that order: bit i set means node i is in the set.  The
-kernel computes a round's reception as the OR of the beepers' neighbour
-masks.
+two int bitsets in that order: bit i set means node i is in the set.  A
+round's reception is the OR of its beepers' neighbour masks less the
+beepers, worked out once per distinct beeper set in a run.
 """
 
 from __future__ import annotations
@@ -307,6 +307,8 @@ class Echo:
     def slots(self) -> str:
         """An ended armed echo's window, one '1' per slot with a beep heard,
         else '0', read back from the trace."""
+        if self._view is None:
+            raise ProtocolError("slots() of an echo that was never armed")
         b, group = self._view
         return group.read(self.until, b)
 
@@ -493,11 +495,14 @@ def simulate(
     # on ``until`` and ``due``.  ``reading`` holds the open ones without a
     # length, and ``words[c]`` the codeword-grammar state of those whose slots
     # end in rounds = c mod 3 (``codec.word_step``).
+    # ``heard_of`` maps each beeper set seen in this run (BEEP actions, echo
+    # relays and ``fresh`` relays) to its heard set, so each is ORed once.
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
     beeps = (1 << len(nodes)) - 1
     heard = 0
+    heard_of = {0: 0}
     waiting = 0
     echoing = 0
     echo_at = [0, 0, 0]
@@ -512,7 +517,6 @@ def simulate(
         while True:
             _round = round_no
             sent = 0
-            reached = 0
             awake: list[int] = []
             for i in step:
                 b = bits[i]
@@ -523,7 +527,6 @@ def simulate(
                     elif action == BEEP:
                         awake.append(i)
                         sent |= b
-                        reached |= reach[i]
                     elif action == WAIT:
                         waiting |= b
                     elif type(action) is Echo and action.length is not None:
@@ -546,10 +549,7 @@ def simulate(
                     raise
             if echoing:
                 relays = echo_at[round_no % 3] & heard & ~(trace[-2]._beeps if round_no > 1 else 0)
-                relays |= fresh
-                sent |= relays
-                for i in _indices(relays):
-                    reached |= reach[i]
+                sent |= relays | fresh
             if not live:
                 break
             if round_no >= max_rounds:
@@ -557,7 +557,12 @@ def simulate(
                 raise SimulationTimeout(max_rounds, trace, {nodes[i] for i in live})
             round_no += 1
             beeps = sent
-            heard = reached & ~sent
+            heard = heard_of.get(sent)
+            if heard is None:
+                reached = 0
+                for i in _indices(sent):
+                    reached |= reach[i]
+                heard = heard_of[sent] = reached & ~sent
             trace.append(RoundRecord(round_no, beeps, heard, nodes))
             woken = waiting & heard
             fresh = armed & heard

@@ -701,6 +701,76 @@ def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
             assert slots == expected
 
 
+def test_slots_of_an_echo_that_was_never_armed_names_the_node_and_round():
+    g = Graph.from_edges([(0, 1)])
+
+    def plain():
+        window = Echo(3)
+        yield window
+        window.slots()
+
+    def before_yield():
+        yield LISTEN
+        Echo.armed().slots()
+
+    for program, round_no in ((plain(), 3), (before_yield(), 1)):
+        with pytest.raises(ProtocolError) as err:
+            simulate(g, {0: program, 1: listener(5)}, 10)
+        assert str(err.value).startswith(f"node 0, round {round_no}: ")
+        assert err.value.reason == "slots() of an echo that was never armed"
+
+
+# --- one beeper set, sent in several ways ---------------------------------------
+
+
+PATH5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def set_sender(u, d):
+    """Node 1 or 3 of ``PATH5`` after ``d`` quiet rounds: beeps in round
+    d + 1, relays node 2's beep of round d + 3 in an Echo and its beep of
+    round d + 7 in an armed echo, then beeps in round d + 12 (node 1) or
+    relays node 4's beep of round d + 11 there (node 3)."""
+    def gen():
+        for _ in range(d):
+            yield LISTEN
+        yield BEEP
+        yield Echo(d + 5)
+        yield Echo.armed(3)
+        if u == 1:
+            yield LISTEN
+            yield BEEP
+        else:
+            yield Echo(d + 13)
+    return gen()
+
+
+def set_programs(d):
+    return {0: listener(d + 13), 1: set_sender(1, d), 2: beeper_at(d + 3, d + 7),
+            3: set_sender(3, d), 4: beeper_at(d + 11)}
+
+
+
+def test_one_beeper_set_from_beeps_echo_relays_and_armed_relays_is_heard_alike():
+    # The set {1, 3} is sent by two BEEPs, two Echo relays, two armed relays,
+    # and a BEEP beside a relay.  With node 0 moved from node 1 to node 2 the
+    # set is heard otherwise, so reception must not carry over between runs.
+    g = Graph.from_edges(PATH5)
+    moved = Graph.from_edges([(0, 2)] + PATH5[1:])
+    runs = []
+    for graph, d in ((g, 0), (moved, 0), (g, 2)):
+        trace, _ = simulate(graph, set_programs(d), 100)
+        verify_reception(trace, graph)
+        sent = {r.round: set(r.beepers) for r in trace if r.beepers}
+        assert sent == {d + 1: {1, 3}, d + 3: {2}, d + 4: {1, 3}, d + 7: {2},
+                        d + 8: {1, 3}, d + 11: {4}, d + 12: {1, 3}}
+        runs.append(trace)
+    assert (runs[0][0].heard, runs[1][0].heard) == ({0, 2, 4}, {2, 4})
+    fresh, _ = simulate(Graph.from_edges(PATH5), set_programs(2), 100)
+    assert [(r.round, r.beep_mask, r.heard_mask) for r in runs[2]] == [
+        (r.round, r.beep_mask, r.heard_mask) for r in fresh]
+
+
 # --- verify_reception on hand-built traces --------------------------------------
 
 

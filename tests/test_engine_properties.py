@@ -11,6 +11,7 @@ from beepsim.engine import (
     SimulationTimeout,
     now,
     simulate,
+    verify_reception,
     wait,
 )
 
@@ -66,7 +67,9 @@ def outcome(graph, scripts, sleeps):
     try:
         trace, report = simulate(graph, programs, 40)
     except SimulationTimeout as stop:
+        verify_reception(stop.trace, graph)
         return "timeout", stop.trace, stop.live, recorder.events
+    verify_reception(trace, graph)
     return trace, report.outputs, report.total_rounds, recorder.events
 
 
