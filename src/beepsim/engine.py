@@ -30,7 +30,9 @@ codeword or shows it malformed: every round r, one ``codec.word_step`` moves
 all such open readers whose slots end in rounds = r mod 3 on by the OR of
 the last three heard masks.  ``Echo.slots`` then reads the node's word back
 from the trace, once for the nodes armed in one round with one length that
-end in one round.
+end in one round.  With a phase end, ``Echo.armed(length, until)`` relays
+through round ``until`` only and is resumed once after it, armed or not; a
+window without a length runs to ``until``, and one that passes it raises.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
@@ -89,16 +91,24 @@ class ProtocolError(SimulationError):
 class SimulationTimeout(SimulationError):
     """maxRounds elapsed before every program terminated.
 
-    Carries the partial trace and the set of still-running nodes.
+    Carries the partial trace, the set of still-running nodes and ``phases``,
+    which maps each of them to the innermost generator it is suspended in.
     """
 
-    def __init__(self, max_rounds: int, trace: "Trace", live: set[int]):
+    def __init__(self, max_rounds: int, trace: "Trace", programs: dict[int, NodeProgram]):
         self.max_rounds = max_rounds
         self.trace = trace
-        self.live = live
+        self.live = set(programs)
+        self.phases: dict[int, str] = {}
+        for u, program in programs.items():  # follow each yield from chain to its end
+            name = type(program).__name__
+            while hasattr(program, "gi_code"):
+                name, program = program.gi_code.co_name, program.gi_yieldfrom
+            self.phases[u] = name
         super().__init__(
-            f"{len(live)} node(s) still running after {max_rounds} rounds: "
-            f"{sorted(live)[:8]}{'...' if len(live) > 8 else ''}"
+            f"{len(self.live)} node(s) still running after {max_rounds} rounds: "
+            f"{sorted(self.live)[:8]}{'...' if len(self.live) > 8 else ''}; "
+            f"in {', '.join(sorted(set(self.phases.values())))}"
         )
 
 
@@ -285,39 +295,43 @@ class Echo:
     including round ``until``, and resumes it after round ``until``.
     ``Echo.armed`` starts in the round the node is armed in instead."""
 
-    __slots__ = ("until", "gate", "length", "_view")
+    __slots__ = ("until", "gate", "length", "end", "_view")
 
     def __init__(self, until: int, gate: int | None = None):
         _check_deadline(until, _round)
         self.until = until
         self.gate = gate
         self.length: int | None = None
+        self.end: int | None = None  # an armed echo's last window round, set by simulate
         # (node bit, its _Arming group), set by simulate when it arms the node
         self._view: tuple[int, _Arming] | None = None
 
     @classmethod
-    def armed(cls, length: int | None = None) -> "Echo":
-        """The armed form (module docstring); the kernel sets ``until``."""
+    def armed(cls, length: int | None = None, until: int | None = None) -> "Echo":
+        """The armed form (module docstring); ``until`` is its phase end, or 0."""
         if length is not None and length <= 0:
             raise ProtocolError(f"armed echo length must be positive, got {length}")
-        echo = cls(_round + 1)
+        echo = cls(_round + 1 if until is None else until)
         echo.length = length or 0
+        echo.until = until or 0
         return echo
 
     def slots(self) -> str:
         """An ended armed echo's window, one '1' per slot with a beep heard,
         else '0', read back from the trace."""
-        if self._view is None:
+        if self.end is None:
             raise ProtocolError("slots() of an echo that was never armed")
+        if 0 < self.until < self.end:
+            raise ProtocolError(f"armed window end {self.end} passes its phase end {self.until}")
         b, group = self._view
-        return group.read(self.until, b)
+        return group.read(self.end, b)
 
 
 class _Arming:
     """The nodes armed in round ``start`` with one length (0: to the end of
-    their words), and ``last``, the last readback: its end round, its slot
-    masks over the members and their shared word ('' if the members' words
-    differ)."""
+    their words or phases), and ``last``, the last readback: its end round,
+    its slot masks over the members and their shared word ('' if the
+    members' words differ)."""
 
     __slots__ = ("start", "members", "trace", "last")
 
@@ -490,11 +504,14 @@ def simulate(
     # the echoing nodes that may relay a beep heard in a round r = k mod 3,
     # ``echoing`` all of them; they sleep on ``until`` and ``due`` too.
     # ``armed`` holds the nodes asleep in an armed echo (``arming[i]``, kept
-    # until it ends if it has no length) and ``fresh`` those armed in the last
-    # round, whose relay is unconditional.  An armed echo with a length sleeps
-    # on ``until`` and ``due``.  ``reading`` holds the open ones without a
-    # length, and ``words[c]`` the codeword-grammar state of those whose slots
-    # end in rounds = c mod 3 (``codec.word_step``).
+    # until it is armed, or until its word ends if it has neither a length
+    # nor a phase end; a node's next armed echo replaces one never armed)
+    # and ``fresh`` those armed in the last round, whose relay is
+    # unconditional unless they woke in that round.  An armed echo with a
+    # phase end sleeps on ``until`` and ``due`` from its yield, one with a
+    # length from its arming round.  ``reading`` holds the open ones with
+    # neither, and ``words[c]`` the grammar state of those whose slots end
+    # in rounds = c mod 3 (``codec.word_step``).
     # ``heard_of`` maps each beeper set seen in this run (BEEP actions, echo
     # relays and ``fresh`` relays) to its heard set, so each is ORed once.
     global _round
@@ -532,6 +549,9 @@ def simulate(
                     elif type(action) is Echo and action.length is not None:
                         armed |= b
                         arming[i] = action
+                        if action.until:
+                            deadline = until[i] = _deadline(action, round_no)
+                            due.setdefault(deadline, []).append(i)
                     else:
                         deadline = until[i] = _deadline(action, round_no)
                         if type(action) is Echo:
@@ -554,7 +574,7 @@ def simulate(
                 break
             if round_no >= max_rounds:
                 report.total_rounds = round_no
-                raise SimulationTimeout(max_rounds, trace, {nodes[i] for i in live})
+                raise SimulationTimeout(max_rounds, trace, {nodes[i]: p for i, p in live.items()})
             round_no += 1
             beeps = sent
             heard = heard_of.get(sent)
@@ -571,20 +591,24 @@ def simulate(
                 echoing |= fresh
                 echo_at = [m | fresh for m in echo_at]
                 groups: dict[int, _Arming] = {}
+                new = 0
                 for i in _indices(fresh):
-                    echo = arming[i]
+                    echo = arming.pop(i)
                     length = echo.length
                     group = groups.get(length)
                     if group is None:
                         group = groups[length] = _Arming(round_no, trace)
                     group.members |= bits[i]
                     echo._view = (bits[i], group)
-                    if length:
-                        del arming[i]
-                        deadline = until[i] = echo.until = round_no + length
+                    if echo.until:
+                        echo.end = round_no + length if length else echo.until
+                    elif length:
+                        deadline = until[i] = echo.end = round_no + length
                         due.setdefault(deadline, []).append(i)
-                if 0 in groups:
-                    new = groups[0].members
+                    else:
+                        arming[i] = echo
+                        new |= bits[i]
+                if new:
                     reading |= new
                     words[(round_no + 2) % 3][0] |= new
             if reading:
@@ -595,12 +619,14 @@ def simulate(
                         reading ^= stop
                         woken |= stop
                         for i in _indices(stop):
-                            arming.pop(i).until = round_no
+                            arming.pop(i).end = round_no
             for i in due.pop(round_no, ()):
                 if until[i] == round_no:
                     woken |= bits[i]
             if woken:
                 waiting &= ~woken
+                fresh &= ~woken
+                armed &= ~woken
                 if echoing & woken:
                     echoing &= ~woken
                     echo_at = [m & ~woken for m in echo_at]

@@ -4,10 +4,11 @@ message collection, and message-length determination.
 All multi-phase protocols here are chains of phase generators that share one
 clock, the kernel round ``now()``.  A phase takes ``start = now()`` on entry,
 so its first yield is phase round 1 (absolute round start + 1).  A phase of
-fixed length ends with ``idle_until(start + <its *_len>)``: every node
-evaluates the length from values it has already learned, so every node
-leaves the phase in the same round, and a phase that overran its length
-raises ``ProtocolError``.  Phases return only what a node learns.
+fixed length ends with ``idle_until(start + <its *_len>)`` or a relay window
+with that phase end: every node evaluates the length from values it has
+already learned, so every node leaves the phase in the same round, and a
+phase that overran its length raises ``ProtocolError``.  Phases return only
+what a node learns.
 
 Slot arithmetic in phase rounds (same-round OR reception):
   * a wave source beeps codeword bit i at phase round 3i;
@@ -142,14 +143,16 @@ def source_wave_phase(m: str) -> Phase:
         yield BEEP if bit == "1" else LISTEN
 
 
-def relay_decode(width: int | None = None) -> Generator[Action, "bool | None", str]:
+def relay_decode(width: int | None = None,
+                 until: int | None = None) -> Generator[Action, "bool | None", str]:
     """Relay-and-decode one wave codeword, of a ``width``-bit payload or of
     any width, in one armed ``Echo``: it relays the arming beep, and then a
     heard beep one round later unless this node beeped two rounds before.
     Returns the payload ``codeword_rounds(payload) - 1`` rounds after the
-    arming round; in that round a word that is no codeword raises, naming
-    this node's word for a width, and otherwise its first malformed position."""
-    window = Echo.armed() if width is None else Echo.armed(_width_rounds(width) - 1)
+    arming round, or for a width with a phase end ``until``, after round
+    ``until``.  There a word that is no codeword raises, naming this node's
+    word for a width, and otherwise its first malformed position."""
+    window = Echo.armed() if width is None else Echo.armed(_width_rounds(width) - 1, until)
     yield window
     word = window.slots()
     payload = codec.match_word(word)
@@ -203,34 +206,25 @@ def wave_source_rounds(m: str, start_round: int = 1) -> list[int]:
 def election_phase(my_id: int, bit_width: int, dhat: int) -> Generator[Action, "bool | None", int]:
     """Vote on each ID bit MSB-first; every node flood-relays each phase.
 
+    A candidate beeps in the bit's first round and then echoes; every other
+    node relays in one armed window that ends with the bit, and its verdict
+    is whether the window was armed, that is whether it heard any beep.
     Consumes exactly bit_width * (dhat + 1) rounds and returns the max ID.
     """
     in_running = True
     verdicts: list[str] = []
     for b in range(bit_width):
         my_bit = (my_id >> (bit_width - 1 - b)) & 1
-        candidate = in_running and my_bit == 1
-        heard_any = False
-        heard_prev = False
-        beeped_prev = False
-        beeped_prev2 = False
-        start = now()
-        end = start + dhat + 1
-        while now() < end:
-            will_beep = candidate if now() == start else (heard_prev and not beeped_prev2)
-            if will_beep or heard_prev:
-                heard = (yield (BEEP if will_beep else LISTEN)) is True
-                beeped_prev2, beeped_prev = beeped_prev, will_beep
-            else:
-                # Silent until the next beep: sleep.  After more than one
-                # round asleep the node has not beeped in the last two.
-                slept_from = now()
-                heard = yield wait(end)
-                beeped_prev2 = beeped_prev and now() == slept_from + 1
-                beeped_prev = False
-            heard_any = heard_any or heard
-            heard_prev = heard
-        verdict = heard_any or candidate
+        end = now() + dhat + 1
+        if in_running and my_bit == 1:
+            yield BEEP
+            if dhat:
+                yield Echo(end)
+            verdict = True
+        else:
+            window = Echo.armed(until=end)
+            yield window
+            verdict = window.end is not None
         verdicts.append("1" if verdict else "0")
         if verdict and my_bit == 0:
             in_running = False
@@ -296,19 +290,21 @@ def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None",
     """Run the calibration wave; returns this node's hop distance to the
     leader (arrival round of the wave's first beep fixes it)."""
     start = now()
+    end = start + calibration_len(dtilde)
     if is_leader:
         yield from source_wave_phase(CALIBRATION_PAYLOAD)
-        dist = 0
-    else:
-        payload = yield from relay_decode(len(CALIBRATION_PAYLOAD))
-        if payload != CALIBRATION_PAYLOAD:
-            raise ProtocolError(f"bad calibration payload {payload!r}")
-        # The first beep arrives in phase round dist + 2, and the decoder
-        # returns codeword_rounds(payload) - 1 rounds after that.
-        dist = now() - start - CALIBRATION_ROUNDS - 1
-        if not 1 <= dist <= dtilde:
-            raise ProtocolError(f"calibration distance {dist} out of range")
-    yield from idle_until(start + calibration_len(dtilde))
+        yield from idle_until(end)
+        return 0
+    window = Echo.armed(CALIBRATION_ROUNDS - 1, end)
+    yield window
+    word = window.slots()
+    if codec.match_word(word) != CALIBRATION_PAYLOAD:
+        raise ProtocolError(f"bad calibration word {word}")
+    # The first beep arrives in phase round dist + 2, and the window ends
+    # codeword_rounds(payload) - 1 rounds after that.
+    dist = window.end - start - CALIBRATION_ROUNDS - 1
+    if dist < 1:  # with dist > dtilde the window passed its phase end, and slots() raised
+        raise ProtocolError(f"calibration distance {dist} out of range")
     return dist
 
 
@@ -332,10 +328,10 @@ def collect_phase(
     if not is_leader:
         # Every beep of this node, slot or relay, falls in one residue class
         # mod 3, so the echo rule's "not beeped two rounds before" never
-        # blocks a relay here.  No slot comes before round 3 (dist <= dtilde).
+        # blocks a relay here.  No slot comes before round 3 (dist <= dtilde),
+        # and the calibration's last round is silent, so windows start there.
         start = now()
         gate = (start + 2 + dtilde - dist) % 3
-        yield LISTEN
         for slot in sorted(_collection_slots(own_bits or "", dtilde, dist)):
             yield Echo(start + slot - 1, gate)
             yield BEEP
@@ -409,16 +405,14 @@ def broadcast_value_phase(
     """Scheduled network-wide wave of a known-width bit string.  The single
     source passes value_bits; everyone else relays and decodes a word of
     that width.  Consumes wave_phase_len(expected_bits, dtilde)."""
-    start = now()
-    if value_bits is not None:
-        if len(value_bits) != expected_bits:
-            raise ProtocolError("source value has unexpected width")
-        yield from source_wave_phase(value_bits)
-        payload = value_bits
-    else:
-        payload = yield from relay_decode(expected_bits)
-    yield from idle_until(start + wave_phase_len(expected_bits, dtilde))
-    return payload
+    end = now() + wave_phase_len(expected_bits, dtilde)
+    if value_bits is None:
+        return (yield from relay_decode(expected_bits, end))
+    if len(value_bits) != expected_bits:
+        raise ProtocolError("source value has unexpected width")
+    yield from source_wave_phase(value_bits)
+    yield from idle_until(end)
+    return value_bits
 
 
 # ---------------------------------------------------------------------------

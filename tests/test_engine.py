@@ -139,10 +139,15 @@ def test_timeout_carries_partial_trace():
     def endless():
         while True:
             yield LISTEN
+    def nested():
+        yield from endless()
+
     with pytest.raises(SimulationTimeout) as err:
-        simulate(g, {0: endless(), 1: endless()}, 7)
+        simulate(g, {0: endless(), 1: nested()}, 7)
     assert len(err.value.trace) == 7
     assert err.value.live == {0, 1}
+    assert err.value.phases == {0: "endless", 1: "endless"}
+    assert str(err.value) == "2 node(s) still running after 7 rounds: [0, 1]; in endless"
 
 
 def test_reception_soundness_random_traffic(rng):
@@ -718,6 +723,110 @@ def test_slots_of_an_echo_that_was_never_armed_names_the_node_and_round():
             simulate(g, {0: program, 1: listener(5)}, 10)
         assert str(err.value).startswith(f"node 0, round {round_no}: ")
         assert err.value.reason == "slots() of an echo that was never armed"
+
+
+# --- armed echoes with a phase end ----------------------------------------------
+
+
+def phase_window(length, until, read=True):
+    """Yields one armed Echo with phase end ``until`` in round 0; returns the
+    round it was resumed in, its window's end and, if ``read``, its slots."""
+    def gen():
+        window = Echo.armed(length, until)
+        yield window
+        return now(), window.end, window.slots() if read else None
+    return gen()
+
+
+def armed_rule_relay(until):
+    """An armed echo with phase end ``until``, one LISTEN or BEEP per round:
+    asleep until the round a of its first heard beep, it beeps in round a + 1
+    and then in round r + 1 iff it heard in round r and was silent in r - 1,
+    up to round ``until``.  Returns its last round and whether it was armed."""
+    def gen():
+        armed = heard = beeped = beeped_before = False
+        while now() < until:
+            will = heard and (not armed or not beeped_before)
+            armed = armed or heard
+            fb = yield BEEP if will else LISTEN
+            beeped_before, beeped, heard = beeped, fb is None, fb is True
+        return now(), armed or heard
+    return gen()
+
+
+def test_a_node_armed_in_its_phase_end_round_does_not_relay_after_it():
+    # Node 1 is armed by node 0's beep in round 4, its phase end, while node 2
+    # still echoes, so the kernel still sends relays in round 5.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+
+    def armed_then_listens():
+        window = Echo.armed(until=4)
+        yield window
+        resumed = now()
+        yield LISTEN
+        yield LISTEN
+        return resumed, window.end
+
+    trace, report = simulate(g, {0: beeper_at(4), 1: armed_then_listens(), 2: echoer(9)}, 20)
+    verify_reception(trace, g)
+    assert report.outputs[1] == (4, 4)
+    assert all(not rec.beepers for rec in trace[4:])
+
+
+def test_a_window_never_armed_resumes_after_its_phase_end():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    for length in (None, 3):
+        trace, report = simulate(g, {0: listener(8), 1: phase_window(length, 6, read=False),
+                                     2: listener(8)}, 20)
+        assert report.outputs[1] == (6, None, None)
+        assert not any(rec.beepers for rec in trace)
+        with pytest.raises(ProtocolError) as err:
+            simulate(g, {0: listener(8), 1: phase_window(length, 6), 2: listener(8)}, 20)
+        assert (err.value.node, err.value.round) == (1, 6)
+        assert err.value.reason == "slots() of an echo that was never armed"
+
+
+def test_a_window_that_passes_its_phase_end_names_the_node_and_round():
+    # Armed in round 5 with length 4, the window would end in round 9.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {0: beeper_at(5), 1: phase_window(4, 7), 2: listener(8)}, 20)
+    assert str(err.value) == "node 1, round 7: armed window end 9 passes its phase end 7"
+    _, report = simulate(g, {0: beeper_at(5), 1: phase_window(4, 9), 2: listener(8)}, 20)
+    assert report.outputs[1] == (9, 9, "10")
+
+
+@pytest.mark.parametrize("case", range(len(ECHO_CASES)))
+def test_a_window_with_a_phase_end_relays_by_the_rule_through_it(case):
+    # Every relay has its own phase end, so some end while others echo, and
+    # some are armed in their phase end round.
+    def armed_until(until):
+        window = Echo.armed(until=until)
+        yield window
+        return now(), window.end is not None
+
+    g, source, rounds = ECHO_CASES[case]
+    for base in range(1, 14):
+        runs = []
+        for relay in (armed_rule_relay, armed_until):
+            programs = {u: relay(base + 3 * u % 5) for u in g.nodes if u != source}
+            programs[source] = beeper_at(*rounds)
+            trace, report = simulate(g, programs, 100)
+            verify_reception(trace, g)
+            runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "beeps, word", [((12,), "101"), ((13,), "100"), ((14, 16), "100"), ((9, 13), "110")])
+def test_a_window_with_a_phase_end_reads_back_exactly_its_length(beeps, word):
+    # Armed in round 5 with length 7: the slots are rounds 5 - 7, 8 - 10 and
+    # 11 - 12 whatever node 1 hears before its phase end, round 20.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    trace, report = simulate(g, {0: beeper_at(5, *beeps), 1: phase_window(7, 20),
+                                 2: listener(20)}, 100)
+    verify_reception(trace, g)
+    assert report.outputs[1] == (20, 12, word)
 
 
 # --- one beeper set, sent in several ways ---------------------------------------

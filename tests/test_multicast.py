@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from beepsim import codec
-from beepsim.engine import Graph, ProtocolError, simulate
+from beepsim import codec, multicast
+from beepsim.engine import Graph, ProtocolError, SimulationTimeout, simulate
 from beepsim.graphs import GraphSpec, generate
 from beepsim.multicast import (
     PhaseSpan,
@@ -232,6 +232,40 @@ def test_schedule_agreement_recorded(rng):
     names = [s.name for s in run.report.extras["schedule"]]
     assert names[:3] == ["elect", "estimate", "msglen"]
     assert names[-2:] == ["table_collect", "table_wave"]
+
+
+@pytest.mark.parametrize("shift, agreed", [(0, True), (1, False)])
+def test_schedule_agreement_compares_schedules_by_value(monkeypatch, shift, agreed):
+    # Every node gets its own copy of the timetable, and with a shift the
+    # second node's copy is one round longer per phase.
+    real, calls = multicast.compute_schedule, []
+
+    def copied(*args):
+        calls.append(args)  # the first call sets the round cap
+        bump = shift if len(calls) == 3 else 0
+        return tuple(PhaseSpan(s.name, s.start_round, s.length + bump) for s in real(*args))
+
+    monkeypatch.setattr(multicast, "compute_schedule", copied)
+    run = multi_broadcast(Graph.from_edges([(0, 1), (1, 2)]), {0, 2}, {0: "1", 2: "0"})
+    checks = {c.name: c.passed for c in run.report.bound_checks}
+    assert checks["mb_output_exactness"] and checks["mb_schedule_agreement"] is agreed
+
+
+def test_a_multi_broadcast_timeout_names_the_generator_each_live_node_is_in():
+    g = generate(GraphSpec("erConnected", 12, seed=1))
+    msgs = {g.nodes[0]: "10", g.nodes[3]: "10"}
+    spans = {s.name: s for s in multi_broadcast(g, set(msgs), msgs).report.extras["schedule"]}
+    for name, phase in (("elect", "election_phase"), ("id_wave_1", "relay_decode")):
+        cap = spans[name].start_round + 5
+        with pytest.raises(SimulationTimeout) as err:
+            multi_broadcast(g, set(msgs), msgs, max_rounds=cap)
+        want = dict.fromkeys(g.nodes, phase)
+        if name == "id_wave_1":
+            want[g.max_id] = "source_wave_phase"  # the leader sends the wave
+        assert err.value.phases == want
+        phases = ", ".join(sorted(set(want.values())))
+        assert str(err.value) == (f"12 node(s) still running after {cap} rounds: "
+                                  f"[0, 1, 2, 3, 4, 5, 6, 7]...; in {phases}")
 
 
 def test_mb_rejects_zero_round_cap():

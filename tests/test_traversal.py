@@ -129,6 +129,16 @@ def test_a_wrong_control_word_names_the_listening_node_and_round(monkeypatch):
     assert str(err.value) == "node 1, round 22: expected CHILD_SEARCH, got ACK0"
 
 
+def test_a_dfs_timeout_names_the_generator_each_live_node_is_in():
+    g = generate(GraphSpec("path", 6, seed=0))
+    with pytest.raises(SimulationTimeout) as err:
+        dfs(g, max_rounds=30)
+    assert err.value.phases == {0: "_listen_word", 1: "_overheard_word", 2: "_overheard_word",
+                                3: "_listen_word", 4: "_overheard_word", 5: "_transmit"}
+    assert str(err.value) == ("6 node(s) still running after 30 rounds: [0, 1, 2, 3, 4, 5]; "
+                              "in _listen_word, _overheard_word, _transmit")
+
+
 def test_flood_threshold_exceeds_word_runs():
     # worst in-word run of 1s: doubled all-ones sender+target+count plus the
     # end-marker 1

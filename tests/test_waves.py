@@ -737,6 +737,16 @@ def test_collect_and_msglen_reject_unknown_leader():
             get_message_length(g, 99, {0}, {0: "1"}, dtilde=dt)
 
 
+def test_a_dtilde_below_the_leader_eccentricity_fails_at_the_calibration_end():
+    # Node 0, 4 hops from leader 4, is armed in round 6, and its 17-round
+    # calibration window would pass the phase end, calibration_len(2) = 21.
+    g = Graph.from_edges([(i, i + 1) for i in range(4)])
+    for runner in (collect_messages, get_message_length):
+        with pytest.raises(ProtocolError) as err:
+            runner(g, 4, {0}, {0: "1"}, dtilde=2)
+        assert str(err.value) == "node 0, round 21: armed window end 23 passes its phase end 21"
+
+
 def test_collect_and_msglen_default_leader_is_max_id():
     g = Graph.from_edges([(0, 1), (1, 2)])
     run = collect_messages(g, None, {0}, {0: "101"})
@@ -869,6 +879,26 @@ def test_sleeping_election_beeps_exactly_like_a_listening_one(rng):
         trace, report = simulate(g, programs, 10**6)
         assert run.trace == trace
         assert run.report.outputs == report.outputs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_election_in_armed_windows_equals_a_listening_one_for_any_dhat(family):
+    # dhat below the diameter arms some nodes in a bit's last round, or not
+    # at all, and lets floods of one bit run into the next.
+    rng = random.Random(family)
+    for n in [1, 2, 3, 6, 11, 20, 30, 45] * 4:
+        if family == "cycle" and n < 3:
+            continue
+        g = generate(GraphSpec(family, n, seed=rng.randrange(1 << 20),
+                               label_range=rng.choice([None, 64, 1000])))
+        d = diameter(g)
+        for dhat in [h for h in sorted({1, d - 1, d, d + 2}) if h >= (n > 1)]:
+            run = elect_leader(g, dhat=dhat)
+            width = run.report.extras["bit_width"]
+            programs = {u: listening_election(u, width, dhat) for u in g.nodes}
+            trace, report = simulate(g, programs, 10**6)
+            assert run.trace == trace
+            assert run.report.outputs == report.outputs
 
 
 @pytest.mark.parametrize("family", FAMILIES)
