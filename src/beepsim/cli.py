@@ -196,10 +196,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     _check_options(args)
+    if not args.graph:
+        raise ValueError("bench needs at least one --graph")
     rows: list[dict[str, Any]] = []
     status = EXIT_OK
     try:
-        for spec_text in args.graph or []:
+        for spec_text in args.graph:
             for trial in range(args.trials):
                 spec = parse_graph_spec(spec_text)
                 spec = GraphSpec(spec.family, spec.n, spec.seed + trial,

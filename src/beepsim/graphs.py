@@ -46,25 +46,29 @@ class GraphSpec:
             raise ValueError("label_range must be >= n")
 
 
+# Spec parameter -> (GraphSpec field, value type).
+_SPEC_PARAMS = {"n": ("n", int), "seed": ("seed", int), "p": ("edge_probability", float),
+                "range": ("label_range", int)}
+
+
 def parse_graph_spec(text: str) -> GraphSpec:
     """Parse a spec string like ``er:n=25,p=0.2,seed=7`` or ``path:n=10``."""
     family, _, argstr = text.partition(":")
     family = {"er": "erConnected", "tree": "randomTree"}.get(family, family)
     kwargs: dict[str, object] = {}
-    if argstr:
-        for item in argstr.split(","):
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if key == "n":
-                kwargs["n"] = int(value)
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "p":
-                kwargs["edge_probability"] = float(value)
-            elif key == "range":
-                kwargs["label_range"] = int(value)
-            else:
-                raise ValueError(f"unknown graph parameter {key!r}")
+    for item in argstr.split(",") if argstr else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in _SPEC_PARAMS:
+            raise ValueError(f"unknown graph parameter {key!r}")
+        field, kind = _SPEC_PARAMS[key]
+        if field in kwargs:
+            raise ValueError(f"graph parameter {key} is given twice")
+        try:
+            kwargs[field] = kind(value)
+        except ValueError:
+            raise ValueError(f"graph parameter {key}: {value!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}") from None
     if "n" not in kwargs:
         raise ValueError("graph spec needs n=<count>")
     return GraphSpec(family=family, **kwargs)  # type: ignore[arg-type]

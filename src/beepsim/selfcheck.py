@@ -1,22 +1,35 @@
 """Built-in invariant suites behind the ``verify`` CLI subcommand.
 
 These are quick, seeded spot checks of the library's own invariants, one
-table row per check.  The pytest suite is the exhaustive version; this is
-the operational smoke test.
+printed row per check.  The codec suite checks the codec directly.  Every
+other row, but ``lower_bound_values``, is one entry of ``_PROTOCOL_ROWS``:
+a runner called on each of a few seeded graphs.  It passes only if every
+run passes all of its runner's checks, which compare the outputs with an
+oracle and the round count with its exact value, and ``verify_reception``
+accepts every trace.  A row draws its sources and messages from its own
+``random.Random(row name)``, so no row depends on the rows before it.  The
+pytest suite is the exhaustive version; this is the operational smoke test.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import codec
-from .engine import diameter, verify_reception
-from .graphs import GraphSpec, generate, or_oracle, reference_dfs
+from .engine import Graph, SimulationError, diameter, verify_reception
+from .graphs import GraphSpec, generate
 from .multicast import lower_bound, multi_broadcast
 from .traversal import dfs, gossip
-from .waves import broadcast, collect_messages, elect_leader, estimate_diameter, get_message_length
+from .waves import (
+    ProtocolRun,
+    broadcast,
+    collect_messages,
+    elect_leader,
+    estimate_diameter,
+    get_message_length,
+)
 
 SUITES = ("codec", "waves", "traversal", "multicast", "all")
 
@@ -47,108 +60,77 @@ def _codec_suite() -> list[CheckResult]:
     return out
 
 
-def _waves_suite() -> list[CheckResult]:
-    out = []
-    rng = random.Random(31)
-    ok = True
-    for seed in range(4):
-        g = generate(GraphSpec("erConnected", 14, seed=seed))
-        m = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
-        run = broadcast(g, g.nodes[0], m)
-        verify_reception(run.trace, g)
-        ok = ok and run.report.all_passed
-    out.append(CheckResult("waves", "broadcast_exactness", ok))
-    ok = True
-    for seed in range(4):
-        g = generate(GraphSpec("randomTree", 12, seed=seed))
-        run = elect_leader(g)
-        ok = ok and run.report.all_passed
-    out.append(CheckResult("waves", "election_oracle_and_rounds", ok))
-    ok = True
-    for fam in ("path", "star", "cycle", "grid"):
-        g = generate(GraphSpec(fam, 9, seed=1))
-        run = estimate_diameter(g)
-        ok = ok and run.report.all_passed
-    out.append(CheckResult("waves", "diameter_estimate_sandwich", ok))
-    ok = True
-    for seed in range(4):
-        g = generate(GraphSpec("erConnected", 10, seed=seed + 50))
-        srcs = set(rng.sample(list(g.nodes), 3))
-        msgs = {s: "".join(rng.choice("01") for _ in range(rng.randint(1, 5))) for s in srcs}
-        p = max(len(m) for m in msgs.values())
-        run = collect_messages(g, g.max_id, srcs, msgs, p)
-        want = or_oracle(list(msgs.values()), p)
-        ok = ok and run.report.outputs[g.max_id]["or"] == want and run.report.all_passed
-    out.append(CheckResult("waves", "collect_or_oracle", ok))
-    ok = True
-    for seed in range(3):
-        g = generate(GraphSpec("erConnected", 10, seed=seed + 70))
-        srcs = set(rng.sample(list(g.nodes), 3))
-        msgs = {s: "".join(rng.choice("01") for _ in range(rng.randint(1, 5))) for s in srcs}
-        run = get_message_length(g, g.max_id, srcs, msgs)
-        verify_reception(run.trace, g)
-        ok = ok and run.report.all_passed
-    out.append(CheckResult("waves", "msglen_agreement", ok))
-    return out
-
-
-def _traversal_suite() -> list[CheckResult]:
-    out = []
-    ok = True
-    for seed in range(4):
-        g = generate(GraphSpec("erConnected", 11, seed=seed + 3))
-        run = dfs(g)
-        ok = ok and run.report.extras["numbering"] == reference_dfs(g, g.max_id)
-    out.append(CheckResult("traversal", "dfs_reference_oracle", ok))
-    rng = random.Random(9)
-    ok = True
-    for seed in range(3):
-        g = generate(GraphSpec("randomTree", 8, seed=seed))
-        msgs = {u: "".join(rng.choice("01") for _ in range(rng.randint(1, 4))) for u in g.nodes}
-        run = gossip(g, msgs, dhat=diameter(g))
-        ok = ok and run.report.all_passed
-    out.append(CheckResult("traversal", "gossip_pipelining", ok))
-    return out
-
-
-def _multicast_suite() -> list[CheckResult]:
-    out = []
-    rng = random.Random(13)
-    ok = True
-    for seed in range(3):
-        g = generate(GraphSpec("erConnected", 12, seed=seed + 9))
-        srcs = set(rng.sample(list(g.nodes), 3))
-        msgs = {s: "".join(rng.choice("01") for _ in range(3)) for s in srcs}
-        run = multi_broadcast(g, srcs, msgs, provenance=True)
-        ok = ok and run.report.all_passed
-    out.append(CheckResult("multicast", "prov_output_exactness", ok))
-    g = generate(GraphSpec("star", 10, seed=2))
-    srcs = set(g.nodes) - {g.max_id}
-    msgs = {s: "".join(rng.choice("01") for _ in range(2)) for s in srcs}
-    run = multi_broadcast(g, srcs, msgs, provenance=False)
-    out.append(CheckResult("multicast", "noprov_distinct_set", run.report.all_passed))
+def _lower_bound_values() -> CheckResult:
     ok = (
         lower_bound("broadcast", 8, 2, 16, 1) == 4
         and lower_bound("mbNoProv", 4, 16, 8, 9) == 3
         and lower_bound("broadcast", 0, 2, 2, 1) == 1
     )
-    out.append(CheckResult("multicast", "lower_bound_values", ok))
-    return out
+    return CheckResult("multicast", "lower_bound_values", ok)
 
 
-_SUITE_FNS: dict[str, Callable[[], list[CheckResult]]] = {
-    "codec": _codec_suite,
-    "waves": _waves_suite,
-    "traversal": _traversal_suite,
-    "multicast": _multicast_suite,
-}
+def _bits(rng: random.Random, lo: int, hi: int) -> str:
+    return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+
+def _sourced(rng: random.Random, sources: Iterable[int], lo: int,
+             hi: int) -> tuple[set[int], dict[int, str]]:
+    """A source set and a message of lo..hi random bits for each source."""
+    msgs = {s: _bits(rng, lo, hi) for s in sources}
+    return set(msgs), msgs
+
+
+def _specs(family: str, n: int, seeds: Iterable[int]) -> list[GraphSpec]:
+    return [GraphSpec(family, n, seed=seed) for seed in seeds]
+
+
+# One row per protocol check: (suite, row name, graph specs, runner call).
+# The call gets one graph and the row's random.Random(row name).
+RunnerCall = Callable[[Graph, random.Random], ProtocolRun]
+_PROTOCOL_ROWS: tuple[tuple[str, str, list[GraphSpec], RunnerCall], ...] = (
+    ("waves", "broadcast_exactness", _specs("erConnected", 14, range(4)),
+     lambda g, rng: broadcast(g, g.nodes[0], _bits(rng, 1, 8))),
+    ("waves", "election_oracle_and_rounds", _specs("randomTree", 12, range(4)),
+     lambda g, rng: elect_leader(g)),
+    ("waves", "diameter_estimate_sandwich",
+     [GraphSpec(family, 9, seed=1) for family in ("path", "star", "cycle", "grid")],
+     lambda g, rng: estimate_diameter(g)),
+    ("waves", "collect_or_oracle", _specs("erConnected", 10, range(50, 54)),
+     lambda g, rng: collect_messages(g, g.max_id, *_sourced(rng, rng.sample(g.nodes, 3), 1, 5))),
+    ("waves", "msglen_agreement", _specs("erConnected", 10, range(70, 73)),
+     lambda g, rng: get_message_length(g, g.max_id,
+                                       *_sourced(rng, rng.sample(g.nodes, 3), 1, 5))),
+    ("traversal", "dfs_reference_oracle", _specs("erConnected", 11, range(3, 7)),
+     lambda g, rng: dfs(g)),
+    ("traversal", "gossip_pipelining", _specs("randomTree", 8, range(3)),
+     lambda g, rng: gossip(g, {u: _bits(rng, 1, 4) for u in g.nodes}, dhat=diameter(g))),
+    ("multicast", "prov_output_exactness", _specs("erConnected", 12, range(9, 12)),
+     lambda g, rng: multi_broadcast(g, *_sourced(rng, rng.sample(g.nodes, 3), 3, 3))),
+    ("multicast", "noprov_distinct_set", [GraphSpec("star", 10, seed=2)],
+     lambda g, rng: multi_broadcast(g, *_sourced(rng, sorted(set(g.nodes) - {g.max_id}), 2, 2),
+                                    provenance=False)),
+)
+
+
+def _passes(run: ProtocolRun, graph: Graph) -> bool:
+    try:
+        verify_reception(run.trace, graph)
+    except SimulationError:
+        return False
+    return run.report.all_passed
+
+
+def _protocol_row(suite: str, name: str, specs: list[GraphSpec], call: RunnerCall) -> CheckResult:
+    rng = random.Random(name)
+    return CheckResult(suite, name, all(_passes(call(g, rng), g) for g in map(generate, specs)))
 
 
 def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    names = list(_SUITE_FNS) if name == "all" else [name]
-    results: list[CheckResult] = []
-    for n in names:
-        results.extend(_SUITE_FNS[n]())
+    wanted = SUITES[:-1] if name == "all" else (name,)
+    results = _codec_suite() if "codec" in wanted else []
+    results += [_protocol_row(*row) for row in _PROTOCOL_ROWS if row[0] in wanted]
+    if "multicast" in wanted:
+        results.append(_lower_bound_values())
     return results

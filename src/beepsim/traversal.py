@@ -352,17 +352,14 @@ def dfs(
         else:
             programs[u] = _dfs_non_root(ctx, codec.fixed_width_bits(u, width), threshold)
 
-    est = _dfs_round_estimate(graph.n, width, graph.n)
-    trace, report = simulate(graph, programs, _cap(est, max_rounds))
+    expected = reference_dfs(graph, leader)
+    rounds = dfs_round_count(graph, expected, width)
+    trace, report = simulate(graph, programs, _cap(rounds, max_rounds))
     numbering = {
         u: (out[0] if u == leader else out) for u, out in report.outputs.items()
     }
-    expected = reference_dfs(graph, leader)
     report.check("dfs_matches_reference", 0 if numbering == expected else 1, 0)
-    final_count = report.outputs[leader][1]
-    report.check("dfs_count_equals_n", final_count, graph.n)
-    report.check("dfs_count_equals_n_lower", final_count, graph.n, lower=True)
-    rounds = dfs_round_count(graph, expected, width)
+    report.check("dfs_count_equals_n", abs(report.outputs[leader][1] - graph.n), 0)
     report.check("dfs_round_count", abs(report.total_rounds - rounds), 0)
     report.extras.update(
         leader=leader,
@@ -414,11 +411,6 @@ def gossip_round_count(graph: Graph, numbering: dict[int, int], msgs: dict[int, 
     rounds += sum(codeword_rounds(msgs[s]) for s in order) + max(dist[-1].values())
     rounds += sum(dist[i][s] + 1 for i, s in enumerate(order[1:]))
     return rounds - (len(order) == 1)
-
-
-def _dfs_round_estimate(n: int, width: int, dhat: int) -> int:
-    per_move = 40 + 16 * width + 2 * (n.bit_length() + 1)
-    return 2 * n * per_move + flood_threshold(width) * (dhat + 4) + 100
 
 
 def _gossip_root(
@@ -488,18 +480,11 @@ def gossip(
         return GossipOutput(tuple(enumerate(messages, 1)), n - 1 if u == leader else n)
 
     programs = {u: program(u) for u in graph.nodes}
-
-    width_eff = graph.max_id.bit_length()
-    est = (
-        election_len(elect_width, dhat)
-        + _dfs_round_estimate(graph.n, width_eff, dhat)
-        + graph.n * (codeword_rounds("1" * p) + graph.n + 6)
-        + 200
-    )
-    trace, report = simulate(graph, programs, _cap(est, max_rounds))
-
     leader = graph.max_id
     numbering = reference_dfs(graph, leader)
+    rounds = gossip_round_count(graph, numbering, msgs, dhat, lhat)
+    trace, report = simulate(graph, programs, _cap(rounds, max_rounds))
+
     expected_pairs = tuple(sorted((num, msgs[u]) for u, num in numbering.items()))
     ok = all(
         tuple(sorted(report.outputs[u].pairs)) == expected_pairs for u in graph.nodes
@@ -510,7 +495,6 @@ def gossip(
         for u in graph.nodes
     )
     report.check("gossip_decode_counts", 0 if decode_ok else 1, 0)
-    rounds = gossip_round_count(graph, numbering, msgs, dhat, lhat)
     report.check("gossip_round_count", abs(report.total_rounds - rounds), 0)
     report.extras.update(
         leader=leader,

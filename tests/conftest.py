@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from beepsim.engine import BEEP, LISTEN
+from beepsim.engine import BEEP, LISTEN, simulate
 from beepsim.graphs import FAMILIES, GraphSpec, generate
 
 
@@ -16,6 +16,19 @@ def beeper_at(*rounds: int):
         for r in range(1, max(rounds) + 1):
             yield BEEP if r in rounds else LISTEN
     return gen()
+
+
+def capture_round_caps(monkeypatch, module) -> list[int]:
+    """Record the ``max_rounds`` of every ``simulate`` call that ``module``'s
+    runners make; the runs themselves are unchanged."""
+    caps: list[int] = []
+
+    def capped(graph, programs, max_rounds):
+        caps.append(max_rounds)
+        return simulate(graph, programs, max_rounds)
+
+    monkeypatch.setattr(module, "simulate", capped)
+    return caps
 
 
 def random_bits(rng: random.Random, length: int) -> str:

@@ -12,9 +12,20 @@ import pytest
 
 import beepsim.cli
 import beepsim.waves
+from beepsim import selfcheck
 from beepsim.bounds import PROTOCOLS
-from beepsim.cli import BENCH_COLUMNS, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, OPTIONS_READ, main
+from beepsim.cli import (
+    BENCH_COLUMNS,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    EXIT_TIMEOUT,
+    EXIT_USAGE,
+    OPTIONS_READ,
+    main,
+)
 from beepsim.engine import Graph, diameter, write_graph
+from beepsim.traversal import dfs
+from beepsim.waves import elect_leader
 
 
 def run_cli(capsys, *argv):
@@ -158,12 +169,13 @@ def test_bench_csv_schema_and_rows(tmp_path, capsys):
         assert float(row["ratio"]) <= 1.0 + 1e-9
 
 
-def test_bench_empty_sweep_header_only(tmp_path, capsys):
+def test_bench_without_a_graph_is_usage_error(tmp_path, capsys):
     out_csv = tmp_path / "empty.csv"
-    code, _, _ = run_cli(capsys, "bench", "--protocol", "broadcast",
-                         "--csv", str(out_csv))
-    assert code == EXIT_OK
-    assert out_csv.read_text().strip() == ",".join(BENCH_COLUMNS)
+    code, out, err = run_cli(capsys, "bench", "--protocol", "broadcast",
+                             "--csv", str(out_csv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--graph" in err
+    assert not out_csv.exists()
 
 
 def test_bench_deterministic_rerun(tmp_path, capsys):
@@ -184,6 +196,99 @@ def test_verify_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == EXIT_OK
     assert "13/13 checks passed" in out
+
+
+VERIFY_ROWS = [
+    ("codec", "roundtrip_exhaustive_len10"),
+    ("codec", "length_law"),
+    ("codec", "stream_robustness"),
+    ("waves", "broadcast_exactness"),
+    ("waves", "election_oracle_and_rounds"),
+    ("waves", "diameter_estimate_sandwich"),
+    ("waves", "collect_or_oracle"),
+    ("waves", "msglen_agreement"),
+    ("traversal", "dfs_reference_oracle"),
+    ("traversal", "gossip_pipelining"),
+    ("multicast", "prov_output_exactness"),
+    ("multicast", "noprov_distinct_set"),
+    ("multicast", "lower_bound_values"),
+]
+
+
+def verify_rows(out):
+    return [tuple(line.split("] ", 1)[1].split()[::2]) for line in out.splitlines()
+            if line.startswith("[")]
+
+
+def test_verify_all_prints_its_13_rows_in_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == EXIT_OK
+    assert verify_rows(out) == VERIFY_ROWS
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("suite", ["codec", "waves", "traversal", "multicast"])
+def test_each_verify_suite_is_its_slice_of_all(suite):
+    every = selfcheck.run_suite("all")
+    assert selfcheck.run_suite(suite) == [r for r in every if r.suite == suite]
+
+
+def test_a_runner_whose_check_fails_turns_its_verify_row_to_fail(capsys, monkeypatch):
+    def failing(*args, **kw):
+        run = elect_leader(*args, **kw)
+        run.report.check("made_to_fail", 1, 0)
+        return run
+
+    monkeypatch.setattr(selfcheck, "elect_leader", failing)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "waves")
+    assert code == EXIT_INVARIANT
+    assert [line.split()[0] + " " + line.split()[3] for line in out.splitlines()[:-1]] == [
+        "[pass] broadcast_exactness",
+        "[FAIL] election_oracle_and_rounds",
+        "[pass] diameter_estimate_sandwich",
+        "[pass] collect_or_oracle",
+        "[pass] msglen_agreement",
+    ]
+    assert out.splitlines()[-1] == "4/5 checks passed"
+
+
+def test_a_trace_that_fails_verify_reception_turns_its_verify_row_to_fail(capsys, monkeypatch):
+    def garbled(*args, **kw):
+        run = dfs(*args, **kw)
+        run.trace.pop(0)  # rounds no longer run 1, 2, 3, ...
+        return run
+
+    monkeypatch.setattr(selfcheck, "dfs", garbled)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "traversal")
+    assert code == EXIT_INVARIANT
+    assert out.splitlines()[0].startswith("[FAIL] traversal :: dfs_reference_oracle")
+    assert out.splitlines()[1].startswith("[pass] traversal :: gossip_pipelining")
+
+
+CHECK_ROWS = {
+    "broadcast": ["broadcast_exactness"],
+    "elect": ["election_round_count", "leader_is_max_id"],
+    "dfs": ["dfs_matches_reference", "dfs_count_equals_n", "dfs_round_count"],
+    "gossip": ["gossip_outputs_match_oracle", "gossip_decode_counts", "gossip_round_count"],
+    "diameter": ["estimate_agreement", "estimate_lower", "estimate_upper",
+                 "estimate_round_count"],
+    "collect": ["collect_equals_or_oracle", "collect_round_count"],
+    "msglen": ["msglen_agreement", "msglen_round_count"],
+    "mb-prov": ["mb_output_exactness", "mb_schedule_agreement", "mb_schedule_exact"],
+    "mb-noprov": ["mb_output_exactness", "mb_schedule_agreement", "mb_schedule_exact"],
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_run_prints_the_check_rows_of_each_protocol(capsys, protocol):
+    code, out, _ = run_cli(capsys, "run", "--protocol", protocol, "--graph", "path:n=6")
+    assert code == EXIT_OK
+    rows = [line.split() for line in out.splitlines() if line.startswith("  [")]
+    assert [name.rstrip(":") for _, name, _, _ in rows] == CHECK_ROWS[protocol]
+    assert all(flag == "[pass]" for flag, _, _, _ in rows)
+    # Every check but the two estimate inequalities prints 0 against the bound 0.
+    exact = [row for row in rows if row[1] not in ("estimate_lower:", "estimate_upper:")]
+    assert all(row[2:] == ["measured=0", "bound=0"] for row in exact)
 
 
 def test_run_unknown_leader_is_usage_error(capsys):
@@ -265,6 +370,24 @@ def test_run_bad_message_list_names_the_token(capsys, messages, named):
     assert named in err and "message entry" in err
     assert "invalid literal" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    ("spec", "named"),
+    [
+        ("er:n=", "graph parameter n: '' is not an integer"),
+        ("er:n=10,p=abc", "graph parameter p: 'abc' is not a number"),
+        ("path:n=5,seed=x", "graph parameter seed: 'x' is not an integer"),
+        ("path:n=5,range=", "graph parameter range: '' is not an integer"),
+        ("path:n=5,n=6", "graph parameter n is given twice"),
+        ("er:n=9,p=0.5,p=0.5", "graph parameter p is given twice"),
+    ],
+)
+def test_run_bad_graph_spec_names_the_parameter(capsys, spec, named):
+    code, out, err = run_cli(capsys, "run", "--protocol", "elect", "--graph", spec)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert named in err
+    assert "invalid literal" not in err and "could not convert" not in err
 
 
 def test_run_broadcast_names_a_bad_message(capsys):

@@ -33,7 +33,14 @@ from beepsim.traversal import (
     parse_control_payload,
 )
 
-from conftest import barbell, caterpillar, lollipop, random_bits, random_connected_graph
+from conftest import (
+    barbell,
+    capture_round_caps,
+    caterpillar,
+    lollipop,
+    random_bits,
+    random_connected_graph,
+)
 
 
 def tenure_spans(recorder):
@@ -510,3 +517,40 @@ def test_a_later_gossip_wave_fails_the_round_count(monkeypatch):
     run = gossip(g, {u: "1" * (u + 1) for u in g.nodes})
     failed = [(c.name, c.measured) for c in run.report.bound_checks if not c.passed]
     assert failed == [("gossip_round_count", g.n + 1)]
+
+
+def test_dfs_and_gossip_cap_at_four_times_their_exact_round_count(monkeypatch):
+    caps = capture_round_caps(monkeypatch, traversal)
+    g = generate(GraphSpec("erConnected", 12, seed=4))
+    numbering = reference_dfs(g, g.max_id)
+    msgs = {u: "1" * (u % 3 + 1) for u in g.nodes}
+    cases = [
+        (lambda **kw: dfs(g, lhat=16, **kw), dfs_round_count(g, numbering, 4)),
+        (lambda **kw: gossip(g, msgs, 12, 16, **kw),
+         gossip_round_count(g, numbering, msgs, 12, 16)),
+    ]
+    for call, exact in cases:
+        assert exact > 500  # so the cap is not the 2000 floor
+        run = call()
+        assert run.report.all_passed
+        assert caps == [4 * exact] and run.report.total_rounds == exact
+        call(max_rounds=123_456)
+        assert caps == [4 * exact, 123_456]
+        caps.clear()
+
+
+def test_a_dfs_that_never_ends_times_out_at_four_times_its_exact_count(monkeypatch):
+    real = traversal._dfs_root
+
+    def endless(ctx, threshold):
+        yield from real(ctx, threshold)
+        while True:
+            yield LISTEN
+
+    monkeypatch.setattr(traversal, "_dfs_root", endless)
+    g = generate(GraphSpec("path", 6, seed=2))
+    exact = dfs_round_count(g, reference_dfs(g, g.max_id), 3)
+    with pytest.raises(SimulationTimeout) as info:
+        dfs(g, lhat=8)
+    assert info.value.max_rounds == len(info.value.trace) == max(2000, 4 * exact)
+    assert info.value.phases == {g.max_id: "endless"}

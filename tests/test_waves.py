@@ -45,6 +45,7 @@ from beepsim.waves import (
 from conftest import (
     barbell,
     beeper_at,
+    capture_round_caps,
     caterpillar,
     lollipop,
     random_bits,
@@ -816,6 +817,39 @@ def test_collect_and_msglen_cap_their_run_from_the_given_dtilde():
     run = get_message_length(g, 4, {0}, {0: "1"}, dtilde=1000)
     assert run.report.all_passed
     assert set(run.report.outputs.values()) == {1}
+
+
+def test_waves_runners_cap_at_four_times_their_exact_round_count(monkeypatch):
+    # Each exact count is above 500, so the cap is not the 2000 floor, and a
+    # caller's max_rounds replaces the cap.
+    caps = capture_round_caps(monkeypatch, waves)
+    g = generate(GraphSpec("path", 10, seed=3))
+    src = g.nodes[0]
+    m = "10" * 50
+    cases = [
+        (lambda **kw: broadcast(g, src, m, **kw),
+         1 + codeword_rounds(m) + max(distances(g, src).values())),
+        (lambda **kw: elect_leader(g, 40, 1 << 20, **kw), election_len(20, 40)),
+        (lambda **kw: collect_messages(g, None, {src}, {src: "1"}, dtilde=300, **kw),
+         collect_phase_len(1, 300)),
+        (lambda **kw: get_message_length(g, None, {src}, {src: "1"}, dtilde=300, **kw),
+         msglen_phase_len(1, 300)),
+    ]
+    for call, exact in cases:
+        assert exact > 500
+        run = call()
+        assert run.report.all_passed
+        assert caps == [max(2000, 4 * exact)] and run.report.total_rounds == exact
+        call(max_rounds=123_456)
+        assert caps == [max(2000, 4 * exact), 123_456]
+        caps.clear()
+
+
+def test_the_diameter_estimate_caps_at_its_worst_case_timetable(monkeypatch):
+    caps = capture_round_caps(monkeypatch, waves)
+    g = generate(GraphSpec("path", 120, seed=1))
+    assert estimate_diameter(g).report.all_passed
+    assert caps == [4 * estimate_len(2 * g.n + 9)]
 
 
 # --- sleeping listeners ---------------------------------------------------------
