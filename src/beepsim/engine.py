@@ -24,15 +24,16 @@ resumed after round ``until`` as after a LISTEN or BEEP.
 In the armed form the node sleeps like WAIT until the round a in which it
 first hears a beep, relays that beep in round a + 1 whatever it did in round
 a - 1, and then echoes by the rule.  Its window is read as SLOT_PERIOD-round
-slots from round a, slot q ending in round a + 3q - 1.  ``Echo.armed(length)``
-ends in round a + length.  ``Echo.armed()`` ends at the slot that ends its
-codeword or shows it malformed: every round r, one ``codec.word_step`` moves
-all such open readers whose slots end in rounds = r mod 3 on by the OR of
-the last three heard masks.  ``Echo.slots`` then reads the node's word back
-from the trace, once for the nodes armed in one round with one length that
-end in one round.  With a phase end, ``Echo.armed(length, until)`` relays
-through round ``until`` only and is resumed once after it, armed or not; a
-window without a length runs to ``until``, and one that passes it raises.
+slots from round a, slot q ending in round a + 3q - 1.  It has three forms.
+``Echo.armed()`` ends at the slot that ends its codeword or shows it
+malformed: every round r, one ``codec.word_step`` moves all such open
+readers whose slots end in rounds = r mod 3 on by the OR of the last three
+heard masks.  ``Echo.armed(until=until)`` and ``Echo.armed(length, until)``
+relay through their phase end ``until`` only and are resumed once after it,
+armed or not; the first one's window runs to ``until``, the second one's
+ends in round a + length and raises if that passes ``until``.  A length
+without a phase end raises.  ``Echo.slots`` reads the node's word back from
+the trace, once for the nodes armed in one round that end in one round.
 
 A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
 i-th smallest label, and a record holds the round's beepers and hearers as
@@ -298,7 +299,6 @@ class Echo:
     __slots__ = ("until", "gate", "length", "end", "_view")
 
     def __init__(self, until: int, gate: int | None = None):
-        _check_deadline(until, _round)
         self.until = until
         self.gate = gate
         self.length: int | None = None
@@ -311,9 +311,10 @@ class Echo:
         """The armed form (module docstring); ``until`` is its phase end, or 0."""
         if length is not None and length <= 0:
             raise ProtocolError(f"armed echo length must be positive, got {length}")
-        echo = cls(_round + 1 if until is None else until)
+        if length and not until:
+            raise ProtocolError(f"armed echo length {length} without a phase end")
+        echo = cls(until or 0)
         echo.length = length or 0
-        echo.until = until or 0
         return echo
 
     def slots(self) -> str:
@@ -328,15 +329,14 @@ class Echo:
 
 
 class _Arming:
-    """The nodes armed in round ``start`` with one length (0: to the end of
-    their words or phases), and ``last``, the last readback: its end round,
-    its slot masks over the members and their shared word ('' if the
-    members' words differ)."""
+    """The nodes armed in round ``start``, and ``last``, the last readback:
+    its end round, its slot masks over the members and their shared word
+    ('' if the members' words differ)."""
 
     __slots__ = ("start", "members", "trace", "last")
 
-    def __init__(self, start: int, trace: Trace) -> None:
-        self.start, self.members, self.trace, self.last = start, 0, trace, (0, [], "")
+    def __init__(self, start: int, members: int, trace: Trace) -> None:
+        self.start, self.members, self.trace, self.last = start, members, trace, (0, [], "")
 
     def read(self, end: int, b: int) -> str:
         """Member ``b``'s window that ended in round ``end``, one bit per slot
@@ -504,14 +504,14 @@ def simulate(
     # the echoing nodes that may relay a beep heard in a round r = k mod 3,
     # ``echoing`` all of them; they sleep on ``until`` and ``due`` too.
     # ``armed`` holds the nodes asleep in an armed echo (``arming[i]``, kept
-    # until it is armed, or until its word ends if it has neither a length
-    # nor a phase end; a node's next armed echo replaces one never armed)
-    # and ``fresh`` those armed in the last round, whose relay is
-    # unconditional unless they woke in that round.  An armed echo with a
-    # phase end sleeps on ``until`` and ``due`` from its yield, one with a
-    # length from its arming round.  ``reading`` holds the open ones with
-    # neither, and ``words[c]`` the grammar state of those whose slots end
-    # in rounds = c mod 3 (``codec.word_step``).
+    # until it is armed, or until its word ends if it has no phase end; a
+    # node's next armed echo replaces one never armed) and ``fresh`` those
+    # armed in the last round, whose relay is unconditional unless they woke
+    # in that round; they share one ``_Arming`` readback group.  An armed
+    # echo with a phase end sleeps on ``until`` and ``due`` from its yield.
+    # ``reading`` holds the open ones without one, and ``words[c]`` the
+    # grammar state of those whose slots end in rounds = c mod 3
+    # (``codec.word_step``).
     # ``heard_of`` maps each beeper set seen in this run (BEEP actions, echo
     # relays and ``fresh`` relays) to its heard set, so each is ORed once.
     global _round
@@ -590,21 +590,13 @@ def simulate(
                 armed ^= fresh
                 echoing |= fresh
                 echo_at = [m | fresh for m in echo_at]
-                groups: dict[int, _Arming] = {}
+                group = _Arming(round_no, fresh, trace)
                 new = 0
                 for i in _indices(fresh):
                     echo = arming.pop(i)
-                    length = echo.length
-                    group = groups.get(length)
-                    if group is None:
-                        group = groups[length] = _Arming(round_no, trace)
-                    group.members |= bits[i]
                     echo._view = (bits[i], group)
                     if echo.until:
-                        echo.end = round_no + length if length else echo.until
-                    elif length:
-                        deadline = until[i] = echo.end = round_no + length
-                        due.setdefault(deadline, []).append(i)
+                        echo.end = round_no + echo.length if echo.length else echo.until
                     else:
                         arming[i] = echo
                         new |= bits[i]
@@ -676,6 +668,9 @@ def verify_reception(trace: Trace, graph: Graph) -> None:
         last = round_no
         if rec.nodes is not nodes and rec.nodes != nodes:
             raise SimulationError(f"round {round_no}: record indexes other nodes than the graph")
+        if (beeps | heard) >> len(nodes):
+            raise SimulationError(
+                f"round {round_no}: record has node bits past the graph's {len(nodes)} nodes")
         if beeps & heard:
             raise SimulationError(
                 f"round {round_no}: beeping node(s) {_labels(beeps & heard, nodes)} "

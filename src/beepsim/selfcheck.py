@@ -6,9 +6,11 @@ other row, but ``lower_bound_values``, is one entry of ``_PROTOCOL_ROWS``:
 a runner called on each of a few seeded graphs.  It passes only if every
 run passes all of its runner's checks, which compare the outputs with an
 oracle and the round count with its exact value, and ``verify_reception``
-accepts every trace.  A row draws its sources and messages from its own
-``random.Random(row name)``, so no row depends on the rows before it.  The
-pytest suite is the exhaustive version; this is the operational smoke test.
+accepts every trace.  A runner or a trace that raises ``SimulationError``
+fails only its own row, with the error as the row's detail.  A row draws
+its sources and messages from its own ``random.Random(row name)``, so no
+row depends on the rows before it.  The pytest suite is the exhaustive
+version; this is the operational smoke test.
 """
 
 from __future__ import annotations
@@ -112,17 +114,17 @@ _PROTOCOL_ROWS: tuple[tuple[str, str, list[GraphSpec], RunnerCall], ...] = (
 )
 
 
-def _passes(run: ProtocolRun, graph: Graph) -> bool:
-    try:
-        verify_reception(run.trace, graph)
-    except SimulationError:
-        return False
-    return run.report.all_passed
-
-
 def _protocol_row(suite: str, name: str, specs: list[GraphSpec], call: RunnerCall) -> CheckResult:
     rng = random.Random(name)
-    return CheckResult(suite, name, all(_passes(call(g, rng), g) for g in map(generate, specs)))
+    try:
+        for g in map(generate, specs):
+            run = call(g, rng)
+            verify_reception(run.trace, g)
+            if not run.report.all_passed:
+                return CheckResult(suite, name, False)
+    except SimulationError as err:
+        return CheckResult(suite, name, False, str(err))
+    return CheckResult(suite, name, True)
 
 
 def run_suite(name: str) -> list[CheckResult]:

@@ -145,13 +145,15 @@ def source_wave_phase(m: str) -> Phase:
 
 def relay_decode(width: int | None = None,
                  until: int | None = None) -> Generator[Action, "bool | None", str]:
-    """Relay-and-decode one wave codeword, of a ``width``-bit payload or of
-    any width, in one armed ``Echo``: it relays the arming beep, and then a
-    heard beep one round later unless this node beeped two rounds before.
-    Returns the payload ``codeword_rounds(payload) - 1`` rounds after the
-    arming round, or for a width with a phase end ``until``, after round
+    """Relay-and-decode one wave codeword, of any width or of a ``width``-bit
+    payload with a phase end ``until``, in one armed ``Echo``: it relays the
+    arming beep, and then a heard beep one round later unless this node
+    beeped two rounds before.  Returns the payload ``codeword_rounds(payload)
+    - 1`` rounds after the arming round, or for a width, after round
     ``until``.  There a word that is no codeword raises, naming this node's
     word for a width, and otherwise its first malformed position."""
+    if (width is None) != (until is None):
+        raise ProtocolError("relay_decode takes a width with a phase end, or neither")
     window = Echo.armed() if width is None else Echo.armed(_width_rounds(width) - 1, until)
     yield window
     word = window.slots()

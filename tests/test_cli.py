@@ -265,6 +265,17 @@ def test_a_trace_that_fails_verify_reception_turns_its_verify_row_to_fail(capsys
     assert out.splitlines()[1].startswith("[pass] traversal :: gossip_pipelining")
 
 
+def test_a_runner_that_raises_fails_only_its_verify_row(capsys, monkeypatch):
+    monkeypatch.setattr(selfcheck, "dfs", lambda g: dfs(g, max_rounds=5))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == EXIT_INVARIANT
+    assert [tuple(line.split()[1:4:2]) for line in lines[:-1]] == VERIFY_ROWS
+    assert [line.split()[0] for line in lines[:-1]] == ["[pass]"] * 8 + ["[FAIL]"] + ["[pass]"] * 4
+    assert "still running after 5 rounds" in lines[8]
+    assert lines[-1] == "12/13 checks passed"
+
+
 CHECK_ROWS = {
     "broadcast": ["broadcast_exactness"],
     "elect": ["election_round_count", "leader_is_max_id"],

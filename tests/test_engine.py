@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import random
 from types import MappingProxyType
 
@@ -480,13 +481,19 @@ def test_a_node_woken_early_ignores_its_old_deadline_when_it_waits_again():
 # --- echo windows -------------------------------------------------------------
 
 
-def rule_relay(until, gate=None):
+def rule_relay(until, gate=None, armed=False):
     """Applies the echo rule one round at a time up to round ``until``: beep
-    in round r + 1 iff heard in round r, r = gate mod 3, and silent in r - 1."""
+    in round r + 1 iff heard in round r, r = gate mod 3, and silent in r - 1.
+    If ``armed``, it is asleep until the round a of its first heard beep and
+    relays that beep in round a + 1 whatever it did in round a - 1.  Returns
+    its last round and feedback."""
     def gen():
+        asleep = armed
         heard = beeped = beeped_before = False  # heard and beeped in round r, beeped in r - 1
         while now() < until:
-            will = heard and (gate is None or now() % 3 == gate % 3) and not beeped_before
+            gated = gate is None or now() % 3 == gate % 3
+            will = heard and gated and (asleep or not beeped_before)
+            asleep = asleep and not heard
             fb = yield BEEP if will else LISTEN
             beeped_before, beeped, heard = beeped, fb is None, fb is True
         return now(), fb
@@ -574,15 +581,16 @@ def test_an_echoing_node_is_live_when_the_round_cap_hits():
 # --- armed echoes ---------------------------------------------------------------
 
 
-def armed_echo(length, *first):
-    """Yields the actions ``first``, then one armed Echo; returns the round
-    it was resumed in, the feedback and the window's slots."""
+def armed_window(length, until, *first, read=True):
+    """Yields the actions ``first``, then one armed Echo with phase end
+    ``until``; returns the round it was resumed in, its window's end and, if
+    ``read``, its slots."""
     def gen():
         for action in first:
             yield action
-        window = Echo.armed(length)
-        fb = yield window
-        return now(), fb, window.slots()
+        window = Echo.armed(length, until)
+        yield window
+        return now(), window.end, window.slots() if read else None
     return gen()
 
 
@@ -602,11 +610,11 @@ ARMED_PATH = Graph.from_edges([(0, 1), (1, 2), (0, 3)])
 def test_an_armed_echo_relays_its_arming_beep_after_its_own_beep():
     # Node 1 beeps in round 2 and is armed by node 0's beep in round 3.
     trace, report = simulate(
-        ARMED_PATH, {0: beeper_at(3, 9), 1: armed_echo(4, LISTEN, BEEP),
+        ARMED_PATH, {0: beeper_at(3, 9), 1: armed_window(4, 7, LISTEN, BEEP),
                      2: listener(9), 3: listener(9)}, 100)
     verify_reception(trace, ARMED_PATH)
     assert [r.round for r in trace if 1 in r.beepers] == [2, 4]
-    assert report.outputs[1] == (7, False, "10")
+    assert report.outputs[1] == (7, 7, "10")
     assert heard_bits(trace, 1, 3, 7) == 0b1
 
     # A plain Echo from the same round keeps the rule and stays silent.
@@ -622,32 +630,21 @@ def test_an_armed_echo_relays_its_arming_beep_after_its_own_beep():
 
 def test_an_armed_echo_is_resumed_once_and_heard_bit_0_is_the_arming_round():
     g = Graph.from_edges([(0, 1), (1, 2)])
-    trace, report = simulate(g, {0: beeper_at(5, 8, 14), 1: armed_echo(6), 2: listener(14)}, 100)
+    trace, report = simulate(g, {0: beeper_at(5, 8, 14), 1: armed_window(6, 13),
+                                 2: listener(14)}, 100)
     verify_reception(trace, g)
     assert [r.round for r in trace if 1 in r.beepers] == [6, 9]
     # Armed in round 5, so the window is rounds 5 - 11, its slots are rounds
-    # 5 - 7, 8 - 10 and 11, and bit j is round 5 + j.
-    assert report.outputs[1] == (11, False, "110")
+    # 5 - 7, 8 - 10 and 11, and bit j is round 5 + j; resumed after round 13.
+    assert report.outputs[1] == (13, 11, "110")
     assert heard_bits(trace, 1, 5, 11) == 0b1001
-
-
-@pytest.mark.parametrize(
-    "beeps, word", [((12,), "101"), ((11,), "101"), ((13,), "100"), ((9, 13), "110")])
-def test_an_armed_echo_window_whose_last_slot_has_two_rounds(beeps, word):
-    # Armed in round 5 with length 7, so the window is rounds 5 - 12, its
-    # slots are rounds 5 - 7, 8 - 10 and 11 - 12, and round 13 is past it.
-    g = Graph.from_edges([(0, 1), (1, 2)])
-    trace, report = simulate(g, {0: beeper_at(5, *beeps), 1: armed_echo(7), 2: listener(14)}, 100)
-    verify_reception(trace, g)
-    resumed, _, slots = report.outputs[1]
-    assert (resumed, slots) == (12, word)
 
 
 def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
     # Node 1 beeps in rounds 2 and 4 either way; the sleepers on nodes 2 and
     # 3 must wake in the rounds they hear a beep and in no other.
     runs = []
-    for relay in (armed_echo(4, LISTEN, BEEP), beeper_at(2, 4)):
+    for relay in (armed_window(4, 7, LISTEN, BEEP), beeper_at(2, 4)):
         logs = {2: [], 3: []}
         programs = {0: beeper_at(3, 9), 1: relay, 2: wakes(2, logs[2]), 3: wakes(2, logs[3])}
         trace, _ = simulate(ARMED_PATH, programs, 100)
@@ -660,46 +657,40 @@ def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
 def test_an_armed_echo_length_that_is_not_positive_is_named(length):
     g = Graph.from_edges([(0, 1)])
     with pytest.raises(ProtocolError) as err:
-        simulate(g, {0: beeper_at(5), 1: armed_echo(length, LISTEN, LISTEN)}, 10)
+        simulate(g, {0: beeper_at(5), 1: armed_window(length, 9, LISTEN, LISTEN)}, 10)
     assert (err.value.node, err.value.round) == (1, 2)
     assert err.value.reason == f"armed echo length must be positive, got {length}"
 
 
-def slot_reader(length, *first):
-    """Yields the actions ``first``, then one armed Echo; returns its
-    length, the round it was resumed in and the window's slots."""
-    def gen():
-        for action in first:
-            yield action
-        window = Echo.armed(length)
-        yield window
-        return length, now(), window.slots()
-    return gen()
+def test_an_armed_echo_length_without_a_phase_end_is_named():
+    g = Graph.from_edges([(0, 1)])
+    with pytest.raises(ProtocolError) as err:
+        simulate(g, {0: beeper_at(5), 1: armed_window(4, None, LISTEN, LISTEN)}, 10)
+    assert str(err.value) == "node 1, round 2: armed echo length 4 without a phase end"
 
 
 def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
-    # Readers armed in one round share a group per length, and random
-    # beepers make their slots differ.  Every reader has a beeper neighbour,
-    # and every beeper beeps in round 40, so every reader is armed.
+    # Readers armed in one round share one group whatever their lengths, and
+    # random beepers make their slots differ.  Every reader has a beeper
+    # neighbour, and every beeper beeps in round 40, so every reader is armed.
     for _ in range(12):
         g = random_connected_graph(rng, 40)
         beepers = set(rng.sample(g.nodes, g.n // 4))
         for u in g.nodes:
             if u not in beepers and beepers.isdisjoint(g.neighbors(u)):
                 beepers.add(u)
-        programs = {}
+        programs, lengths = {}, {}
         for u in g.nodes:
             if u in beepers:
                 programs[u] = beeper_at(40, *rng.sample(range(1, 30), 6))
             else:
                 first = [LISTEN] * rng.choice((0, 0, 1, 3))
-                programs[u] = slot_reader(rng.choice((5, 8)), *first)
+                lengths[u] = rng.choice((5, 8))
+                programs[u] = armed_window(lengths[u], 50, *first)
         trace, report = simulate(g, programs, 100)
-        for u in g.nodes:
-            if u in beepers:
-                continue
-            length, resumed, slots = report.outputs[u]
-            heard = heard_bits(trace, u, resumed - length, resumed)
+        for u, length in lengths.items():
+            _, end, slots = report.outputs[u]
+            heard = heard_bits(trace, u, end - length, end)
             expected = "".join(
                 "1" if heard >> q & 0b111 else "0" for q in range(0, length + 1, 3)
             )
@@ -725,35 +716,6 @@ def test_slots_of_an_echo_that_was_never_armed_names_the_node_and_round():
         assert err.value.reason == "slots() of an echo that was never armed"
 
 
-# --- armed echoes with a phase end ----------------------------------------------
-
-
-def phase_window(length, until, read=True):
-    """Yields one armed Echo with phase end ``until`` in round 0; returns the
-    round it was resumed in, its window's end and, if ``read``, its slots."""
-    def gen():
-        window = Echo.armed(length, until)
-        yield window
-        return now(), window.end, window.slots() if read else None
-    return gen()
-
-
-def armed_rule_relay(until):
-    """An armed echo with phase end ``until``, one LISTEN or BEEP per round:
-    asleep until the round a of its first heard beep, it beeps in round a + 1
-    and then in round r + 1 iff it heard in round r and was silent in r - 1,
-    up to round ``until``.  Returns its last round and whether it was armed."""
-    def gen():
-        armed = heard = beeped = beeped_before = False
-        while now() < until:
-            will = heard and (not armed or not beeped_before)
-            armed = armed or heard
-            fb = yield BEEP if will else LISTEN
-            beeped_before, beeped, heard = beeped, fb is None, fb is True
-        return now(), armed or heard
-    return gen()
-
-
 def test_a_node_armed_in_its_phase_end_round_does_not_relay_after_it():
     # Node 1 is armed by node 0's beep in round 4, its phase end, while node 2
     # still echoes, so the kernel still sends relays in round 5.
@@ -776,12 +738,12 @@ def test_a_node_armed_in_its_phase_end_round_does_not_relay_after_it():
 def test_a_window_never_armed_resumes_after_its_phase_end():
     g = Graph.from_edges([(0, 1), (1, 2)])
     for length in (None, 3):
-        trace, report = simulate(g, {0: listener(8), 1: phase_window(length, 6, read=False),
+        trace, report = simulate(g, {0: listener(8), 1: armed_window(length, 6, read=False),
                                      2: listener(8)}, 20)
         assert report.outputs[1] == (6, None, None)
         assert not any(rec.beepers for rec in trace)
         with pytest.raises(ProtocolError) as err:
-            simulate(g, {0: listener(8), 1: phase_window(length, 6), 2: listener(8)}, 20)
+            simulate(g, {0: listener(8), 1: armed_window(length, 6), 2: listener(8)}, 20)
         assert (err.value.node, err.value.round) == (1, 6)
         assert err.value.reason == "slots() of an echo that was never armed"
 
@@ -790,31 +752,51 @@ def test_a_window_that_passes_its_phase_end_names_the_node_and_round():
     # Armed in round 5 with length 4, the window would end in round 9.
     g = Graph.from_edges([(0, 1), (1, 2)])
     with pytest.raises(ProtocolError) as err:
-        simulate(g, {0: beeper_at(5), 1: phase_window(4, 7), 2: listener(8)}, 20)
+        simulate(g, {0: beeper_at(5), 1: armed_window(4, 7), 2: listener(8)}, 20)
     assert str(err.value) == "node 1, round 7: armed window end 9 passes its phase end 7"
-    _, report = simulate(g, {0: beeper_at(5), 1: phase_window(4, 9), 2: listener(8)}, 20)
+    _, report = simulate(g, {0: beeper_at(5), 1: armed_window(4, 9), 2: listener(8)}, 20)
     assert report.outputs[1] == (9, 9, "10")
 
 
 @pytest.mark.parametrize("case", range(len(ECHO_CASES)))
 def test_a_window_with_a_phase_end_relays_by_the_rule_through_it(case):
     # Every relay has its own phase end, so some end while others echo, and
-    # some are armed in their phase end round.
-    def armed_until(until):
-        window = Echo.armed(until=until)
-        yield window
-        return now(), window.end is not None
+    # some are armed in their phase end round.  A window with a length relays
+    # alike, and its end is its arming round + length even past its phase end.
+    def window(u, until, length, ends):
+        echo = Echo.armed(length, until)
+        fb = yield echo
+        ends[u] = echo.end
+        return now(), fb
 
     g, source, rounds = ECHO_CASES[case]
-    for base in range(1, 14):
-        runs = []
-        for relay in (armed_rule_relay, armed_until):
-            programs = {u: relay(base + 3 * u % 5) for u in g.nodes if u != source}
+    for base, length in itertools.product(range(1, 14), (None, 4)):
+        untils = {u: base + 3 * u % 5 for u in g.nodes if u != source}
+        runs, ends = [], {}
+        for kernel in (False, True):
+            programs = {u: window(u, until, length, ends) if kernel else
+                        rule_relay(until, armed=True) for u, until in untils.items()}
             programs[source] = beeper_at(*rounds)
             trace, report = simulate(g, programs, 100)
             verify_reception(trace, g)
             runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
         assert runs[0] == runs[1]
+        for u, until in untils.items():
+            heard = [rec.round for rec in trace[:until] if u in rec.heard]
+            assert ends[u] == (None if not heard else heard[0] + length if length else until)
+
+
+@pytest.mark.parametrize(
+    "beeps, word", [((12,), "101"), ((11,), "101"), ((13,), "100"), ((9, 13), "110")])
+def test_an_armed_echo_window_whose_last_slot_has_two_rounds(beeps, word):
+    # Armed in round 5 with length 7 and phase end 12, so the window is rounds
+    # 5 - 12, its slots are rounds 5 - 7, 8 - 10 and 11 - 12, node 1 resumes
+    # in round 12 as the window ends, and round 13 is past it.
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    trace, report = simulate(g, {0: beeper_at(5, *beeps), 1: armed_window(7, 12),
+                                 2: listener(14)}, 100)
+    verify_reception(trace, g)
+    assert report.outputs[1] == (12, 12, word)
 
 
 @pytest.mark.parametrize(
@@ -823,7 +805,7 @@ def test_a_window_with_a_phase_end_reads_back_exactly_its_length(beeps, word):
     # Armed in round 5 with length 7: the slots are rounds 5 - 7, 8 - 10 and
     # 11 - 12 whatever node 1 hears before its phase end, round 20.
     g = Graph.from_edges([(0, 1), (1, 2)])
-    trace, report = simulate(g, {0: beeper_at(5, *beeps), 1: phase_window(7, 20),
+    trace, report = simulate(g, {0: beeper_at(5, *beeps), 1: armed_window(7, 20),
                                  2: listener(20)}, 100)
     verify_reception(trace, g)
     assert report.outputs[1] == (20, 12, word)
@@ -845,7 +827,7 @@ def set_sender(u, d):
             yield LISTEN
         yield BEEP
         yield Echo(d + 5)
-        yield Echo.armed(3)
+        yield Echo.armed(3, d + 10)
         if u == 1:
             yield LISTEN
             yield BEEP
@@ -929,6 +911,16 @@ def test_round_records_compare_by_round_and_label_sets():
 def test_verify_reception_names_the_round_of_a_bad_record(rounds, bad_round):
     with pytest.raises(SimulationError, match=rf"^round {bad_round}: "):
         verify_reception(hand_trace(LABELLED_PATH, *rounds), LABELLED_PATH)
+
+
+@pytest.mark.parametrize("beeps, heard", [(1 << 4, 0), (1 << 1, 1 << 0 | 1 << 2 | 1 << 6)])
+def test_verify_reception_names_the_round_of_a_mask_past_the_graph(beeps, heard):
+    # LABELLED_PATH has 4 nodes, so bit 4 and above stand for no node.
+    trace = hand_trace(LABELLED_PATH, (1, set(), set()))
+    trace.append(RoundRecord(2, beeps, heard, LABELLED_PATH.nodes))
+    with pytest.raises(SimulationError) as err:
+        verify_reception(trace, LABELLED_PATH)
+    assert str(err.value) == "round 2: record has node bits past the graph's 4 nodes"
 
 
 def test_verify_reception_rejects_a_trace_of_another_graph():

@@ -11,6 +11,7 @@ from beepsim.engine import (
     LISTEN,
     SLOT_PERIOD,
     WAIT,
+    Echo,
     Graph,
     ProtocolError,
     SimulationTimeout,
@@ -429,24 +430,26 @@ def per_round_relay():
             heard |= 1 << r
 
 
-def decoder(width):
-    """The kernel-ended decoder of a width or of none, and for "ref" the
-    per-round reference."""
-    return per_round_relay() if width == "ref" else relay_decode(width)
+def decoder(width, until=None):
+    """The kernel-ended decoder of a width with phase end ``until`` or of
+    none, and for "ref" the per-round reference."""
+    if width == "ref":
+        return per_round_relay()
+    return relay_decode() if width is None else relay_decode(width, until)
 
 
-def wave_decoder(width, start):
+def wave_decoder(width, start, until=None):
     def gen():
         yield from idle_until(start)
-        payload = yield from decoder(width)
+        payload = yield from decoder(width, until)
         return payload, now()
     return gen()
 
 
-def assert_window_end_error(err, node, width):
-    """A ``width``-bit decoder armed in round 3 by a neighbouring source
-    raises at the end of its window."""
-    assert (err.value.node, err.value.round) == (node, waves._width_rounds(width) + 2)
+def assert_window_end_error(err, node, width, until):
+    """A ``width``-bit decoder whose word does not match raises after its
+    phase end ``until``."""
+    assert (err.value.node, err.value.round) == (node, until)
     assert err.value.reason.startswith(f"expected a {width}-bit wave, heard ")
 
 
@@ -461,45 +464,46 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
     for g in echo_cases(rng):
         source = rng.choice(g.nodes)
         payload = random_bits(rng, rng.randint(1, 8))
-        # A width below the payload's is a word that does not match: the
-        # source's neighbours, armed first, raise at their window end.
+        # Each relay's phase end is the round its word ends in, d hops from
+        # the source.  A width below the payload's is a word that does not
+        # match: the source's neighbours, armed first, raise at their phase end.
+        ends = {u: codeword_rounds(payload) + d + 1 for u, d in distances(g, source).items()}
         expected = rng.choice((len(payload), rng.randint(1, len(payload))))
         # Decoders that start in round 2 may be armed in their first round
         # asleep; those from round 0 sleep from the start.
         starts = {u: rng.choice((0, 2)) for u in g.nodes}
         runs = []
         for width in (expected, None, "ref"):
-            programs = {u: wave_decoder(width, starts[u]) for u in g.nodes}
+            programs = {u: wave_decoder(width, starts[u], ends[u]) for u in g.nodes}
             programs[source] = slot_sender(codec.encode(payload), 0)
             if type(width) is int and width != len(payload):
                 with pytest.raises(ProtocolError) as err:
                     simulate(g, programs, 10_000)
-                assert_window_end_error(err, min(g.neighbors(source)), width)
+                assert_window_end_error(err, min(g.neighbors(source)), width,
+                                        codeword_rounds(payload) + 2)
                 continue
             trace, report = simulate(g, programs, 10_000)
             runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
         assert all(run == runs[-1] for run in runs)
-        dist = distances(g, source)
-        assert all(
-            out == (payload, codeword_rounds(payload) + dist[u] + 1)
-            for u, out in runs[-1][1].items() if u != source
-        )
+        assert all(out == (payload, ends[u]) for u, out in runs[-1][1].items() if u != source)
 
 
 def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
     # Node 1 beeps in round 2 and is armed in round 3; with a width or
     # without, it relays that beep in round 4, where the echo rule would not.
+    # The word of a relay u hops from node 0 ends in round end + u.
     g = Graph.from_edges([(0, 1), (1, 2)])
+    end = codeword_rounds("10") + 1
 
     def beeps_then_decodes(width):
         yield LISTEN
         yield BEEP
-        return (yield from decoder(width))
+        return (yield from decoder(width, end + 1))
 
     runs = []
     for width in (2, None, "ref"):
         programs = {0: slot_sender(codec.encode("10"), 0), 1: beeps_then_decodes(width),
-                    2: wave_decoder(width, 2)}
+                    2: wave_decoder(width, 2, end + 2)}
         trace, report = simulate(g, programs, 100)
         runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
     assert runs[0] == runs[1] == runs[2]
@@ -510,8 +514,8 @@ def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
     # Node 0 sends "101" to node 1.  Node 2's beeps in rounds 16 and 19 make
     # node 1 beep in round 20; it hears the source in round 21 and, having
     # beeped two rounds before, must not relay in round 22.  A node that
-    # expects 1 bit has an 18-round window that ends in round 20, and the
-    # longer word does not match it.
+    # expects 1 bit has an 18-round window that ends in round 20, its phase
+    # end, and the longer word does not match it.
     g = Graph.from_edges([(0, 1), (1, 2)])
 
     def injector():
@@ -519,12 +523,12 @@ def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
             yield BEEP if r in (16, 19) else LISTEN
 
     def programs(width):
-        return {0: slot_sender(codec.encode("101"), 0), 1: wave_decoder(width, 0),
+        return {0: slot_sender(codec.encode("101"), 0), 1: wave_decoder(width, 0, 20),
                 2: injector()}
 
     with pytest.raises(ProtocolError) as err:
         simulate(g, programs(1), 100)
-    assert_window_end_error(err, 1, 1)
+    assert_window_end_error(err, 1, 1, 20)
     trace, report = simulate(g, programs(None), 100)
     assert 1 in trace[19].beepers and 1 in trace[20].heard and 1 not in trace[21].beepers
     assert report.outputs[1] == ("111", 32)
@@ -655,21 +659,23 @@ def counting(program, resumptions, u):
 
 @pytest.mark.parametrize("short", [0, 1])
 def test_a_known_width_relay_takes_no_per_round_step(short):
-    # Resumed only after its armed Echo window; a width one bit short of the
-    # word's raises there, first at node 0, a neighbour of the source.
+    # Resumed only after its phase end, the end of the word of a relay 4
+    # hops from the source; a width one bit short of the word's raises
+    # there, first at node 0, the first node resumed.
     payload = "1101"
+    end = codeword_rounds(payload) + 5
     path, star = [(i, i + 1) for i in range(5)], [(0, i) for i in range(1, 6)]
     for g in (Graph.from_edges(path), Graph.from_edges(star)):
         resumptions = dict.fromkeys(g.nodes, 0)
         programs = {
-            u: counting(relay_decode(len(payload) - short), resumptions, u)
+            u: counting(relay_decode(len(payload) - short, end), resumptions, u)
             for u in g.nodes
         }
         programs[1] = slot_sender(codec.encode(payload), 0)
         if short:
             with pytest.raises(ProtocolError) as err:
                 simulate(g, programs, 1000)
-            assert_window_end_error(err, 0, len(payload) - short)
+            assert_window_end_error(err, 0, len(payload) - short, end)
             continue
         _, report = simulate(g, programs, 1000)
         relays = [u for u in g.nodes if u != 1]
@@ -678,20 +684,20 @@ def test_a_known_width_relay_takes_no_per_round_step(short):
 
 
 # Source 0 sends "10" (word 10110010) to relays 1 and 2, both armed in round
-# 3; only relay 2 hears the injector 3, and a beep in round 3 + 3q puts a 1
-# in slot q of relay 2's word alone.  Relay 1 is resumed first.
+# 3, whose words end in round 26; only relay 2 hears the injector 3, and a
+# beep in round 3 + 3q puts a 1 in slot q of relay 2's word alone.
 MIXED = Graph.from_edges([(0, 1), (0, 2), (2, 3)])
 
 
 def mixed_group(injected, log):
     """Programs for MIXED with the injector beeping in slots ``injected``;
-    each relay logs what it decoded."""
+    each relay logs what it decoded.  Relay 1 is resumed first."""
     def injector():
         for r in range(1, 30):
             yield BEEP if r in {3 + 3 * q for q in injected} else LISTEN
 
     def relay(u):
-        log[u] = yield from relay_decode(2)
+        log[u] = yield from relay_decode(2, 26)
         return log[u]
 
     return {0: slot_sender(codec.encode("10"), 0), 1: relay(1), 2: relay(2), 3: injector()}
@@ -711,6 +717,31 @@ def test_relays_armed_together_decode_the_words_they_heard():
     assert log == {1: "10"}
     assert (err.value.node, err.value.round) == (2, 26)
     assert err.value.reason == "expected a 2-bit wave, heard 10111010"
+
+
+def test_a_word_ended_and_a_known_length_reader_armed_together_share_one_group():
+    # Relay 1 reads to the end of its word, round 26, and relay 2 a 1-bit
+    # window that ends in round 20 and has the injected beep in its slot 1.
+    windows = {1: Echo.armed(), 2: Echo.armed(waves._width_rounds(1) - 1, 20)}
+
+    def reader(window):
+        yield window
+        return now(), window.slots()
+
+    programs = mixed_group((1,), {})
+    programs.update({u: reader(window) for u, window in windows.items()})
+    _, report = simulate(MIXED, programs, 100)
+    assert windows[1]._view[1] is windows[2]._view[1]
+    assert report.outputs == {0: None, 1: (26, "10110010"), 2: (20, "111100"), 3: None}
+
+
+def test_relay_decode_takes_a_width_and_a_phase_end_together():
+    g = Graph.from_edges([(0, 1)])
+    for width, until in ((2, None), (None, 30)):
+        with pytest.raises(ProtocolError) as err:
+            simulate(g, {0: beeper_at(3), 1: relay_decode(width, until)}, 20)
+        assert str(err.value) == (
+            "node 1, round 0: relay_decode takes a width with a phase end, or neither")
 
 
 @pytest.mark.parametrize("width", [1, 3])
