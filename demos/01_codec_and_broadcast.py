@@ -3,7 +3,7 @@
 Run:  python demos/01_codec_and_broadcast.py
 """
 
-from beepsim import Graph, broadcast, decode, decode_stream, encode, wave_source_rounds
+from beepsim import Graph, broadcast, decode, decode_stream, encode
 
 # -- the codec ---------------------------------------------------------------
 # Double every payload bit, bracket with 10.  The framing makes codewords
@@ -18,10 +18,11 @@ print(f"stream {stream} -> {decode_stream(stream)}")
 # -- the wave schedule ---------------------------------------------------------
 # A source transmits codeword bit i in round 3i; relays push each beep one
 # hop outward per round.
-print("\nsource beep rounds for m='1':", wave_source_rounds("1"))
+g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+wave = broadcast(g, source=0, message="1")
+print("\nsource beep rounds for m='1':", [rec.round for rec in wave.trace if 0 in rec.beepers])
 
 # -- a full broadcast ----------------------------------------------------------
-g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
 run = broadcast(g, source=0, message="1011")
 print(f"\nbroadcast '1011' on a 5-path took {run.report.total_rounds} rounds")
 for u in sorted(g.nodes)[1:]:

@@ -6,16 +6,11 @@ Run:  python demos/04_multibroadcast.py
 
 import random
 
-from beepsim import (
-    Graph,
-    diameter,
-    multi_broadcast_noprov,
-    multi_broadcast_prov,
-)
+from beepsim import Graph, diameter, multi_broadcast
 
 # With provenance: two sources on a path; watch the prefix set double.
 g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-run = multi_broadcast_prov(g, {2, 3}, {2: "10", 3: "01"}, lhat=4)
+run = multi_broadcast(g, {2, 3}, {2: "10", 3: "01"}, lhat=4, provenance=True)
 rec = run.report.extras["recorder"]
 print(f"with provenance: {run.report.total_rounds} rounds")
 for _, node, _, data in rec.of_kind("id_prefixes"):
@@ -28,7 +23,7 @@ print("  output everywhere:", sorted(run.report.outputs[0].result))
 star = Graph.from_edges([(8, i) for i in range(8)])
 rng = random.Random(1)
 msgs = {i: "".join(rng.choice("01") for _ in range(4)) for i in range(8)}
-run = multi_broadcast_noprov(star, set(range(8)), msgs, dhat=diameter(star))
+run = multi_broadcast(star, set(range(8)), msgs, dhat=diameter(star), provenance=False)
 rec = run.report.extras["recorder"]
 aborted = bool(rec.of_kind("msg_prefixes"))
 print(f"\nwithout provenance on a star (k=8): {run.report.total_rounds} rounds, "

@@ -6,7 +6,7 @@ Run:  python demos/05_bounds_and_bench.py
 
 import random
 
-from beepsim import broadcast, diameter, generate, lower_bound, multi_broadcast_prov, parse_graph_spec
+from beepsim import broadcast, diameter, generate, lower_bound, multi_broadcast, parse_graph_spec
 from beepsim.bounds import floor_rounds, mb_prov_bound, upper_rounds
 
 print(f"{'spec':<22}{'protocol':<11}{'D':>3}{'rounds':>8}{'floor':>7}{'upper':>9}")
@@ -26,7 +26,7 @@ for spec_text in ("path:n=10,seed=1", "path:n=40,seed=1", "star:n=16,seed=2",
     k = 3
     srcs = set(rng.sample(list(g.nodes), k))
     msgs = {s: "".join(rng.choice("01") for _ in range(4)) for s in srcs}
-    run = multi_broadcast_prov(g, srcs, msgs, dhat=d)
+    run = multi_broadcast(g, srcs, msgs, dhat=d, provenance=True)
     lhat = run.report.extras["lhat"]
     upper = mb_prov_bound(k, 4, lhat, d)
     floor = lower_bound("mbProv", d, g.label_range, 2**4, k)

@@ -172,9 +172,6 @@ class Graph:
     def adjacency(self) -> Mapping[int, tuple[int, ...]]:
         return self.adj
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
-
     def is_connected(self) -> bool:
         return len(distances(self, self.nodes[0])) == self.n
 
@@ -573,7 +570,6 @@ def simulate(
             if not live:
                 break
             if round_no >= max_rounds:
-                report.total_rounds = round_no
                 raise SimulationTimeout(max_rounds, trace, {nodes[i]: p for i, p in live.items()})
             round_no += 1
             beeps = sent
@@ -699,7 +695,7 @@ def write_graph(graph: Graph, fh: TextIO) -> None:
         fh.write(f"{e[0]} {e[1]}\n")
 
 
-def read_graph(fh: TextIO, label_range: int | None = None) -> Graph:
+def read_graph(fh: TextIO) -> Graph:
     header = fh.readline().split()
     if len(header) != 2 or header[0] != "n":
         raise ValueError("graph file must start with a 'n <count>' header line")
@@ -722,7 +718,7 @@ def read_graph(fh: TextIO, label_range: int | None = None) -> Graph:
             edges.append((ends[0], ends[1]))
     if len(nodes) != count:
         raise ValueError(f"header says {count} nodes, edge list mentions {len(nodes)}")
-    return Graph.from_edges(edges, nodes=nodes, label_range=label_range)
+    return Graph.from_edges(edges, nodes=nodes)
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:

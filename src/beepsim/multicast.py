@@ -294,14 +294,3 @@ def multi_broadcast(
     )
     return ProtocolRun(trace, report)
 
-
-def multi_broadcast_prov(graph: Graph, sources: set[int], msgs: dict[int, str],
-                         dhat: int | None = None, lhat: int | None = None,
-                         **kw: Any) -> ProtocolRun:
-    return multi_broadcast(graph, sources, msgs, dhat, lhat, provenance=True, **kw)
-
-
-def multi_broadcast_noprov(graph: Graph, sources: set[int], msgs: dict[int, str],
-                           dhat: int | None = None, lhat: int | None = None,
-                           **kw: Any) -> ProtocolRun:
-    return multi_broadcast(graph, sources, msgs, dhat, lhat, provenance=False, **kw)

@@ -7,9 +7,10 @@ a runner called on each of a few seeded graphs.  It passes only if every
 run passes all of its runner's checks, which compare the outputs with an
 oracle and the round count with its exact value, and ``verify_reception``
 accepts every trace.  A runner or a trace that raises ``SimulationError``
-fails only its own row, with the error as the row's detail.  A row draws
-its sources and messages from its own ``random.Random(row name)``, so no
-row depends on the rows before it.  The pytest suite is the exhaustive
+fails only its own row.  A failed row's detail names the graph's spec and
+the failed checks or the error.  A row draws its sources and messages
+from its own ``random.Random(row name)``, so no row depends on the rows
+before it.  The pytest suite is the exhaustive
 version; this is the operational smoke test.
 """
 
@@ -116,14 +117,16 @@ _PROTOCOL_ROWS: tuple[tuple[str, str, list[GraphSpec], RunnerCall], ...] = (
 
 def _protocol_row(suite: str, name: str, specs: list[GraphSpec], call: RunnerCall) -> CheckResult:
     rng = random.Random(name)
-    try:
-        for g in map(generate, specs):
+    for spec in specs:
+        g = generate(spec)
+        try:
             run = call(g, rng)
             verify_reception(run.trace, g)
-            if not run.report.all_passed:
-                return CheckResult(suite, name, False)
-    except SimulationError as err:
-        return CheckResult(suite, name, False, str(err))
+        except SimulationError as err:
+            return CheckResult(suite, name, False, f"{spec}: {err}")
+        failed = [c.name for c in run.report.bound_checks if not c.passed]
+        if failed:
+            return CheckResult(suite, name, False, f"{spec}: failed {', '.join(failed)}")
     return CheckResult(suite, name, True)
 
 

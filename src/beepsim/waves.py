@@ -170,37 +170,6 @@ def relay_decode(width: int | None = None,
     return payload
 
 
-def beep_wave_source(m: str, start_round: int = 1) -> Phase:
-    """Source program: beeps at absolute round start_round - 1 + 3i for
-    every 1 bit of encode(m); terminates after 3|encode(m)| phase rounds."""
-    if not m:
-        raise ValueError("wave payload must be nonempty")
-    codec.check_bits(m, "message")
-
-    def program() -> Phase:
-        yield from idle_until(start_round - 1)
-        yield from source_wave_phase(m)
-
-    return program()
-
-
-def beep_wave_relay(start_round: int = 1) -> Phase:
-    """Relay program: forwards the wave and returns its decoded message."""
-
-    def program():
-        yield from idle_until(start_round - 1)
-        payload = yield from relay_decode()
-        return BroadcastOutput(payload, now())
-
-    return program()
-
-
-def wave_source_rounds(m: str, start_round: int = 1) -> list[int]:
-    """Absolute beep rounds of a source wave (handy in tests and demos)."""
-    cw = codec.encode(m)
-    return [start_round - 1 + 3 * i for i, bit in enumerate(cw, 1) if bit == "1"]
-
-
 # ---------------------------------------------------------------------------
 # Leader election: binary search over ID bits, one network flood per bit.
 
@@ -478,18 +447,17 @@ def broadcast(
     graph: Graph,
     source: int,
     message: str,
-    start_round: int = 1,
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Beep-wave broadcast of ``message`` from ``source`` to every node."""
     _checked_messages(graph, {source}, {source: message})
-    if start_round < 1:
-        raise ValueError("start_round must be >= 1")
-    programs = {
-        u: beep_wave_source(message, start_round) if u == source else beep_wave_relay(start_round)
-        for u in graph.nodes
-    }
-    end = start_round + codeword_rounds(message)  # a relay d hops away returns in end + d
+
+    def relay() -> Phase:
+        payload = yield from relay_decode()
+        return BroadcastOutput(payload, now())
+
+    programs = {u: source_wave_phase(message) if u == source else relay() for u in graph.nodes}
+    end = 1 + codeword_rounds(message)  # a relay d hops away returns in end + d
     dist = distances(graph, source)
     trace, report = simulate(graph, programs, _cap(end + max(dist.values()), max_rounds))
     ok = all(report.outputs[u] == BroadcastOutput(message, end + dist[u])

@@ -24,6 +24,7 @@ from beepsim.cli import (
     main,
 )
 from beepsim.engine import Graph, diameter, write_graph
+from beepsim.graphs import GraphSpec
 from beepsim.traversal import dfs
 from beepsim.waves import elect_leader
 
@@ -250,6 +251,8 @@ def test_a_runner_whose_check_fails_turns_its_verify_row_to_fail(capsys, monkeyp
         "[pass] msglen_agreement",
     ]
     assert out.splitlines()[-1] == "4/5 checks passed"
+    spec = GraphSpec("randomTree", 12, seed=0)
+    assert out.splitlines()[1].endswith(f" {spec}: failed made_to_fail")
 
 
 def test_a_trace_that_fails_verify_reception_turns_its_verify_row_to_fail(capsys, monkeypatch):

@@ -169,7 +169,7 @@ def test_reception_soundness_random_traffic(rng):
 def test_distances_examples():
     path = generate(GraphSpec("path", 5, seed=0))
     # endpoints of the path have eccentricity 4
-    ends = [u for u in path.nodes if len(path.neighbors(u)) == 1]
+    ends = [u for u in path.nodes if len(path.adj[u]) == 1]
     d = distances(path, ends[0])
     assert sorted(d.values()) == [0, 1, 2, 3, 4]
     star = Graph.from_edges([(9, 1), (9, 2), (9, 3), (9, 4)])
@@ -229,6 +229,16 @@ def test_graph_file_roundtrip_keeps_lone_node_and_edges():
         assert buf.getvalue() == text
         buf.seek(0)
         assert read_graph(buf) == g
+
+
+def test_a_graph_file_carries_no_label_range():
+    g = generate(GraphSpec("randomTree", 10, seed=3, label_range=1000))
+    assert g.label_range > g.max_id + 1
+    buf = io.StringIO()
+    write_graph(g, buf)
+    buf.seek(0)
+    g2 = read_graph(buf)
+    assert (g2.nodes, dict(g2.adj), g2.label_range) == (g.nodes, dict(g.adj), g.max_id + 1)
 
 
 @pytest.mark.parametrize("line", ["1 2 3", "1 x", "-1 2"])
@@ -347,7 +357,7 @@ def test_graph_value_ignores_edge_order_and_orientation():
 def test_adjacency_is_read_only():
     g = Graph.from_edges([(2, 1), (0, 1)])
     assert g.adjacency() == {0: (1,), 1: (0, 2), 2: (1,)}
-    assert g.neighbors(1) == (0, 2)
+    assert g.adj[1] == (0, 2)
     with pytest.raises(TypeError):
         g.adjacency()[0] = (2,)
 
@@ -677,7 +687,7 @@ def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
         g = random_connected_graph(rng, 40)
         beepers = set(rng.sample(g.nodes, g.n // 4))
         for u in g.nodes:
-            if u not in beepers and beepers.isdisjoint(g.neighbors(u)):
+            if u not in beepers and beepers.isdisjoint(g.adj[u]):
                 beepers.add(u)
         programs, lengths = {}, {}
         for u in g.nodes:

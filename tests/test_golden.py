@@ -33,7 +33,7 @@ GRAPHS = ("path:n=7", "grid:n=9,seed=2", "er:n=16,seed=4,range=64")
 
 
 def _runs(graph):
-    """(name, thunk) for the 9 runners and four variants on ``graph``."""
+    """(name, thunk) for the 9 runners and three variants on ``graph``."""
     nodes = graph.nodes
     sources = set(nodes[:3])
     ragged = {u: "1011"[: 1 + i] for i, u in enumerate(nodes[:3])}
@@ -42,7 +42,6 @@ def _runs(graph):
     dt = 2 * graph.n + 3
     return [
         ("broadcast", lambda: broadcast(graph, nodes[1], "1011")),
-        ("broadcast start5", lambda: broadcast(graph, nodes[1], "01", start_round=5)),
         ("elect", lambda: elect_leader(graph)),
         ("diameter", lambda: estimate_diameter(graph)),
         ("collect", lambda: collect_messages(graph, None, sources, ragged)),
@@ -86,7 +85,6 @@ def fingerprint(run) -> tuple:
 
 GOLDEN = {
     "path:n=7 broadcast": (41, "8c181f79d367cf61", "537beaddb4086c5f"),
-    "path:n=7 broadcast start5": (33, "8dbc81e2855467fc", "6d1e5c9cd4ce9a04"),
     "path:n=7 elect": (24, "70f0b0d90b0e2d8d", "b0a8ba38ba5af299"),
     "path:n=7 diameter": (77, "4899e24401d18fbc", "2862a9a701aa86b9"),
     "path:n=7 collect": (139, "b1bd377a9ae91c31", "0af8622e12941ceb"),
@@ -99,7 +97,6 @@ GOLDEN = {
     "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "b20cb31ee1220408", "4ac312d23c005b77"),
     "path:n=7 mb-noprov all": (859, "7b04d732beb36959", "75d5f5c8d079f548", "312ffabcd0e9fade"),
     "grid:n=9,seed=2 broadcast": (40, "39d846f500cf495d", "b79b9c901be80176"),
-    "grid:n=9,seed=2 broadcast start5": (32, "7f4b6786757c9527", "81992cbad417937e"),
     "grid:n=9,seed=2 elect": (40, "5fd80d7e43a5a25b", "7b300af0509a0c8d"),
     "grid:n=9,seed=2 diameter": (59, "da303dccf12f4246", "c6d173fa571a6cbc"),
     "grid:n=9,seed=2 collect": (109, "1f3ae8a6eefaeba9", "8d444df1f6c65aaa"),
@@ -112,7 +109,6 @@ GOLDEN = {
     "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "3e8afa67ccf2da6e", "defcb66cbff23758"),
     "grid:n=9,seed=2 mb-noprov all": (959, "ec8a18fa795b9946", "3a95e4db581cb500", "4e589a88eaba04b9"),
     "er:n=16,seed=4,range=64 broadcast": (39, "f9132a082ecc8ad8", "52939bbd52586314"),
-    "er:n=16,seed=4,range=64 broadcast start5": (31, "e7467ceb4dbc14f5", "da167164cbf48295"),
     "er:n=16,seed=4,range=64 elect": (102, "371c80b96ef6c608", "65e8270e91324d7f"),
     "er:n=16,seed=4,range=64 diameter": (53, "bee84026e350d056", "392d73eda75f33f2"),
     "er:n=16,seed=4,range=64 collect": (97, "3ea3b7876cb6ce25", "3861984df13f2f67"),

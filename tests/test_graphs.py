@@ -20,7 +20,7 @@ def test_path_and_star_shapes():
     assert path.n == 4 and len(path.edges) == 3 and diameter(path) == 3
     star = generate(GraphSpec("star", 5, seed=0))
     assert diameter(star) == 2
-    degrees = sorted(len(star.neighbors(u)) for u in star.nodes)
+    degrees = sorted(len(star.adj[u]) for u in star.nodes)
     assert degrees == [1, 1, 1, 1, 4]
 
 

@@ -13,8 +13,6 @@ from beepsim.multicast import (
     compute_schedule,
     lower_bound,
     multi_broadcast,
-    multi_broadcast_noprov,
-    multi_broadcast_prov,
 )
 from beepsim.waves import (
     calibration_len,
@@ -101,7 +99,7 @@ def test_schedule_growth_per_new_prefix():
 
 def test_prov_two_source_prefix_walkthrough():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    run = multi_broadcast_prov(g, {2, 3}, {2: "10", 3: "01"}, lhat=4)
+    run = multi_broadcast(g, {2, 3}, {2: "10", 3: "01"}, lhat=4)
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     per_round = recorded_prefixes(rec)
@@ -114,7 +112,7 @@ def test_prov_two_source_prefix_walkthrough():
 def test_prov_single_source():
     g = generate(GraphSpec("randomTree", 8, seed=1))
     s = g.nodes[0]
-    run = multi_broadcast_prov(g, {s}, {s: "1011"})
+    run = multi_broadcast(g, {s}, {s: "1011"})
     assert run.report.all_passed
     assert run.report.outputs[g.max_id].result == frozenset({(s, "1011")})
 
@@ -123,7 +121,7 @@ def test_prov_random_tree_prefix_oracle(rng):
     g = generate(GraphSpec("randomTree", 20, seed=6))
     sources = set(rng.sample(list(g.nodes), 3))
     msgs = {s: random_bits(rng, 3) for s in sources}
-    run = multi_broadcast_prov(g, sources, msgs)
+    run = multi_broadcast(g, sources, msgs)
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     width = g.max_id.bit_length()
@@ -138,7 +136,7 @@ def test_prov_doubling_cap(rng):
     g = generate(GraphSpec("erConnected", 16, seed=13))
     sources = set(rng.sample(list(g.nodes), 6))
     msgs = {s: random_bits(rng, 2) for s in sources}
-    run = multi_broadcast_prov(g, sources, msgs)
+    run = multi_broadcast(g, sources, msgs)
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     per_round = recorded_prefixes(rec)
@@ -150,7 +148,7 @@ def test_prov_doubling_cap(rng):
 
 def test_prov_leader_is_source():
     g = Graph.from_edges([(0, 1), (1, 2)])
-    run = multi_broadcast_prov(g, {2, 0}, {2: "11", 0: "01"})
+    run = multi_broadcast(g, {2, 0}, {2: "11", 0: "01"})
     assert run.report.all_passed  # leader 2 merges its own indicator locally
 
 
@@ -184,14 +182,14 @@ def test_mb_input_validation():
 
 def test_noprov_duplicate_collapse():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    run = multi_broadcast_noprov(g, {2, 3}, {2: "101", 3: "101"})
+    run = multi_broadcast(g, {2, 3}, {2: "101", 3: "101"}, provenance=False)
     assert run.report.all_passed
     assert run.report.outputs[0].result == frozenset({"101"})
 
 
 def test_noprov_two_bits_on_path():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    run = multi_broadcast_noprov(g, {0, 2}, {0: "0", 2: "1"})
+    run = multi_broadcast(g, {0, 2}, {0: "0", 2: "1"}, provenance=False)
     assert run.report.all_passed
     assert run.report.outputs[1].result == frozenset({"0", "1"})
 
@@ -199,7 +197,7 @@ def test_noprov_two_bits_on_path():
 def test_noprov_abort_runs_message_search(rng):
     g = Graph.from_edges([(8, i) for i in range(8)])
     msgs = {i: random_bits(rng, 4) for i in range(8)}
-    run = multi_broadcast_noprov(g, set(range(8)), msgs)
+    run = multi_broadcast(g, set(range(8)), msgs, provenance=False)
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     assert rec.of_kind("msg_prefixes"), "abort branch should have run"
@@ -213,7 +211,7 @@ def test_noprov_without_abort_projects_prov(rng):
     g = generate(GraphSpec("path", 12, seed=2))
     sources = set(rng.sample(list(g.nodes), 2))
     msgs = {s: random_bits(rng, 3) for s in sources}
-    run = multi_broadcast_noprov(g, sources, msgs)
+    run = multi_broadcast(g, sources, msgs, provenance=False)
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     assert not rec.of_kind("msg_prefixes")
@@ -224,7 +222,7 @@ def test_schedule_agreement_recorded(rng):
     g = generate(GraphSpec("erConnected", 12, seed=3))
     sources = set(rng.sample(list(g.nodes), 3))
     msgs = {s: random_bits(rng, 2) for s in sources}
-    run = multi_broadcast_prov(g, sources, msgs)
+    run = multi_broadcast(g, sources, msgs)
     rec = run.report.extras["recorder"]
     schedules = {node: data["spans"] for _, node, _, data in rec.of_kind("schedule")}
     assert len(schedules) == g.n

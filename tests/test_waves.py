@@ -25,8 +25,6 @@ from beepsim.graphs import FAMILIES, GraphSpec, generate, or_oracle
 from beepsim.multicast import multi_broadcast
 from beepsim.waves import (
     await_quiet,
-    beep_wave_relay,
-    beep_wave_source,
     broadcast,
     broadcast_value_phase,
     codeword_rounds,
@@ -40,7 +38,7 @@ from beepsim.waves import (
     idle_until,
     msglen_phase_len,
     relay_decode,
-    wave_source_rounds,
+    source_wave_phase,
 )
 
 from conftest import (
@@ -67,32 +65,19 @@ def collect_actions(program, rounds):
     return acts
 
 
+def source_beep_rounds(m):
+    acts = collect_actions(source_wave_phase(m), 50)
+    return [i + 1 for i, a in enumerate(acts) if a == BEEP], len(acts)
+
+
 def test_source_beep_rounds_m1():
-    # codeword 101110: ones at slots 1, 3, 4, 5
-    assert wave_source_rounds("1") == [3, 9, 12, 15]
-    acts = collect_actions(beep_wave_source("1"), 50)
-    assert [i + 1 for i, a in enumerate(acts) if a == BEEP] == [3, 9, 12, 15]
-    assert len(acts) == 18  # terminates after 3|C(m)| rounds
+    # codeword 101110: ones at slots 1, 3, 4, 5; terminates after 3|C(m)| rounds
+    assert source_beep_rounds("1") == ([3, 9, 12, 15], 18)
 
 
 def test_source_beep_rounds_m0():
     # codeword 100010: ones at slots 1, 5
-    assert wave_source_rounds("0") == [3, 15]
-
-
-def test_source_start_round_offset():
-    assert wave_source_rounds("1", start_round=7) == [9, 15, 18, 21]
-
-
-def test_broadcast_rejects_a_start_round_before_round_1():
-    g = Graph.from_edges([(0, 1)])
-    with pytest.raises(ValueError, match="start_round must be >= 1"):
-        broadcast(g, 0, "1", start_round=0)
-
-
-def test_source_rejects_empty_message():
-    with pytest.raises(ValueError):
-        beep_wave_source("")
+    assert source_beep_rounds("0") == ([3, 15], 18)
 
 
 # --- the phase clock --------------------------------------------------------
@@ -375,7 +360,11 @@ def test_malformed_wave_error_names_node_and_absolute_round():
             yield LISTEN
             yield BEEP if bit == "1" else LISTEN
 
-    programs = {0: beep_wave_relay(start_round=5), 1: sender()}
+    def relay():
+        yield from idle_until(4)
+        return (yield from relay_decode())
+
+    programs = {0: relay(), 1: sender()}
     with pytest.raises(ProtocolError) as err:
         simulate(g, programs, 100)
     assert (err.value.node, err.value.round) == (0, 18)
@@ -479,7 +468,7 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
             if type(width) is int and width != len(payload):
                 with pytest.raises(ProtocolError) as err:
                     simulate(g, programs, 10_000)
-                assert_window_end_error(err, min(g.neighbors(source)), width,
+                assert_window_end_error(err, min(g.adj[source]), width,
                                         codeword_rounds(payload) + 2)
                 continue
             trace, report = simulate(g, programs, 10_000)
