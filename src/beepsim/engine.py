@@ -35,11 +35,13 @@ ends in round a + length and raises if that passes ``until``.  A length
 without a phase end raises.  ``Echo.slots`` reads the node's word back from
 the trace, once for the nodes armed in one round that end in one round.
 
-A trace is a list of ``RoundRecord``s.  Node i is ``graph.nodes[i]``, the
-i-th smallest label, and a record holds the round's beepers and hearers as
-two int bitsets in that order: bit i set means node i is in the set.  A
-round's reception is the OR of its beepers' neighbour masks less the
-beepers, worked out once per distinct beeper set in a run.
+A ``Trace`` holds a run's rounds as two lists of int bitsets, the beepers
+and the hearers of each round.  Node i is ``graph.nodes[i]``, the i-th
+smallest label: bit i set means node i is in the set.  A round's reception
+is the OR of its beepers' neighbour masks less the beepers, worked out once
+per distinct beeper set in a run, and every round with those beepers shares
+that one pair of ints.  Indexing and iteration hand out ``RoundRecord``
+views.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, repeat
 from types import MappingProxyType
-from typing import Any, Generator, Iterable, Mapping, TextIO
+from typing import Any, Generator, Iterable, Iterator, Mapping, TextIO
 
 from . import codec
 
@@ -92,7 +95,7 @@ class ProtocolError(SimulationError):
 class SimulationTimeout(SimulationError):
     """maxRounds elapsed before every program terminated.
 
-    Carries the partial trace, the set of still-running nodes and ``phases``,
+    Carries the partial ``Trace``, the set of still-running nodes and ``phases``,
     which maps each of them to the innermost generator it is suspended in.
     """
 
@@ -341,7 +344,7 @@ class _Arming:
         last, masks, word = self.last
         if last != end:
             members = self.members
-            heard = [rec._heard for rec in self.trace[self.start - 1:end]] + [0, 0]
+            heard = self.trace.heard[self.start - 1:end] + [0, 0]
             masks = [(heard[k] | heard[k + 1] | heard[k + 2]) & members
                      for k in range(0, len(heard) - 2, SLOT_PERIOD)]
             shared = set(masks) <= {0, members}
@@ -371,10 +374,11 @@ class RoundRecord:
     """One round of a trace: the nodes that beeped and the listeners that
     heard a beep.
 
-    A record holds two int bitsets over the run's node tuple: bit i of
-    ``beep_mask`` and ``heard_mask`` stands for ``nodes[i]``, the i-th
-    smallest label.  ``beepers`` and ``heard`` build the frozensets of
-    labels on access; equality and hashing go by (round, beepers, heard).
+    A record is a view of two int bitsets over the run's node tuple, made
+    when a ``Trace`` is read: bit i of ``beep_mask`` and ``heard_mask``
+    stands for ``nodes[i]``, the i-th smallest label.  ``beepers`` and
+    ``heard`` build the frozensets of labels on access; equality and hashing
+    go by (round, beepers, heard).
     """
 
     __slots__ = ("_round", "_beeps", "_heard", "_nodes")
@@ -438,7 +442,38 @@ def _labels(mask: int, nodes: tuple[int, ...]) -> list[int]:
     return [nodes[i] for i in _indices(mask)] if mask else []
 
 
-Trace = list[RoundRecord]
+class Trace:
+    """A run's rounds over the node tuple ``nodes``: ``beeps[k]`` and
+    ``heard[k]`` are the beeper and hearer bitsets of round k + 1.  Indexing
+    and iteration give ``RoundRecord``s, a slice a list of them; a trace
+    equals the list of records it gives."""
+
+    __slots__ = ("nodes", "beeps", "heard")
+
+    def __init__(self, nodes: tuple[int, ...]) -> None:
+        self.nodes = nodes
+        self.beeps: list[int] = []
+        self.heard: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.beeps)
+
+    def __getitem__(self, k: int | slice) -> RoundRecord | list[RoundRecord]:
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return RoundRecord(range(1, len(self) + 1)[k], self.beeps[k], self.heard[k], self.nodes)
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        return map(RoundRecord, count(1), self.beeps, self.heard, repeat(self.nodes))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Trace, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def clear(self) -> None:
+        self.beeps.clear()
+        self.heard.clear()
 
 
 @dataclass(frozen=True)
@@ -485,7 +520,8 @@ def simulate(
     bits = [1 << i for i in range(len(nodes))]
     reach = graph.neighbour_masks
     report = RunReport()
-    trace: Trace = []
+    trace = Trace(nodes)
+    trace_beeps, trace_heard = trace.beeps, trace.heard
 
     # Node i is nodes[i], and a set of nodes is an int with bit i for node i,
     # so the nodes a round's beeps reach are the OR of the beepers' ``reach``
@@ -510,13 +546,14 @@ def simulate(
     # grammar state of those whose slots end in rounds = c mod 3
     # (``codec.word_step``).
     # ``heard_of`` maps each beeper set seen in this run (BEEP actions, echo
-    # relays and ``fresh`` relays) to its heard set, so each is ORed once.
+    # relays and ``fresh`` relays) to the pair of it and its heard set, so
+    # each is ORed once and every round with it stores the same two ints.
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
     beeps = (1 << len(nodes)) - 1
     heard = 0
-    heard_of = {0: 0}
+    heard_of = {0: (0, 0)}
     waiting = 0
     echoing = 0
     echo_at = [0, 0, 0]
@@ -565,21 +602,22 @@ def simulate(
                     err.node, err.round = nodes[i], round_no
                     raise
             if echoing:
-                relays = echo_at[round_no % 3] & heard & ~(trace[-2]._beeps if round_no > 1 else 0)
+                relays = echo_at[round_no % 3] & heard & ~(trace_beeps[-2] if round_no > 1 else 0)
                 sent |= relays | fresh
             if not live:
                 break
             if round_no >= max_rounds:
                 raise SimulationTimeout(max_rounds, trace, {nodes[i]: p for i, p in live.items()})
             round_no += 1
-            beeps = sent
-            heard = heard_of.get(sent)
-            if heard is None:
+            pair = heard_of.get(sent)
+            if pair is None:
                 reached = 0
                 for i in _indices(sent):
                     reached |= reach[i]
-                heard = heard_of[sent] = reached & ~sent
-            trace.append(RoundRecord(round_no, beeps, heard, nodes))
+                pair = heard_of[sent] = (sent, reached & ~sent)
+            beeps, heard = pair
+            trace_beeps.append(beeps)
+            trace_heard.append(heard)
             woken = waiting & heard
             fresh = armed & heard
             if fresh:
@@ -602,7 +640,7 @@ def simulate(
             if reading:
                 state = words[round_no % 3]
                 if state[0] or state[1] or state[2] or state[3]:
-                    stop = codec.word_step(state, heard | trace[-2]._heard | trace[-3]._heard)
+                    stop = codec.word_step(state, heard | trace_heard[-2] | trace_heard[-3])
                     if stop:
                         reading ^= stop
                         woken |= stop
@@ -644,7 +682,7 @@ def _deadline(action: Any, round_no: int) -> int:
     return until
 
 
-def verify_reception(trace: Trace, graph: Graph) -> None:
+def verify_reception(trace: Iterable[RoundRecord], graph: Graph) -> None:
     """Re-derive every heard flag from adjacency and check that the rounds
     run 1, 2, 3, ...; raises on any mismatch."""
     nodes = graph.nodes
@@ -721,7 +759,7 @@ def read_graph(fh: TextIO) -> Graph:
     return Graph.from_edges(edges, nodes=nodes)
 
 
-def write_trace(trace: Trace, fh: TextIO) -> None:
+def write_trace(trace: Iterable[RoundRecord], fh: TextIO) -> None:
     for rec in trace:
         fh.write(
             json.dumps(

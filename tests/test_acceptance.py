@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from beepsim import codec
 from beepsim.bounds import (
     dfs_bound,

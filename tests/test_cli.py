@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import subprocess
@@ -258,7 +257,7 @@ def test_a_runner_whose_check_fails_turns_its_verify_row_to_fail(capsys, monkeyp
 def test_a_trace_that_fails_verify_reception_turns_its_verify_row_to_fail(capsys, monkeypatch):
     def garbled(*args, **kw):
         run = dfs(*args, **kw)
-        run.trace.pop(0)  # rounds no longer run 1, 2, 3, ...
+        run.trace.heard[0] ^= 1  # node 0's heard flag in round 1 is flipped
         return run
 
     monkeypatch.setattr(selfcheck, "dfs", garbled)

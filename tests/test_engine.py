@@ -18,6 +18,7 @@ from beepsim.engine import (
     RoundRecord,
     SimulationError,
     SimulationTimeout,
+    Trace,
     diameter,
     distances,
     now,
@@ -938,3 +939,49 @@ def test_verify_reception_rejects_a_trace_of_another_graph():
     trace = hand_trace(other, (1, {0}, {1}))
     with pytest.raises(SimulationError, match="^round 1: "):
         verify_reception(trace, LABELLED_PATH)
+
+
+# --- Trace: two mask lists read as RoundRecords ------------------------------
+
+
+def labelled_path_programs():
+    """Node 7 beeps in round 1, nobody in round 2, nodes 3 and 12 in round 3."""
+    return {3: beeper_at(3), 7: beeper_at(1), 10: listener(3), 12: beeper_at(3)}
+
+
+LABELLED_ROUNDS = [(1, {7}, {3, 10}), (2, set(), set()), (3, {3, 12}, {7, 10})]
+
+
+def test_a_trace_reads_its_rounds_as_round_records():
+    trace, _ = simulate(LABELLED_PATH, labelled_path_programs(), 10)
+    records = hand_trace(LABELLED_PATH, *LABELLED_ROUNDS)
+    assert type(trace) is Trace and len(trace) == 3
+    assert trace.beeps == [0b0010, 0, 0b1001] and trace.heard == [0b0101, 0, 0b0110]
+    assert trace[0] == records[0] and trace[-1] == records[2] and trace[-3] == records[0]
+    assert [trace[k].round for k in (0, 1, 2, -1, -2, -3)] == [1, 2, 3, 3, 2, 1]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            trace[k]
+    assert trace[1:] == records[1:] and trace[::-2] == records[::-2] and trace[5:] == []
+    assert type(trace[:2]) is list and all(type(rec) is RoundRecord for rec in trace)
+    assert list(trace) == records and [rec.nodes for rec in trace] == [LABELLED_PATH.nodes] * 3
+    assert trace == records and records == trace and trace == list(trace)
+    assert trace != records[:2]
+    assert trace != hand_trace(LABELLED_PATH, *LABELLED_ROUNDS[:2], (4, set(), set()))
+
+
+def test_a_cleared_trace_holds_no_rounds():
+    trace, _ = simulate(LABELLED_PATH, labelled_path_programs(), 10)
+    trace.clear()
+    assert len(trace) == 0 and trace.beeps == trace.heard == []
+    assert list(trace) == [] and trace == [] and trace[:] == []
+
+
+def test_a_timeout_carries_the_trace_of_the_rounds_it_ran():
+    full, _ = simulate(LABELLED_PATH, labelled_path_programs(), 10)
+    with pytest.raises(SimulationTimeout) as err:
+        simulate(LABELLED_PATH, labelled_path_programs(), 2)
+    partial = err.value.trace
+    assert type(partial) is Trace and len(partial) == 2
+    assert partial == full[:2] == hand_trace(LABELLED_PATH, *LABELLED_ROUNDS[:2])
+    assert (partial.beeps, partial.heard) == (full.beeps[:2], full.heard[:2])

@@ -15,8 +15,6 @@ import dataclasses
 import hashlib
 import io
 
-import pytest
-
 from beepsim.engine import write_trace
 from beepsim.graphs import generate, parse_graph_spec
 from beepsim.multicast import multi_broadcast

@@ -18,6 +18,7 @@ from beepsim.engine import (
     ProtocolRecorder,
     RoundRecord,
     SimulationTimeout,
+    Trace,
     diameter,
     simulate,
     verify_reception,
@@ -257,9 +258,9 @@ def test_dfs_resumes_only_the_nodes_that_act_or_hear(monkeypatch):
     assert resumptions <= 0.4 * g.n * run.report.total_rounds
 
 
-def test_dfs_trace_costs_at_most_256_bytes_per_record():
-    # A record holds its round and two node bitsets; records of frozensets
-    # cost about 840 bytes each on this run.
+def test_dfs_trace_costs_16_to_32_bytes_per_round():
+    # A round is two list slots holding shared node bitsets, at least 16
+    # bytes; records of frozensets cost about 840 bytes each on this run.
     g = generate(GraphSpec("erConnected", 60, seed=7))
     tracemalloc.start()
     try:
@@ -273,7 +274,13 @@ def test_dfs_trace_costs_at_most_256_bytes_per_record():
     finally:
         tracemalloc.stop()
     assert records == run.report.total_rounds == 11091
-    assert 32 * records <= trace_bytes <= 256 * records
+    assert 16 * records <= trace_bytes <= 32 * records
+
+
+def test_dfs_rounds_with_one_beeper_set_share_its_two_mask_ints():
+    run = dfs(generate(GraphSpec("erConnected", 60, seed=7)))
+    for masks in (run.trace.beeps, run.trace.heard):
+        assert len({id(m) for m in masks}) == len(set(masks))
 
 
 def test_dfs_trace_records_read_as_the_label_frozensets():
@@ -291,7 +298,7 @@ def test_dfs_trace_records_read_as_the_label_frozensets():
     assert sum(len(rec.heard) for rec in run.trace) == 70690
     with pytest.raises(SimulationTimeout) as err:
         dfs(g, max_rounds=5000)
-    assert type(err.value.trace) is list
+    assert type(err.value.trace) is Trace
     assert all(type(rec) is RoundRecord for rec in err.value.trace)
     assert err.value.trace == run.trace[:5000]
 
