@@ -20,6 +20,7 @@ from .engine import (
     Graph,
     ProtocolError,
     SimulationTimeout,
+    Trace,
     diameter,
     read_graph,
     write_trace,
@@ -54,6 +55,10 @@ OPTIONS_READ = {
     "mb-prov": ("messages", "sources", "dhat", "lhat"),
     "mb-noprov": ("messages", "sources", "dhat", "lhat"),
 }
+
+# The least value of each count option.  ``--k 0`` is left to the runners,
+# whose own check names the empty source set.
+COUNT_MINIMUM = {"trials": 1, "k": 0, "msg_bits": 1}
 
 BENCH_COLUMNS = [
     "family",
@@ -117,7 +122,11 @@ def _parse_sources(text: str | None, graph: Graph, rng: random.Random, k: int) -
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Reject an option the protocol does not read instead of ignoring it."""
+    """Reject an option the protocol does not read instead of ignoring it,
+    and a count below its minimum."""
+    for name, least in COUNT_MINIMUM.items():
+        if getattr(args, name, least) < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
     read = OPTIONS_READ[args.protocol]
     checked = {name for names in OPTIONS_READ.values() for name in names}
     unread = [
@@ -185,13 +194,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _check_options(args)
     graph, _family = _load_graph(args.graph)
     rng = random.Random(args.seed)
-    run, _msgs = _dispatch(args.protocol, graph, args, rng)
+    try:
+        run, _msgs = _dispatch(args.protocol, graph, args, rng)
+    except SimulationTimeout as exc:
+        _write_trace_file(args.trace, exc.trace)
+        raise
     _print_report(run)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            write_trace(run.trace, fh)
-        print(f"trace written to {args.trace}")
+    _write_trace_file(args.trace, run.trace)
     return EXIT_OK if run.report.all_passed else EXIT_INVARIANT
+
+
+def _write_trace_file(path: str | None, trace: Trace) -> None:
+    """Write ``trace`` as JSONL to ``path``, if ``run --trace`` gave one."""
+    if path:
+        with open(path, "w") as fh:
+            write_trace(trace, fh)
+        print(f"trace written to {path}")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -40,8 +40,8 @@ and the hearers of each round.  Node i is ``graph.nodes[i]``, the i-th
 smallest label: bit i set means node i is in the set.  A round's reception
 is the OR of its beepers' neighbour masks less the beepers, worked out once
 per distinct beeper set in a run, and every round with those beepers shares
-that one pair of ints.  Indexing and iteration hand out ``RoundRecord``
-views.
+that one pair of ints.  ``verify_reception`` and ``write_trace`` read the
+two lists directly; indexing and iteration hand out ``RoundRecord`` views.
 """
 
 from __future__ import annotations
@@ -374,11 +374,11 @@ class RoundRecord:
     """One round of a trace: the nodes that beeped and the listeners that
     heard a beep.
 
-    A record is a view of two int bitsets over the run's node tuple, made
-    when a ``Trace`` is read: bit i of ``beep_mask`` and ``heard_mask``
-    stands for ``nodes[i]``, the i-th smallest label.  ``beepers`` and
-    ``heard`` build the frozensets of labels on access; equality and hashing
-    go by (round, beepers, heard).
+    A record is a view a ``Trace`` hands out on indexing, slicing and
+    iteration: bit i of ``beep_mask`` and ``heard_mask`` stands for the i-th
+    smallest label of the run's nodes.  ``beepers`` and ``heard`` build the
+    frozensets of labels on access; equality and hashing go by (round,
+    beepers, heard).
     """
 
     __slots__ = ("_round", "_beeps", "_heard", "_nodes")
@@ -400,10 +400,6 @@ class RoundRecord:
     @property
     def heard_mask(self) -> int:
         return self._heard
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return self._nodes
 
     @property
     def beepers(self) -> frozenset[int]:
@@ -445,8 +441,8 @@ def _labels(mask: int, nodes: tuple[int, ...]) -> list[int]:
 class Trace:
     """A run's rounds over the node tuple ``nodes``: ``beeps[k]`` and
     ``heard[k]`` are the beeper and hearer bitsets of round k + 1.  Indexing
-    and iteration give ``RoundRecord``s, a slice a list of them; a trace
-    equals the list of records it gives."""
+    and iteration give ``RoundRecord``s, a slice a list of them; two traces
+    are equal when their nodes and both mask lists are."""
 
     __slots__ = ("nodes", "beeps", "heard")
 
@@ -467,13 +463,9 @@ class Trace:
         return map(RoundRecord, count(1), self.beeps, self.heard, repeat(self.nodes))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Trace, list)):
+        if not isinstance(other, Trace):
             return NotImplemented
-        return list(self) == list(other)
-
-    def clear(self) -> None:
-        self.beeps.clear()
-        self.heard.clear()
+        return (self.nodes, self.beeps, self.heard) == (other.nodes, other.beeps, other.heard)
 
 
 @dataclass(frozen=True)
@@ -682,10 +674,16 @@ def _deadline(action: Any, round_no: int) -> int:
     return until
 
 
-def verify_reception(trace: Iterable[RoundRecord], graph: Graph) -> None:
-    """Re-derive every heard flag from adjacency and check that the rounds
-    run 1, 2, 3, ...; raises on any mismatch."""
+def verify_reception(trace: Trace, graph: Graph) -> None:
+    """Check that ``trace`` is over ``graph``'s nodes, holds a heard set for
+    every beeper set, and that each round's heard set is the OR-reception of
+    its beepers, re-derived from adjacency; raises on any mismatch."""
     nodes = graph.nodes
+    if trace.nodes != nodes:
+        raise SimulationError("trace indexes other nodes than the graph")
+    if len(trace.beeps) != len(trace.heard):
+        raise SimulationError(
+            f"trace has {len(trace.beeps)} beeper sets but {len(trace.heard)} heard sets")
     bit = {u: 1 << i for i, u in enumerate(nodes)}
     adj = graph.adjacency()
     reach = []
@@ -694,14 +692,7 @@ def verify_reception(trace: Iterable[RoundRecord], graph: Graph) -> None:
         for v in adj[u]:
             mask |= bit[v]
         reach.append(mask)
-    last = 0
-    for rec in trace:
-        round_no, beeps, heard = rec.round, rec.beep_mask, rec.heard_mask
-        if round_no != last + 1:
-            raise SimulationError(f"round {round_no}: follows round {last}")
-        last = round_no
-        if rec.nodes is not nodes and rec.nodes != nodes:
-            raise SimulationError(f"round {round_no}: record indexes other nodes than the graph")
+    for round_no, beeps, heard in zip(count(1), trace.beeps, trace.heard):
         if (beeps | heard) >> len(nodes):
             raise SimulationError(
                 f"round {round_no}: record has node bits past the graph's {len(nodes)} nodes")
@@ -759,15 +750,8 @@ def read_graph(fh: TextIO) -> Graph:
     return Graph.from_edges(edges, nodes=nodes)
 
 
-def write_trace(trace: Iterable[RoundRecord], fh: TextIO) -> None:
-    for rec in trace:
-        fh.write(
-            json.dumps(
-                {
-                    "round": rec.round,
-                    "beepers": _labels(rec.beep_mask, rec.nodes),
-                    "heard": _labels(rec.heard_mask, rec.nodes),
-                }
-            )
-            + "\n"
-        )
+def write_trace(trace: Trace, fh: TextIO) -> None:
+    nodes = trace.nodes
+    for round_no, beeps, heard in zip(count(1), trace.beeps, trace.heard):
+        fh.write(json.dumps({"round": round_no, "beepers": _labels(beeps, nodes),
+                             "heard": _labels(heard, nodes)}) + "\n")

@@ -22,8 +22,8 @@ from beepsim.cli import (
     OPTIONS_READ,
     main,
 )
-from beepsim.engine import Graph, diameter, write_graph
-from beepsim.graphs import GraphSpec
+from beepsim.engine import Graph, Trace, diameter, verify_reception, write_graph
+from beepsim.graphs import GraphSpec, generate, parse_graph_spec
 from beepsim.traversal import dfs
 from beepsim.waves import elect_leader
 
@@ -132,6 +132,25 @@ def test_run_timeout_exit_code(capsys):
     assert "timeout" in err
 
 
+def test_run_timeout_writes_the_partial_trace(tmp_path, capsys):
+    trace_file = tmp_path / "trace.jsonl"
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "dfs", "--graph", "path:n=6",
+        "--max-rounds", "50", "--trace", str(trace_file),
+    )
+    assert code == EXIT_TIMEOUT and "timeout" in err
+    assert out == f"trace written to {trace_file}\n"
+    g = generate(parse_graph_spec("path:n=6"))
+    trace = Trace(g.nodes)
+    for number, line in enumerate(trace_file.read_text().splitlines(), 1):
+        rec = json.loads(line)
+        assert rec["round"] == number
+        trace.beeps.append(sum(1 << g.nodes.index(u) for u in rec["beepers"]))
+        trace.heard.append(sum(1 << g.nodes.index(u) for u in rec["heard"]))
+    assert len(trace) == 50
+    verify_reception(trace, g)
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "run", "--protocol", "nope", "--graph", "path:n=3")[0] == EXIT_USAGE
     assert run_cli(capsys, "verify", "--suite", "nope")[0] == EXIT_USAGE
@@ -175,6 +194,21 @@ def test_bench_without_a_graph_is_usage_error(tmp_path, capsys):
                              "--csv", str(out_csv))
     assert (code, out) == (EXIT_USAGE, "")
     assert "--graph" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command, option, value, least", [
+    ("bench", "--trials", "0", 1), ("bench", "--trials", "-2", 1),
+    ("run", "--k", "-1", 0), ("bench", "--k", "-1", 0),
+    ("run", "--msg-bits", "-1", 1), ("bench", "--msg-bits", "0", 1),
+])
+def test_a_count_below_its_minimum_is_named(tmp_path, capsys, command, option, value, least):
+    out_csv = tmp_path / "rows.csv"
+    extra = ["--csv", str(out_csv)] if command == "bench" else []
+    code, out, err = run_cli(capsys, command, "--protocol", "collect", "--graph", "path:n=5",
+                             option, value, *extra)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {option} must be at least {least}\n"
     assert not out_csv.exists()
 
 
