@@ -25,7 +25,7 @@ from .engine import (
     read_graph,
     write_trace,
 )
-from .graphs import GraphSpec, generate, parse_graph_spec
+from .graphs import generate, parse_graph_spec
 from .multicast import MbOutput, multi_broadcast
 from .traversal import dfs, gossip
 from .waves import (
@@ -220,10 +220,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     status = EXIT_OK
     try:
         for spec_text in args.graph:
+            base = parse_graph_spec(spec_text)
             for trial in range(args.trials):
-                spec = parse_graph_spec(spec_text)
-                spec = GraphSpec(spec.family, spec.n, spec.seed + trial,
-                                 spec.edge_probability, spec.label_range)
+                spec = replace(base, seed=base.seed + trial)
                 graph = generate(spec)
                 rng = random.Random(spec.seed * 7919 + trial)
                 run, msgs = _dispatch(args.protocol, graph, args, rng)

@@ -35,13 +35,13 @@ ends in round a + length and raises if that passes ``until``.  A length
 without a phase end raises.  ``Echo.slots`` reads the node's word back from
 the trace, once for the nodes armed in one round that end in one round.
 
-A ``Trace`` holds a run's rounds as two lists of int bitsets, the beepers
-and the hearers of each round.  Node i is ``graph.nodes[i]``, the i-th
-smallest label: bit i set means node i is in the set.  A round's reception
-is the OR of its beepers' neighbour masks less the beepers, worked out once
-per distinct beeper set in a run, and every round with those beepers shares
-that one pair of ints.  ``verify_reception`` and ``write_trace`` read the
-two lists directly; indexing and iteration hand out ``RoundRecord`` views.
+A ``Trace`` holds a run's rounds as one list of (beepers, hearers) pairs
+of int bitsets.  Node i is ``graph.nodes[i]``, the i-th smallest label: bit
+i set means node i is in the set.  A round's reception is the OR of its
+beepers' neighbour masks less the beepers, worked out once per distinct
+beeper set in a run, and every round with those beepers holds that one
+pair.  ``verify_reception`` and ``write_trace`` read the pairs directly;
+indexing and iteration hand out ``RoundRecord`` views.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, repeat
 from types import MappingProxyType
 from typing import Any, Generator, Iterable, Iterator, Mapping, TextIO
 
@@ -344,9 +343,9 @@ class _Arming:
         last, masks, word = self.last
         if last != end:
             members = self.members
-            heard = self.trace.heard[self.start - 1:end] + [0, 0]
-            masks = [(heard[k] | heard[k + 1] | heard[k + 2]) & members
-                     for k in range(0, len(heard) - 2, SLOT_PERIOD)]
+            # three rounds a slot: zip takes each pair from one iterator in turn
+            pairs = iter(self.trace.rounds[self.start - 1:end] + [(0, 0), (0, 0)])
+            masks = [(x[1] | y[1] | z[1]) & members for x, y, z in zip(pairs, pairs, pairs)]
             shared = set(masks) <= {0, members}
             word = "".join(["1" if m else "0" for m in masks]) if shared else ""
             self.last = (end, masks, word)
@@ -439,33 +438,35 @@ def _labels(mask: int, nodes: tuple[int, ...]) -> list[int]:
 
 
 class Trace:
-    """A run's rounds over the node tuple ``nodes``: ``beeps[k]`` and
-    ``heard[k]`` are the beeper and hearer bitsets of round k + 1.  Indexing
-    and iteration give ``RoundRecord``s, a slice a list of them; two traces
-    are equal when their nodes and both mask lists are."""
+    """A run's rounds over the node tuple ``nodes``: ``rounds[k]`` is the
+    (beepers, hearers) bitset pair of round k + 1, shared by every round
+    with those beepers.  Indexing and iteration give ``RoundRecord``s, a
+    slice a list of them; two traces are equal when their nodes and rounds
+    are."""
 
-    __slots__ = ("nodes", "beeps", "heard")
+    __slots__ = ("nodes", "rounds")
 
     def __init__(self, nodes: tuple[int, ...]) -> None:
         self.nodes = nodes
-        self.beeps: list[int] = []
-        self.heard: list[int] = []
+        self.rounds: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
-        return len(self.beeps)
+        return len(self.rounds)
 
     def __getitem__(self, k: int | slice) -> RoundRecord | list[RoundRecord]:
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return RoundRecord(range(1, len(self) + 1)[k], self.beeps[k], self.heard[k], self.nodes)
+        return RoundRecord(range(1, len(self) + 1)[k], *self.rounds[k], self.nodes)
 
     def __iter__(self) -> Iterator[RoundRecord]:
-        return map(RoundRecord, count(1), self.beeps, self.heard, repeat(self.nodes))
+        nodes = self.nodes
+        return (RoundRecord(r, beeps, heard, nodes)
+                for r, (beeps, heard) in enumerate(self.rounds, 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return (self.nodes, self.beeps, self.heard) == (other.nodes, other.beeps, other.heard)
+        return (self.nodes, self.rounds) == (other.nodes, other.rounds)
 
 
 @dataclass(frozen=True)
@@ -513,7 +514,7 @@ def simulate(
     reach = graph.neighbour_masks
     report = RunReport()
     trace = Trace(nodes)
-    trace_beeps, trace_heard = trace.beeps, trace.heard
+    rounds = trace.rounds
 
     # Node i is nodes[i], and a set of nodes is an int with bit i for node i,
     # so the nodes a round's beeps reach are the OR of the beepers' ``reach``
@@ -539,7 +540,7 @@ def simulate(
     # (``codec.word_step``).
     # ``heard_of`` maps each beeper set seen in this run (BEEP actions, echo
     # relays and ``fresh`` relays) to the pair of it and its heard set, so
-    # each is ORed once and every round with it stores the same two ints.
+    # each is ORed once and every round with it appends that same pair.
     global _round
     live: dict[int, NodeProgram] = {i: programs[u] for i, u in enumerate(nodes)}
     step: list[int] = list(live)
@@ -594,7 +595,7 @@ def simulate(
                     err.node, err.round = nodes[i], round_no
                     raise
             if echoing:
-                relays = echo_at[round_no % 3] & heard & ~(trace_beeps[-2] if round_no > 1 else 0)
+                relays = echo_at[round_no % 3] & heard & ~(rounds[-2][0] if round_no > 1 else 0)
                 sent |= relays | fresh
             if not live:
                 break
@@ -608,8 +609,7 @@ def simulate(
                     reached |= reach[i]
                 pair = heard_of[sent] = (sent, reached & ~sent)
             beeps, heard = pair
-            trace_beeps.append(beeps)
-            trace_heard.append(heard)
+            rounds.append(pair)
             woken = waiting & heard
             fresh = armed & heard
             if fresh:
@@ -632,7 +632,7 @@ def simulate(
             if reading:
                 state = words[round_no % 3]
                 if state[0] or state[1] or state[2] or state[3]:
-                    stop = codec.word_step(state, heard | trace_heard[-2] | trace_heard[-3])
+                    stop = codec.word_step(state, heard | rounds[-2][1] | rounds[-3][1])
                     if stop:
                         reading ^= stop
                         woken |= stop
@@ -675,15 +675,12 @@ def _deadline(action: Any, round_no: int) -> int:
 
 
 def verify_reception(trace: Trace, graph: Graph) -> None:
-    """Check that ``trace`` is over ``graph``'s nodes, holds a heard set for
-    every beeper set, and that each round's heard set is the OR-reception of
-    its beepers, re-derived from adjacency; raises on any mismatch."""
+    """Check that ``trace`` is over ``graph``'s nodes and that each round's
+    heard set is the OR-reception of its beepers, re-derived from adjacency;
+    raises on any mismatch."""
     nodes = graph.nodes
     if trace.nodes != nodes:
         raise SimulationError("trace indexes other nodes than the graph")
-    if len(trace.beeps) != len(trace.heard):
-        raise SimulationError(
-            f"trace has {len(trace.beeps)} beeper sets but {len(trace.heard)} heard sets")
     bit = {u: 1 << i for i, u in enumerate(nodes)}
     adj = graph.adjacency()
     reach = []
@@ -692,7 +689,7 @@ def verify_reception(trace: Trace, graph: Graph) -> None:
         for v in adj[u]:
             mask |= bit[v]
         reach.append(mask)
-    for round_no, beeps, heard in zip(count(1), trace.beeps, trace.heard):
+    for round_no, (beeps, heard) in enumerate(trace.rounds, 1):
         if (beeps | heard) >> len(nodes):
             raise SimulationError(
                 f"round {round_no}: record has node bits past the graph's {len(nodes)} nodes")
@@ -752,6 +749,6 @@ def read_graph(fh: TextIO) -> Graph:
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
     nodes = trace.nodes
-    for round_no, beeps, heard in zip(count(1), trace.beeps, trace.heard):
+    for round_no, (beeps, heard) in enumerate(trace.rounds, 1):
         fh.write(json.dumps({"round": round_no, "beepers": _labels(beeps, nodes),
                              "heard": _labels(heard, nodes)}) + "\n")

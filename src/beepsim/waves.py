@@ -211,33 +211,23 @@ def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
     start = now()
     if is_leader:
         yield BEEP  # round 1
-        r = 1
-        last_recv = 0
-        while True:
-            r += 1
-            fb = yield LISTEN
-            if fb is True:
-                last_recv = r
-            if r > 2 and last_recv <= r - 3:
-                break
-        dtilde = r
+        quiet = 1  # round 1, its own beep, heard nothing
+        while quiet < 3:
+            quiet = 0 if (yield LISTEN) is True else quiet + 1
+        dtilde = now() - start
         yield from source_wave_phase(codec.int_to_bits(dtilde))
     else:
         yield WAIT  # asleep until the leader's pulse arrives, in phase round j
         r = j = now() - start
         ack = j + 1 + ((-j - (j + 1)) % 3)  # next round > j in class (-j) mod 3
         trigger = (2 - j) % 3
-        last_heard = j
         heard_prev = True
-        while True:
+        quiet = 0
+        while quiet < 3:
             r += 1
             will_beep = r == j + 1 or r == ack or (heard_prev and (r - 1) % 3 == trigger)
-            fb = yield (BEEP if will_beep else LISTEN)
-            heard_prev = fb is True
-            if heard_prev:
-                last_heard = r
-            if r >= j + 3 and last_heard <= r - 3:
-                break
+            heard_prev = (yield (BEEP if will_beep else LISTEN)) is True
+            quiet = 0 if heard_prev else quiet + 1
         # Quiesce before arming the wave decoder: relays of this node's own
         # acknowledgment (and late echoes passing its neighbors) may still
         # arrive; once the node stops beeping, live echo streams are heard

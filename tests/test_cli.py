@@ -145,8 +145,8 @@ def test_run_timeout_writes_the_partial_trace(tmp_path, capsys):
     for number, line in enumerate(trace_file.read_text().splitlines(), 1):
         rec = json.loads(line)
         assert rec["round"] == number
-        trace.beeps.append(sum(1 << g.nodes.index(u) for u in rec["beepers"]))
-        trace.heard.append(sum(1 << g.nodes.index(u) for u in rec["heard"]))
+        trace.rounds.append((sum(1 << g.nodes.index(u) for u in rec["beepers"]),
+                             sum(1 << g.nodes.index(u) for u in rec["heard"])))
     assert len(trace) == 50
     verify_reception(trace, g)
 
@@ -291,7 +291,8 @@ def test_a_runner_whose_check_fails_turns_its_verify_row_to_fail(capsys, monkeyp
 def test_a_trace_that_fails_verify_reception_turns_its_verify_row_to_fail(capsys, monkeypatch):
     def garbled(*args, **kw):
         run = dfs(*args, **kw)
-        run.trace.heard[0] ^= 1  # node 0's heard flag in round 1 is flipped
+        beeps, heard = run.trace.rounds[0]
+        run.trace.rounds[0] = (beeps, heard ^ 1)  # node 0's heard flag in round 1 is flipped
         return run
 
     monkeypatch.setattr(selfcheck, "dfs", garbled)

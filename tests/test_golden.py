@@ -1,4 +1,5 @@
-"""Golden digests: every runner's trace, round count and outputs are pinned.
+"""Golden digests: every runner's trace, round count and outputs are pinned,
+and each trace's reception is re-derived from adjacency by ``verify_reception``.
 
 A change that is meant to keep behaviour must keep every entry of GOLDEN.
 Each entry is (total_rounds, sha256 of the ``write_trace`` bytes, sha256
@@ -15,7 +16,7 @@ import dataclasses
 import hashlib
 import io
 
-from beepsim.engine import write_trace
+from beepsim.engine import verify_reception, write_trace
 from beepsim.graphs import generate, parse_graph_spec
 from beepsim.multicast import multi_broadcast
 from beepsim.traversal import dfs, gossip
@@ -125,19 +126,20 @@ def _cases():
     for spec in GRAPHS:
         graph = generate(parse_graph_spec(spec))
         for name, thunk in _runs(graph):
-            yield f"{spec} {name}", thunk
+            yield f"{spec} {name}", graph, thunk
 
 
 def test_every_runner_matches_its_golden_digest():
     got = {}
-    for key, thunk in _cases():
+    for key, graph, thunk in _cases():
         run = thunk()
         assert run.report.all_passed, key
+        verify_reception(run.trace, graph)
         got[key] = fingerprint(run)
     assert got == GOLDEN
 
 
 if __name__ == "__main__":
-    for key, thunk in _cases():
+    for key, _, thunk in _cases():
         rounds, *digests = fingerprint(thunk())
         print(f'    "{key}": ({rounds}, ' + ", ".join(f'"{d}"' for d in digests) + "),")

@@ -258,9 +258,9 @@ def test_dfs_resumes_only_the_nodes_that_act_or_hear(monkeypatch):
     assert resumptions <= 0.4 * g.n * run.report.total_rounds
 
 
-def test_dfs_trace_costs_16_to_32_bytes_per_round():
-    # A round is two list slots holding shared node bitsets, at least 16
-    # bytes; records of frozensets cost about 840 bytes each on this run.
+def test_dfs_trace_costs_8_to_16_bytes_per_round():
+    # A round is one list slot holding a shared (beepers, hearers) pair, at
+    # least 8 bytes; records of frozensets cost about 840 bytes each on this run.
     g = generate(GraphSpec("erConnected", 60, seed=7))
     tracemalloc.start()
     try:
@@ -274,13 +274,13 @@ def test_dfs_trace_costs_16_to_32_bytes_per_round():
     finally:
         tracemalloc.stop()
     assert records == run.report.total_rounds == 11091
-    assert 16 * records <= trace_bytes <= 32 * records
+    assert 8 * records <= trace_bytes <= 16 * records
 
 
 def test_dfs_rounds_with_one_beeper_set_share_its_two_mask_ints():
     run = dfs(generate(GraphSpec("erConnected", 60, seed=7)))
-    for masks in (run.trace.beeps, run.trace.heard):
-        assert len({id(m) for m in masks}) == len(set(masks))
+    pairs = run.trace.rounds
+    assert len({id(p) for p in pairs}) == len(set(pairs)) < len(pairs)
 
 
 def test_dfs_trace_records_read_as_the_label_frozensets():
@@ -301,7 +301,7 @@ def test_dfs_trace_records_read_as_the_label_frozensets():
     assert type(err.value.trace) is Trace
     assert all(type(rec) is RoundRecord for rec in err.value.trace)
     partial = err.value.trace
-    assert (partial.beeps, partial.heard) == (run.trace.beeps[:5000], run.trace.heard[:5000])
+    assert partial.rounds == run.trace.rounds[:5000]
 
 
 # ---------------------------------------------------------------------------
