@@ -20,7 +20,10 @@ print(f"stream {stream} -> {decode_stream(stream)}")
 # hop outward per round.
 g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
 wave = broadcast(g, source=0, message="1")
-print("\nsource beep rounds for m='1':", [rec.round for rec in wave.trace if 0 in rec.beepers])
+# Each trace round is a (beepers, hearers) pair of bitsets: bit i is the
+# node wave.trace.nodes[i], so node 0 is bit 0 here.
+print("\nsource beep rounds for m='1':",
+      [r for r, (beeps, _) in enumerate(wave.trace.rounds, 1) if beeps & 1])
 
 # -- a full broadcast ----------------------------------------------------------
 run = broadcast(g, source=0, message="1011")
@@ -30,5 +33,8 @@ for u in sorted(g.nodes)[1:]:
     print(f"  node {u} decoded {out.message!r} in round {out.completed_round}")
 
 print("\nfirst ten trace rows (round, beepers, heard):")
-for rec in run.trace[:10]:
-    print(f"  r{rec.round:>3}  beep={sorted(rec.beepers)}  heard={sorted(rec.heard)}")
+nodes = run.trace.nodes
+for r, (beeps, heard) in enumerate(run.trace.rounds[:10], 1):
+    beep = [u for i, u in enumerate(nodes) if beeps >> i & 1]
+    hear = [u for i, u in enumerate(nodes) if heard >> i & 1]
+    print(f"  r{r:>3}  beep={beep}  heard={hear}")

@@ -40,8 +40,8 @@ of int bitsets.  Node i is ``graph.nodes[i]``, the i-th smallest label: bit
 i set means node i is in the set.  A round's reception is the OR of its
 beepers' neighbour masks less the beepers, worked out once per distinct
 beeper set in a run, and every round with those beepers holds that one
-pair.  ``verify_reception`` and ``write_trace`` read the pairs directly;
-indexing and iteration hand out ``RoundRecord`` views.
+pair.  ``verify_reception`` and ``write_trace`` read the pairs, each
+distinct pair once.
 """
 
 from __future__ import annotations
@@ -370,35 +370,17 @@ class ProtocolRecorder:
 
 
 class RoundRecord:
-    """One round of a trace: the nodes that beeped and the listeners that
-    heard a beep.
+    """One round of a trace as label sets, built on access from its bitset
+    pair: ``beepers`` the nodes that beeped, ``heard`` the listeners that
+    heard a beep.  ``Trace`` iteration hands these out; their one reader is
+    perfbench's ``exact_facts``, which counts beeps and hearers."""
 
-    A record is a view a ``Trace`` hands out on indexing, slicing and
-    iteration: bit i of ``beep_mask`` and ``heard_mask`` stands for the i-th
-    smallest label of the run's nodes.  ``beepers`` and ``heard`` build the
-    frozensets of labels on access; equality and hashing go by (round,
-    beepers, heard).
-    """
+    __slots__ = ("_beeps", "_heard", "_nodes")
 
-    __slots__ = ("_round", "_beeps", "_heard", "_nodes")
-
-    def __init__(self, round: int, beep_mask: int, heard_mask: int, nodes: tuple[int, ...]):
-        self._round = round
+    def __init__(self, beep_mask: int, heard_mask: int, nodes: tuple[int, ...]):
         self._beeps = beep_mask
         self._heard = heard_mask
         self._nodes = nodes
-
-    @property
-    def round(self) -> int:
-        return self._round
-
-    @property
-    def beep_mask(self) -> int:
-        return self._beeps
-
-    @property
-    def heard_mask(self) -> int:
-        return self._heard
 
     @property
     def beepers(self) -> frozenset[int]:
@@ -407,17 +389,6 @@ class RoundRecord:
     @property
     def heard(self) -> frozenset[int]:
         return frozenset(_labels(self._heard, self._nodes))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoundRecord):
-            return NotImplemented
-        return (self._round, self.beepers, self.heard) == (other._round, other.beepers, other.heard)
-
-    def __hash__(self) -> int:
-        return hash((self._round, self.beepers, self.heard))
-
-    def __repr__(self) -> str:
-        return f"RoundRecord(round={self._round!r}, beepers={self.beepers!r}, heard={self.heard!r})"
 
 
 def _indices(mask: int) -> list[int]:
@@ -440,8 +411,7 @@ def _labels(mask: int, nodes: tuple[int, ...]) -> list[int]:
 class Trace:
     """A run's rounds over the node tuple ``nodes``: ``rounds[k]`` is the
     (beepers, hearers) bitset pair of round k + 1, shared by every round
-    with those beepers.  Indexing and iteration give ``RoundRecord``s, a
-    slice a list of them; two traces are equal when their nodes and rounds
+    with those beepers.  Two traces are equal when their nodes and rounds
     are."""
 
     __slots__ = ("nodes", "rounds")
@@ -453,15 +423,9 @@ class Trace:
     def __len__(self) -> int:
         return len(self.rounds)
 
-    def __getitem__(self, k: int | slice) -> RoundRecord | list[RoundRecord]:
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return RoundRecord(range(1, len(self) + 1)[k], *self.rounds[k], self.nodes)
-
     def __iter__(self) -> Iterator[RoundRecord]:
         nodes = self.nodes
-        return (RoundRecord(r, beeps, heard, nodes)
-                for r, (beeps, heard) in enumerate(self.rounds, 1))
+        return (RoundRecord(beeps, heard, nodes) for beeps, heard in self.rounds)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -677,7 +641,10 @@ def _deadline(action: Any, round_no: int) -> int:
 def verify_reception(trace: Trace, graph: Graph) -> None:
     """Check that ``trace`` is over ``graph``'s nodes and that each round's
     heard set is the OR-reception of its beepers, re-derived from adjacency;
-    raises on any mismatch."""
+    raises on any mismatch, naming the first bad round.
+
+    A round is bad exactly when its pair is, so each distinct pair is
+    checked once, at its first round, in the order the pairs first occur."""
     nodes = graph.nodes
     if trace.nodes != nodes:
         raise SimulationError("trace indexes other nodes than the graph")
@@ -689,7 +656,10 @@ def verify_reception(trace: Trace, graph: Graph) -> None:
         for v in adj[u]:
             mask |= bit[v]
         reach.append(mask)
-    for round_no, (beeps, heard) in enumerate(trace.rounds, 1):
+    first: dict[tuple[int, int], int] = {}
+    for round_no, pair in enumerate(trace.rounds, 1):
+        first.setdefault(pair, round_no)
+    for (beeps, heard), round_no in first.items():
         if (beeps | heard) >> len(nodes):
             raise SimulationError(
                 f"round {round_no}: record has node bits past the graph's {len(nodes)} nodes")
@@ -748,7 +718,15 @@ def read_graph(fh: TextIO) -> Graph:
 
 
 def write_trace(trace: Trace, fh: TextIO) -> None:
+    """One JSON object per round: its number, beepers and heard labels."""
     nodes = trace.nodes
-    for round_no, (beeps, heard) in enumerate(trace.rounds, 1):
-        fh.write(json.dumps({"round": round_no, "beepers": _labels(beeps, nodes),
-                             "heard": _labels(heard, nodes)}) + "\n")
+    # Each distinct pair's labels are rendered once: the object's text after
+    # its opening brace, written after the round number.
+    rest: dict[tuple[int, int], str] = {}
+    for round_no, pair in enumerate(trace.rounds, 1):
+        text = rest.get(pair)
+        if text is None:
+            beeps, heard = pair
+            text = rest[pair] = json.dumps({"beepers": _labels(beeps, nodes),
+                                            "heard": _labels(heard, nodes)})[1:]
+        fh.write(f'{{"round": {round_no}, {text}\n')

@@ -32,8 +32,9 @@ decoder window.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Generator, Mapping
 
 from . import codec
 from .engine import (
@@ -404,13 +405,28 @@ def gossip_round_count(graph: Graph, numbering: dict[int, int], msgs: dict[int, 
     run ends |m_n| + ecc(s_n) rounds after wave n starts (n = 1: one sooner)."""
     order = sorted(numbering, key=numbering.__getitem__)
     w = order[0].bit_length()
-    dist = [distances(graph, s) for s in order]
+    ecc_first, ecc_last = (max(distances(graph, s).values()) for s in (order[0], order[-1]))
     rounds = (election_len(ceil_log2(lhat), dhat) + dfs_round_count(graph, numbering, w)
-              + (dhat + 1 - max(dist[0].values())) * flood_threshold(w) + 5
+              + (dhat + 1 - ecc_first) * flood_threshold(w) + 5
               + codeword_rounds(codec.int_to_bits(len(order))))
-    rounds += sum(codeword_rounds(msgs[s]) for s in order) + max(dist[-1].values())
-    rounds += sum(dist[i][s] + 1 for i, s in enumerate(order[1:]))
+    rounds += sum(codeword_rounds(msgs[s]) for s in order) + ecc_last
+    adj = graph.adjacency()
+    rounds += sum(_hops(adj, s, t) + 1 for s, t in zip(order, order[1:]))
     return rounds - (len(order) == 1)
+
+
+def _hops(adj: Mapping[int, tuple[int, ...]], source: int, target: int) -> int:
+    """d(source, target) by a BFS from ``source`` that stops once it reaches
+    ``target``; consecutive DFS numbers are near, so each search is small."""
+    dist = {source: 0}
+    queue = deque([source])
+    while target not in dist:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist[target]
 
 
 def _gossip_root(

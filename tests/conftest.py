@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from beepsim.engine import BEEP, LISTEN, simulate
+from beepsim.engine import BEEP, LISTEN, _labels, simulate
 from beepsim.graphs import FAMILIES, GraphSpec, generate
 
 
@@ -16,6 +16,20 @@ def beeper_at(*rounds: int):
         for r in range(1, max(rounds) + 1):
             yield BEEP if r in rounds else LISTEN
     return gen()
+
+
+def labelled_rounds(trace):
+    """Each round of ``trace`` as (round, beepers, heard): its number and its
+    two node sets as ascending label lists."""
+    nodes = trace.nodes
+    return [(r, _labels(beeps, nodes), _labels(heard, nodes))
+            for r, (beeps, heard) in enumerate(trace.rounds, 1)]
+
+
+def beep_rounds(trace, u):
+    """The rounds of ``trace`` in which node ``u`` beeped."""
+    bit = 1 << trace.nodes.index(u)
+    return [r for r, (beeps, _) in enumerate(trace.rounds, 1) if beeps & bit]
 
 
 def capture_round_caps(monkeypatch, module) -> list[int]:

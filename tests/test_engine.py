@@ -15,7 +15,6 @@ from beepsim.engine import (
     Echo,
     Graph,
     ProtocolError,
-    RoundRecord,
     SimulationError,
     SimulationTimeout,
     Trace,
@@ -33,9 +32,11 @@ from beepsim.graphs import FAMILIES, GraphSpec, generate
 
 from conftest import (
     barbell,
+    beep_rounds,
     beeper_at,
     caterpillar,
     hop_distance_oracle,
+    labelled_rounds,
     lollipop,
     random_connected_graph,
 )
@@ -63,8 +64,7 @@ def test_two_node_beep_is_heard():
     g = Graph.from_edges([(0, 1)])
     trace, report = simulate(g, {0: one_shot(BEEP), 1: listener(1)}, 10)
     assert report.total_rounds == 1
-    assert trace[0].beepers == frozenset({0})
-    assert trace[0].heard == frozenset({1})
+    assert labelled_rounds(trace) == [(1, [0], [1])]
     assert report.outputs[1] == [True]
 
 
@@ -77,7 +77,7 @@ def test_single_node_never_hears():
             assert fb is None  # beeping nodes receive nothing
     trace, report = simulate(g, {0: forever_beeper()}, 10)
     assert report.total_rounds == 5
-    assert all(rec.heard == frozenset() for rec in trace)
+    assert all(heard == 0 for _, heard in trace.rounds)
 
 
 def test_path_reception_is_one_hop():
@@ -92,8 +92,7 @@ def test_path_reception_is_one_hop():
 def test_beeper_has_no_heard_flag():
     g = Graph.from_edges([(0, 1)])
     trace, _ = simulate(g, {0: one_shot(BEEP), 1: one_shot(BEEP)}, 10)
-    assert trace[0].beepers == frozenset({0, 1})
-    assert trace[0].heard == frozenset()
+    assert labelled_rounds(trace) == [(1, [0, 1], [])]
 
 
 def test_determinism_bit_identical():
@@ -380,7 +379,7 @@ def test_waiting_node_is_a_listener_and_wakes_on_the_beep():
     g = Graph.from_edges([(0, 1)])
     trace, report = simulate(g, {0: beeper_at(4), 1: sleeper(lambda: WAIT)}, 10)
     assert report.outputs[1] == (4, True)
-    assert [rec.heard for rec in trace] == [frozenset()] * 3 + [frozenset({1})]
+    assert [heard for _, _, heard in labelled_rounds(trace)] == [[]] * 3 + [[1]]
     verify_reception(trace, g)
 
 
@@ -485,8 +484,7 @@ def test_a_node_woken_early_ignores_its_old_deadline_when_it_waits_again():
     trace, report = simulate(g, {0: beeper_at(3), 1: rewaits()}, 100)
     assert report.outputs[1] == ((3, True), (20, False))
     assert report.total_rounds == 20
-    assert [rec.round for rec in trace] == list(range(1, 21))
-    assert [rec.beepers for rec in trace] == [frozenset()] * 2 + [frozenset({0})] + [frozenset()] * 17
+    assert [beeps for beeps, _ in trace.rounds] == [0, 0, 0b1] + [0] * 17
     verify_reception(trace, g)
 
 
@@ -525,7 +523,8 @@ def echoer(until, gate=None, log=None):
 
 def heard_bits(trace, u, first, last):
     """Bit j set: node u heard a beep in round first + j, up to round last."""
-    return sum(1 << j for j in range(last - first + 1) if u in trace[first - 1 + j].heard)
+    bit = 1 << trace.nodes.index(u)
+    return sum(1 << j for j, (_, heard) in enumerate(trace.rounds[first - 1:last]) if heard & bit)
 
 
 # A path 0-1-2-3-4-5 whose end 0 beeps; a star whose hub 0 relays for leaf 1.
@@ -546,9 +545,9 @@ def test_echo_traces_equal_a_per_round_relay_of_the_rule(case, gate):
         programs[source] = beeper_at(*rounds)
         trace, report = simulate(g, programs, 100)
         verify_reception(trace, g)
-        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+        runs.append((trace.rounds, report.outputs))
     assert runs[0] == runs[1]
-    relayed = [(rec.round, u) for rec in trace for u in rec.beepers if u != source]
+    relayed = [(r, u) for r, beepers, _ in labelled_rounds(trace) for u in beepers if u != source]
     assert relayed  # the rule fired
     if gate is not None:
         assert {(r - 1) % 3 for r, _ in relayed} == {gate % 3}
@@ -561,10 +560,10 @@ def test_an_echoing_node_is_resumed_once_after_until_with_its_window_bits():
     programs[source] = beeper_at(*rounds)
     trace, report = simulate(g, programs, 100)
     resumed, = log  # the only resumption of node 2
-    last = trace[10]  # round 11
+    _, beepers, heard = labelled_rounds(trace)[10]  # round 11
     assert resumed == 11
-    assert report.outputs[2] == (11, None if 2 in last.beepers else 2 in last.heard)
-    assert heard_bits(trace, 2, 1, 11) and any(2 in rec.beepers for rec in trace[:11])
+    assert report.outputs[2] == (11, None if 2 in beepers else 2 in heard)
+    assert heard_bits(trace, 2, 1, 11) and any(r <= 11 for r in beep_rounds(trace, 2))
 
 
 def test_echo_deadline_not_after_the_round_names_the_node_and_round():
@@ -625,7 +624,7 @@ def test_an_armed_echo_relays_its_arming_beep_after_its_own_beep():
         ARMED_PATH, {0: beeper_at(3, 9), 1: armed_window(4, 7, LISTEN, BEEP),
                      2: listener(9), 3: listener(9)}, 100)
     verify_reception(trace, ARMED_PATH)
-    assert [r.round for r in trace if 1 in r.beepers] == [2, 4]
+    assert beep_rounds(trace, 1) == [2, 4]
     assert report.outputs[1] == (7, 7, "10")
     assert heard_bits(trace, 1, 3, 7) == 0b1
 
@@ -637,7 +636,7 @@ def test_an_armed_echo_relays_its_arming_beep_after_its_own_beep():
 
     plain = {0: beeper_at(3, 9), 1: beeps_then_echoes(), 2: listener(9), 3: listener(9)}
     trace, _ = simulate(ARMED_PATH, plain, 100)
-    assert [r.round for r in trace if 1 in r.beepers] == [2]
+    assert beep_rounds(trace, 1) == [2]
 
 
 def test_an_armed_echo_is_resumed_once_and_heard_bit_0_is_the_arming_round():
@@ -645,7 +644,7 @@ def test_an_armed_echo_is_resumed_once_and_heard_bit_0_is_the_arming_round():
     trace, report = simulate(g, {0: beeper_at(5, 8, 14), 1: armed_window(6, 13),
                                  2: listener(14)}, 100)
     verify_reception(trace, g)
-    assert [r.round for r in trace if 1 in r.beepers] == [6, 9]
+    assert beep_rounds(trace, 1) == [6, 9]
     # Armed in round 5, so the window is rounds 5 - 11, its slots are rounds
     # 5 - 7, 8 - 10 and 11, and bit j is round 5 + j; resumed after round 13.
     assert report.outputs[1] == (13, 11, "110")
@@ -660,7 +659,7 @@ def test_a_plain_wait_beside_an_armed_echo_is_unaffected():
         logs = {2: [], 3: []}
         programs = {0: beeper_at(3, 9), 1: relay, 2: wakes(2, logs[2]), 3: wakes(2, logs[3])}
         trace, _ = simulate(ARMED_PATH, programs, 100)
-        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], logs))
+        runs.append((trace.rounds, logs))
     assert runs[0] == runs[1]
     assert runs[0][1] == {2: [(2, True), (4, True)], 3: [(3, True), (9, True)]}
 
@@ -744,7 +743,7 @@ def test_a_node_armed_in_its_phase_end_round_does_not_relay_after_it():
     trace, report = simulate(g, {0: beeper_at(4), 1: armed_then_listens(), 2: echoer(9)}, 20)
     verify_reception(trace, g)
     assert report.outputs[1] == (4, 4)
-    assert all(not rec.beepers for rec in trace[4:])
+    assert not any(beeps for beeps, _ in trace.rounds[4:])
 
 
 def test_a_window_never_armed_resumes_after_its_phase_end():
@@ -753,7 +752,7 @@ def test_a_window_never_armed_resumes_after_its_phase_end():
         trace, report = simulate(g, {0: listener(8), 1: armed_window(length, 6, read=False),
                                      2: listener(8)}, 20)
         assert report.outputs[1] == (6, None, None)
-        assert not any(rec.beepers for rec in trace)
+        assert not any(beeps for beeps, _ in trace.rounds)
         with pytest.raises(ProtocolError) as err:
             simulate(g, {0: listener(8), 1: armed_window(length, 6), 2: listener(8)}, 20)
         assert (err.value.node, err.value.round) == (1, 6)
@@ -791,10 +790,10 @@ def test_a_window_with_a_phase_end_relays_by_the_rule_through_it(case):
             programs[source] = beeper_at(*rounds)
             trace, report = simulate(g, programs, 100)
             verify_reception(trace, g)
-            runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+            runs.append((trace.rounds, report.outputs))
         assert runs[0] == runs[1]
         for u, until in untils.items():
-            heard = [rec.round for rec in trace[:until] if u in rec.heard]
+            heard = [r for r, _, hearers in labelled_rounds(trace)[:until] if u in hearers]
             assert ends[u] == (None if not heard else heard[0] + length if length else until)
 
 
@@ -864,14 +863,13 @@ def test_one_beeper_set_from_beeps_echo_relays_and_armed_relays_is_heard_alike()
     for graph, d in ((g, 0), (moved, 0), (g, 2)):
         trace, _ = simulate(graph, set_programs(d), 100)
         verify_reception(trace, graph)
-        sent = {r.round: set(r.beepers) for r in trace if r.beepers}
+        sent = {r: set(beepers) for r, beepers, _ in labelled_rounds(trace) if beepers}
         assert sent == {d + 1: {1, 3}, d + 3: {2}, d + 4: {1, 3}, d + 7: {2},
                         d + 8: {1, 3}, d + 11: {4}, d + 12: {1, 3}}
         runs.append(trace)
-    assert (runs[0][0].heard, runs[1][0].heard) == ({0, 2, 4}, {2, 4})
+    assert [labelled_rounds(trace)[0][2] for trace in runs[:2]] == [[0, 2, 4], [2, 4]]
     fresh, _ = simulate(Graph.from_edges(PATH5), set_programs(2), 100)
-    assert [(r.round, r.beep_mask, r.heard_mask) for r in runs[2]] == [
-        (r.round, r.beep_mask, r.heard_mask) for r in fresh]
+    assert runs[2].rounds == fresh.rounds
 
 
 # --- verify_reception on hand-built traces --------------------------------------
@@ -897,26 +895,10 @@ LABELLED_PATH = Graph.from_edges([(3, 7), (7, 10), (10, 12)])
 def test_verify_reception_accepts_a_correct_hand_built_trace():
     trace = hand_trace(LABELLED_PATH, ({7}, {3, 10}), (set(), set()), ({3, 12}, {7, 10}))
     verify_reception(trace, LABELLED_PATH)
-    assert [sorted(rec.heard) for rec in trace] == [[3, 10], [], [7, 10]]
+    assert [heard for _, _, heard in labelled_rounds(trace)] == [[3, 10], [], [7, 10]]
     buf = io.StringIO()
     write_trace(trace, buf)
     assert buf.getvalue().splitlines()[2] == '{"round": 3, "beepers": [3, 12], "heard": [7, 10]}'
-
-
-def test_round_records_compare_by_round_and_label_sets():
-    def record(g, round_no, beepers, heard):
-        return RoundRecord(round_no, label_mask(g, beepers), label_mask(g, heard), g.nodes)
-
-    rec, other_round, other_beeper = (
-        record(LABELLED_PATH, 1, {7}, {3, 10}), record(LABELLED_PATH, 2, {7}, {3, 10}),
-        record(LABELLED_PATH, 1, {3}, {7}))
-    assert rec != other_round and rec != other_beeper
-    # Equal labels are equal records, also over another graph's node order.
-    shifted = Graph.from_edges([(1, 3), (3, 7), (7, 10), (10, 12)])
-    for g in (LABELLED_PATH, Graph.from_edges([(3, 7), (7, 10), (10, 12)]), shifted):
-        same = record(g, 1, {7}, {3, 10})
-        assert same == rec and hash(same) == hash(rec)
-    assert repr(other_beeper) == "RoundRecord(round=1, beepers=frozenset({3}), heard=frozenset({7}))"
 
 
 @pytest.mark.parametrize(
@@ -930,6 +912,15 @@ def test_round_records_compare_by_round_and_label_sets():
 def test_verify_reception_names_the_round_of_a_bad_record(rounds, bad_round):
     with pytest.raises(SimulationError, match=rf"^round {bad_round}: "):
         verify_reception(hand_trace(LABELLED_PATH, *rounds), LABELLED_PATH)
+
+
+def test_verify_reception_names_the_first_round_of_a_bad_pair():
+    # The bad pair of round 2 comes back in round 4, after another bad pair.
+    good, bad, worse = ({7}, {3, 10}), ({7}, {3}), ({3}, {7, 10})
+    trace = hand_trace(LABELLED_PATH, good, bad, worse, bad)
+    with pytest.raises(SimulationError) as err:
+        verify_reception(trace, LABELLED_PATH)
+    assert str(err.value) == "round 2: heard set [3] != OR-reception [3, 10]"
 
 
 @pytest.mark.parametrize("beeps, heard", [(1 << 4, 0), (1 << 1, 1 << 0 | 1 << 2 | 1 << 6)])
@@ -950,7 +941,7 @@ def test_verify_reception_rejects_a_trace_of_another_graph():
     assert str(err.value) == "trace indexes other nodes than the graph"
 
 
-# --- Trace: a list of mask pairs read as RoundRecords ------------------------
+# --- Trace: a node tuple and a list of mask pairs ------------------------------
 
 
 def labelled_path_programs():
@@ -961,21 +952,12 @@ def labelled_path_programs():
 LABELLED_ROUNDS = [({7}, {3, 10}), (set(), set()), ({3, 12}, {7, 10})]
 
 
-def test_a_trace_reads_its_rounds_as_round_records():
+def test_a_trace_is_its_nodes_and_its_round_pairs():
     trace, _ = simulate(LABELLED_PATH, labelled_path_programs(), 10)
-    records = list(hand_trace(LABELLED_PATH, *LABELLED_ROUNDS))
     assert type(trace) is Trace and len(trace) == 3
     assert trace.rounds == [(0b0010, 0b0101), (0, 0), (0b1001, 0b0110)]
-    assert trace[0] == records[0] and trace[-1] == records[2] and trace[-3] == records[0]
-    assert [trace[k].round for k in (0, 1, 2, -1, -2, -3)] == [1, 2, 3, 3, 2, 1]
-    for k in (3, -4):
-        with pytest.raises(IndexError):
-            trace[k]
-    assert trace[1:] == records[1:] and trace[::-2] == records[::-2] and trace[5:] == []
-    assert type(trace[:2]) is list and all(type(rec) is RoundRecord for rec in trace)
-    assert list(trace) == records
     assert trace == hand_trace(LABELLED_PATH, *LABELLED_ROUNDS)
-    assert trace.__eq__(records) is NotImplemented and trace != records
+    assert trace.__eq__(trace.rounds) is NotImplemented and trace != trace.rounds
     assert trace != hand_trace(LABELLED_PATH, *LABELLED_ROUNDS[:2])
     assert trace != hand_trace(LABELLED_PATH, *LABELLED_ROUNDS[:2], (set(), set()))
 

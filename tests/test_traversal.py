@@ -16,10 +16,10 @@ from beepsim.engine import (
     Graph,
     ProtocolError,
     ProtocolRecorder,
-    RoundRecord,
     SimulationTimeout,
     Trace,
     diameter,
+    distances,
     simulate,
     verify_reception,
 )
@@ -33,11 +33,13 @@ from beepsim.traversal import (
     gossip_round_count,
     parse_control_payload,
 )
+from beepsim.waves import ceil_log2, codeword_rounds, election_len
 
 from conftest import (
     barbell,
     capture_round_caps,
     caterpillar,
+    labelled_rounds,
     lollipop,
     random_bits,
     random_connected_graph,
@@ -87,14 +89,14 @@ def assert_token_isolation(graph, trace, recorder):
     bystanders never assemble a well-formed control word."""
     holders_at = token_holders(recorder)
     adj = graph.adjacency()
-    for rec in trace:
-        holders = holders_at(rec.round)
+    for r, beepers, _ in labelled_rounds(trace):
+        holders = holders_at(r)
         if not holders:
             continue  # done-flood region
         allowed = set(holders)
         for h in holders:
             allowed.update(adj[h])
-        assert rec.beepers <= allowed, (rec.round, rec.beepers, holders)
+        assert allowed.issuperset(beepers), (r, beepers, holders)
     assert_no_false_adjacency(graph, recorder)
 
 
@@ -284,13 +286,14 @@ def test_dfs_rounds_with_one_beeper_set_share_its_two_mask_ints():
 
 
 def test_dfs_trace_records_read_as_the_label_frozensets():
-    # The digest of (round, beepers, heard) through the record API, taken
-    # from the frozenset records this run gave before records held bitsets.
+    # The digest of (round, beepers, heard) through the records that trace
+    # iteration hands out, taken from the frozenset records this run gave
+    # before records held bitsets.
     g = generate(GraphSpec("erConnected", 60, seed=7))
     run = dfs(g)
-    assert all(type(rec.beepers) is frozenset and type(rec.heard) is frozenset
-               for rec in run.trace[:50])
-    api = repr([(rec.round, sorted(rec.beepers), sorted(rec.heard)) for rec in run.trace])
+    records = list(itertools.islice(run.trace, 50))
+    assert all(type(rec.beepers) is frozenset and type(rec.heard) is frozenset for rec in records)
+    api = repr([(r, sorted(rec.beepers), sorted(rec.heard)) for r, rec in enumerate(run.trace, 1)])
     assert hashlib.sha256(api.encode()).hexdigest() == (
         "aeec45cf05ce534c4f857cef3ecda33d730bbc90b063a187e92752cc8045d700"
     )
@@ -299,7 +302,6 @@ def test_dfs_trace_records_read_as_the_label_frozensets():
     with pytest.raises(SimulationTimeout) as err:
         dfs(g, max_rounds=5000)
     assert type(err.value.trace) is Trace
-    assert all(type(rec) is RoundRecord for rec in err.value.trace)
     partial = err.value.trace
     assert partial.rounds == run.trace.rounds[:5000]
 
@@ -509,6 +511,43 @@ def test_gossip_round_count_is_exact_on_every_family(family):
 @pytest.mark.parametrize("pairs", [barbell(5, 3), lollipop(6, 9), caterpillar(5, 3)])
 def test_gossip_round_count_is_exact_on_adversarial_graphs(pairs):
     assert_exact_gossip_rounds(Graph.from_edges(pairs), random.Random(len(pairs)))
+
+
+def all_pairs_gossip_round_count(graph, numbering, msgs, dhat, lhat):
+    """``gossip_round_count`` from a full BFS map of every node: the reference
+    for the form that stops each d(s_i, s_{i+1}) search at s_{i+1}."""
+    order = sorted(numbering, key=numbering.__getitem__)
+    w = order[0].bit_length()
+    dist = [distances(graph, s) for s in order]
+    rounds = (election_len(ceil_log2(lhat), dhat) + dfs_round_count(graph, numbering, w)
+              + (dhat + 1 - max(dist[0].values())) * flood_threshold(w) + 5
+              + codeword_rounds(codec.int_to_bits(len(order))))
+    rounds += sum(codeword_rounds(msgs[s]) for s in order) + max(dist[-1].values())
+    rounds += sum(dist[i][s] + 1 for i, s in enumerate(order[1:]))
+    return rounds - (len(order) == 1)
+
+
+def assert_gossip_count_equals_all_pairs(graph, rng):
+    numbering = reference_dfs(graph, rng.choice(graph.nodes))
+    msgs = {u: random_bits(rng, rng.randint(1, 6)) for u in graph.nodes}
+    dhat, lhat = graph.n + rng.randrange(3), 4 * graph.max_id + 4
+    assert gossip_round_count(graph, numbering, msgs, dhat, lhat) == (
+        all_pairs_gossip_round_count(graph, numbering, msgs, dhat, lhat))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gossip_round_count_equals_its_all_pairs_form_on_every_family(family):
+    rng = random.Random(family)
+    for n in (1, 2, 3, 9, 40, 300):
+        if family == "cycle" and n < 3:
+            continue
+        assert_gossip_count_equals_all_pairs(generate(GraphSpec(family, n, seed=n)), rng)
+
+
+@pytest.mark.parametrize("pairs", [barbell(5, 3), lollipop(6, 9), caterpillar(5, 3),
+                                   barbell(40, 60), lollipop(30, 200), caterpillar(60, 4)])
+def test_gossip_round_count_equals_its_all_pairs_form_on_adversarial_graphs(pairs):
+    assert_gossip_count_equals_all_pairs(Graph.from_edges(pairs), random.Random(len(pairs)))
 
 
 def test_a_later_gossip_wave_fails_the_round_count(monkeypatch):

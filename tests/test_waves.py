@@ -43,9 +43,11 @@ from beepsim.waves import (
 
 from conftest import (
     barbell,
+    beep_rounds,
     beeper_at,
     capture_round_caps,
     caterpillar,
+    labelled_rounds,
     lollipop,
     random_bits,
     random_connected_graph,
@@ -147,7 +149,7 @@ def test_relay_decodes_on_path_and_heard_rounds():
     g = Graph.from_edges([(0, 1), (1, 2)])
     run = broadcast(g, 0, "1")
     # distance-2 node hears each slot beep one hop-delay later
-    heard_at_2 = sorted(rec.round for rec in run.trace if 2 in rec.heard)
+    heard_at_2 = [r for r, _, heard in labelled_rounds(run.trace) if 2 in heard]
     assert heard_at_2 == [4, 10, 13, 16]
     assert run.report.outputs[2].message == "1"
 
@@ -175,10 +177,10 @@ def test_layer_discipline_and_completion(rng):
         verify_reception(run.trace, g)
         dist = distances(g, source)
         cw = codec.encode(m)
-        for rec in run.trace:
-            for u in rec.beepers:
-                lag = rec.round - dist[u]
-                assert lag > 0 and lag % 3 == 0, (u, rec.round)
+        for r, beepers, _ in labelled_rounds(run.trace):
+            for u in beepers:
+                lag = r - dist[u]
+                assert lag > 0 and lag % 3 == 0, (u, r)
                 assert cw[lag // 3 - 1] == "1"
         for u in g.nodes:
             if u == source:
@@ -302,11 +304,11 @@ def test_collect_randomized_or_and_residue_rule(rng):
         start = run.report.extras["collection_start"]
         length = run.report.extras["collection_rounds"]
         dist = distances(g, leader)
-        for rec in run.trace:
-            local = rec.round - start
+        for r, beepers, _ in labelled_rounds(run.trace):
+            local = r - start
             if not 1 <= local <= length:
                 continue
-            for u in rec.beepers:
+            for u in beepers:
                 assert local % 3 == (dt - dist[u]) % 3
                 assert local % 3 != (dt - dist[u] - 1) % 3
 
@@ -321,7 +323,7 @@ def test_collect_phase_budget(rng):
         assert run.report.total_rounds == estimate_len(dt) + collect_phase_len(4, dt)
         start = run.report.extras["collection_start"]
         end = start + run.report.extras["collection_rounds"]
-        assert all(r.round <= end for r in run.trace if r.round > start and r.beep_mask)
+        assert not any(beeps for beeps, _ in run.trace.rounds[end:])
 
 
 # --- message length ----------------------------------------------------------
@@ -472,7 +474,7 @@ def test_known_width_relay_equals_the_per_round_relay(rng):
                                         codeword_rounds(payload) + 2)
                 continue
             trace, report = simulate(g, programs, 10_000)
-            runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+            runs.append((trace.rounds, report.outputs))
         assert all(run == runs[-1] for run in runs)
         assert all(out == (payload, ends[u]) for u, out in runs[-1][1].items() if u != source)
 
@@ -494,9 +496,9 @@ def test_a_relay_armed_right_after_its_own_beep_keeps_the_per_round_loop():
         programs = {0: slot_sender(codec.encode("10"), 0), 1: beeps_then_decodes(width),
                     2: wave_decoder(width, 2, end + 2)}
         trace, report = simulate(g, programs, 100)
-        runs.append(([(r.round, r.beep_mask, r.heard_mask) for r in trace], report.outputs))
+        runs.append((trace.rounds, report.outputs))
     assert runs[0] == runs[1] == runs[2]
-    assert 1 in trace[3].beepers
+    assert 4 in beep_rounds(trace, 1)
 
 
 def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
@@ -519,7 +521,8 @@ def test_a_relay_that_runs_on_past_its_window_keeps_its_own_last_beep():
         simulate(g, programs(1), 100)
     assert_window_end_error(err, 1, 1, 20)
     trace, report = simulate(g, programs(None), 100)
-    assert 1 in trace[19].beepers and 1 in trace[20].heard and 1 not in trace[21].beepers
+    (_, beep_20, _), (_, _, heard_21), (_, beep_22, _) = labelled_rounds(trace)[19:22]
+    assert 1 in beep_20 and 1 in heard_21 and 1 not in beep_22
     assert report.outputs[1] == ("111", 32)
 
 
@@ -569,12 +572,8 @@ def relay_outcome(g, programs, max_rounds):
     except ProtocolError as err:
         return "error", err.node, err.round, err.reason
     except SimulationTimeout as err:
-        return "timeout", sorted(err.live), masks_of(err.trace)
-    return "ok", masks_of(trace), report.outputs
-
-
-def masks_of(trace):
-    return [(r.round, r.beep_mask, r.heard_mask) for r in trace]
+        return "timeout", sorted(err.live), err.trace.rounds
+    return "ok", trace.rounds, report.outputs
 
 
 def test_relays_of_unknown_width_equal_the_per_round_relay_on_noise():
@@ -920,7 +919,7 @@ def test_election_relays_after_a_long_sleep_like_a_listener(rng):
             want, _ = simulate(g, {0: scripted(rounds), 1: listening}, 20)
             assert trace == want
             if rounds == {1, 4} and my_id == 1:
-                assert [r.round for r in trace if 1 in r.beepers] == [1, 5]
+                assert beep_rounds(trace, 1) == [1, 5]
 
 
 def test_sleeping_election_beeps_exactly_like_a_listening_one(rng):
