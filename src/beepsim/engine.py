@@ -280,13 +280,7 @@ def wait(until: int) -> Action:
     """WAIT with a deadline: listen until a neighbour beeps or round
     ``until`` has passed.  The node resumes with True in the round it hears a
     beep, else with False after round ``until``.  Encoded as WAIT + until."""
-    _check_deadline(until, _round)
     return WAIT + until
-
-
-def _check_deadline(until: int, round_no: int) -> None:
-    if until <= round_no:
-        raise ProtocolError(f"wait deadline {until} is not after round {round_no}")
 
 
 class Echo:
@@ -634,7 +628,8 @@ def _deadline(action: Any, round_no: int) -> int:
         until = action - WAIT
     else:
         raise ProtocolError(f"invalid action {action!r}")
-    _check_deadline(until, round_no)
+    if until <= round_no:
+        raise ProtocolError(f"wait deadline {until} is not after round {round_no}")
     return until
 
 

@@ -93,13 +93,13 @@ def lower_bound(task: str, d: int, l: int, m: int, k: int) -> int:
 def compute_schedule(
     dhat: int,
     lhat: int,
-    dtilde: int | None = None,
-    p: int | None = None,
+    dtilde: int,
+    p: int,
     id_round_ks: tuple[int, ...] = (),
     final_k: int | None = None,
     msg_round_ks: tuple[int, ...] = (),
 ) -> tuple[PhaseSpan, ...]:
-    """Pure phase timetable from whatever a node has learned so far.
+    """Pure phase timetable of a whole run with estimate ``dtilde`` and width ``p``.
 
     ``id_round_ks[i]`` is the prefix count k_i at the start of ID round
     i+1; ``msg_round_ks`` likewise for the message-prefix rounds of the
@@ -117,11 +117,7 @@ def compute_schedule(
         cursor += length
 
     add("elect", election_len(elect_width, dhat))
-    if dtilde is None:
-        return tuple(spans)
     add("estimate", estimate_len(dtilde))
-    if p is None:
-        return tuple(spans)
     add("msglen", msglen_phase_len(p, dtilde))
     for i, k_i in enumerate(id_round_ks, 1):
         add(f"id_collect_{i}", collect_phase_len(2 * k_i, dtilde))

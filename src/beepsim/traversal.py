@@ -445,7 +445,7 @@ def _gossip_non_root(
     g = yield from _dfs_non_root(ctx, my_bits, threshold)
     yield from await_quiet(ARM_SILENCE)
     count_bits = yield from relay_decode()
-    ctx.recorder.log("gossip_decode", ctx.node, bits=count_bits)
+    ctx.recorder.log("gossip_decode", ctx.node)
     n = codec.bits_to_int(count_bits)
     if not 1 <= g <= n:
         raise ProtocolError(f"number {g} outside 1..{n}")
@@ -462,7 +462,7 @@ def _gossip_waves(ctx: _DfsShared, g: int, n: int, message: str) -> Generator[An
             messages.append(message)
         else:
             payload = yield from relay_decode()
-            ctx.recorder.log("gossip_decode", ctx.node, bits=payload)
+            ctx.recorder.log("gossip_decode", ctx.node)
             messages.append(payload)
     return messages
 

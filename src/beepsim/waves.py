@@ -502,14 +502,11 @@ def collect_messages(
     sources: set[int],
     msgs: dict[int, str],
     p: int | None = None,
-    dtilde: int | None = None,
     max_rounds: int | None = None,
 ) -> ProtocolRun:
-    """Leader collects the OR-superimposition of all source messages.
-
-    If dtilde is None a diameter-estimation phase runs first, exactly as in
-    the composed protocols.
-    """
+    """Leader collects the OR-superimposition of all source messages, each
+    padded to ``p`` bits (default: the longest).  A diameter-estimation
+    phase runs first, exactly as in the composed protocols."""
     leader = _leader(graph, leader)
     sources = set(sources)
     longest = _checked_messages(graph, sources, msgs)
@@ -518,18 +515,15 @@ def collect_messages(
         raise ValueError(f"a source message exceeds p={p}")
 
     def rounds(dt: int) -> int:
-        return (estimate_len(dt) if dtilde is None else 0) + collect_phase_len(p, dt)
+        return estimate_len(dt) + collect_phase_len(p, dt)
 
     def program(u: int) -> Phase:
-        dt = dtilde
-        if dt is None:
-            dt = yield from diameter_phase(u == leader)
+        dt = yield from diameter_phase(u == leader)
         result = yield from collect_phase(dt, p, msgs.get(u), u == leader)
         return {"or": result, "dtilde": dt} if u == leader else {"dtilde": dt}
 
     programs = {u: program(u) for u in graph.nodes}
-    cap_dt = _dtilde_bound(graph) if dtilde is None else dtilde
-    trace, report = simulate(graph, programs, _cap(rounds(cap_dt), max_rounds))
+    trace, report = simulate(graph, programs, _cap(rounds(_dtilde_bound(graph)), max_rounds))
     dt = report.outputs[leader]["dtilde"]
     collected = report.outputs[leader]["or"]
     expected = or_oracle([msgs[s] for s in sources], p)
@@ -550,28 +544,25 @@ def get_message_length(
     leader: int | None,
     sources: set[int],
     msgs: dict[int, str],
-    dtilde: int | None = None,
     max_rounds: int | None = None,
 ) -> ProtocolRun:
-    """Inform every node of p = max source message length."""
+    """Inform every node of p = max source message length.  A
+    diameter-estimation phase runs first, exactly as in the composed
+    protocols."""
     leader = _leader(graph, leader)
     sources = set(sources)
     pmax = _checked_messages(graph, sources, msgs)
     learned: dict[int, int] = {}  # the D~ each node used
 
     def rounds(dt: int) -> int:
-        return (estimate_len(dt) if dtilde is None else 0) + msglen_phase_len(pmax, dt)
+        return estimate_len(dt) + msglen_phase_len(pmax, dt)
 
     def program(u: int) -> Phase:
-        dt = dtilde
-        if dt is None:
-            dt = yield from diameter_phase(u == leader)
-        learned[u] = dt
+        dt = learned[u] = yield from diameter_phase(u == leader)
         return (yield from msglen_phase(dt, len(msgs.get(u, "")), u == leader))
 
     programs = {u: program(u) for u in graph.nodes}
-    cap_dt = _dtilde_bound(graph) if dtilde is None else dtilde
-    trace, report = simulate(graph, programs, _cap(rounds(cap_dt), max_rounds))
+    trace, report = simulate(graph, programs, _cap(rounds(_dtilde_bound(graph)), max_rounds))
     values = {report.outputs[u] for u in graph.nodes}
     report.check("msglen_agreement", 0 if values == {pmax} else 1, 0)
     report.check("msglen_round_count", abs(report.total_rounds - rounds(learned[leader])), 0)

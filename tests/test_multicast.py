@@ -19,6 +19,7 @@ from beepsim.waves import (
     diameter_phase,
     election_len,
     estimate_len,
+    msglen_phase_len,
 )
 
 from conftest import random_bits
@@ -68,12 +69,11 @@ def test_lower_bound_prov_formula():
 # --- schedule ---------------------------------------------------------------
 
 def test_schedule_setup_only():
-    spans = compute_schedule(dhat=5, lhat=8)
-    assert [s.name for s in spans] == ["elect"]
+    spans = compute_schedule(dhat=5, lhat=8, dtilde=7, p=3)
+    assert [s.name for s in spans] == ["elect", "estimate", "msglen"]
     assert spans[0] == PhaseSpan("elect", 1, election_len(3, 5))
-    spans = compute_schedule(dhat=5, lhat=8, dtilde=7)
-    assert [s.name for s in spans] == ["elect", "estimate"]
     assert spans[1].length == estimate_len(7)
+    assert spans[2].length == msglen_phase_len(3, 7)
 
 
 def test_schedule_phases_abut():

@@ -494,6 +494,8 @@ def assert_exact_gossip_rounds(graph, rng, **bounds):
     assert [c.measured for c in run.report.bound_checks if c.name == "gossip_round_count"] == [0]
     rounds = gossip_round_count(graph, extras["numbering"], msgs, extras["dhat"], extras["lhat"])
     assert rounds == run.report.total_rounds
+    # n - 1 decodes of the count wave and n - 1 of each of the n message waves
+    assert len(extras["recorder"].of_kind("gossip_decode")) == graph.n ** 2 - 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)

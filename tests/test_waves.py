@@ -130,9 +130,9 @@ def test_round_count_checks_flag_a_phase_that_overruns(monkeypatch):
     cases = [
         ("diameter_phase", "estimate_round_count", lambda: estimate_diameter(g)),
         ("collect_phase", "collect_round_count",
-         lambda: collect_messages(g, None, sources, msgs, dtilde=8)),
+         lambda: collect_messages(g, None, sources, msgs)),
         ("msglen_phase", "msglen_round_count",
-         lambda: get_message_length(g, None, sources, msgs, dtilde=8)),
+         lambda: get_message_length(g, None, sources, msgs)),
     ]
     for phase, name, runner in cases:
         checks = {c.name: c for c in runner().report.bound_checks}
@@ -750,21 +750,41 @@ def test_a_known_width_wave_with_one_flipped_bit_raises(width, rng):
 
 def test_collect_and_msglen_reject_unknown_leader():
     g = Graph.from_edges([(0, 1), (1, 2)])
-    for dt in (None, 5):
-        with pytest.raises(ValueError):
-            collect_messages(g, 99, {0}, {0: "1"}, dtilde=dt)
-        with pytest.raises(ValueError):
-            get_message_length(g, 99, {0}, {0: "1"}, dtilde=dt)
+    with pytest.raises(ValueError):
+        collect_messages(g, 99, {0}, {0: "1"})
+    with pytest.raises(ValueError):
+        get_message_length(g, 99, {0}, {0: "1"})
+
+
+def phases_given_dtilde(g, dtilde, leader, source):
+    """The collect and the msglen phase of every node of ``g`` from round 1,
+    with a given D~ and a 1-bit message "1" at ``source``."""
+    collect = {u: waves.collect_phase(dtilde, 1, "1" if u == source else None, u == leader)
+               for u in g.nodes}
+    msglen = {u: waves.msglen_phase(dtilde, int(u == source), u == leader) for u in g.nodes}
+    return collect, msglen
 
 
 def test_a_dtilde_below_the_leader_eccentricity_fails_at_the_calibration_end():
     # Node 0, 4 hops from leader 4, is armed in round 6, and its 17-round
     # calibration window would pass the phase end, calibration_len(2) = 21.
     g = Graph.from_edges([(i, i + 1) for i in range(4)])
-    for runner in (collect_messages, get_message_length):
+    for programs in phases_given_dtilde(g, 2, leader=4, source=0):
         with pytest.raises(ProtocolError) as err:
-            runner(g, 4, {0}, {0: "1"}, dtilde=2)
+            simulate(g, programs, 2000)
         assert str(err.value) == "node 0, round 21: armed window end 23 passes its phase end 21"
+
+
+def test_collect_and_msglen_phases_take_their_length_under_a_loose_dtilde():
+    # A loose but valid estimate, far above the 2n + 9 bound, still ends on time.
+    g = Graph.from_edges([(i, i + 1) for i in range(4)])
+    collect, msglen = phases_given_dtilde(g, 1000, leader=4, source=0)
+    _, report = simulate(g, collect, 10**5)
+    assert report.total_rounds == collect_phase_len(1, 1000)
+    assert report.outputs[4] == "1"
+    _, report = simulate(g, msglen, 10**5)
+    assert report.total_rounds == msglen_phase_len(1, 1000)
+    assert set(report.outputs.values()) == {1}
 
 
 def test_collect_and_msglen_default_leader_is_max_id():
@@ -826,41 +846,41 @@ def test_runners_do_not_consult_the_diameter_oracle_before_simulating(monkeypatc
     assert run.report.extras["true_diameter"] == 5
 
 
-def test_collect_and_msglen_cap_their_run_from_the_given_dtilde():
-    # A loose but valid estimate far above the 2n + 9 bound still finishes.
-    g = generate(GraphSpec("path", 5, seed=0))
-    run = collect_messages(g, 4, {0}, {0: "1"}, dtilde=1000)
-    assert run.report.all_passed
-    assert run.report.outputs[4] == {"or": "1", "dtilde": 1000}
-    assert run.report.total_rounds == waves.collect_phase_len(1, 1000)
-    run = get_message_length(g, 4, {0}, {0: "1"}, dtilde=1000)
-    assert run.report.all_passed
-    assert set(run.report.outputs.values()) == {1}
-
-
 def test_waves_runners_cap_at_four_times_their_exact_round_count(monkeypatch):
-    # Each exact count is above 500, so the cap is not the 2000 floor, and a
-    # caller's max_rounds replaces the cap.
-    caps = capture_round_caps(monkeypatch, waves)
+    # Each cap is above the 2000 floor, and a caller's max_rounds replaces
+    # it.  collect and msglen learn D~, so their cap is four times their
+    # count at D~'s bound 2n + 9, while the run takes its count at the D~ it
+    # learns.
     g = generate(GraphSpec("path", 10, seed=3))
     src = g.nodes[0]
     m = "10" * 50
+    far = generate(GraphSpec("path", 120, seed=3))
+    one = {far.nodes[0]: "1"}
+    dt, bound = estimate_diameter(far).report.extras["dtilde"], 2 * far.n + 9
+    caps = capture_round_caps(monkeypatch, waves)
+
+    def collect_rounds(dtilde):
+        return estimate_len(dtilde) + collect_phase_len(1, dtilde)
+
+    def msglen_rounds(dtilde):
+        return estimate_len(dtilde) + msglen_phase_len(1, dtilde)
+
+    broadcast_rounds = 1 + codeword_rounds(m) + max(distances(g, src).values())
     cases = [
-        (lambda **kw: broadcast(g, src, m, **kw),
-         1 + codeword_rounds(m) + max(distances(g, src).values())),
-        (lambda **kw: elect_leader(g, 40, 1 << 20, **kw), election_len(20, 40)),
-        (lambda **kw: collect_messages(g, None, {src}, {src: "1"}, dtilde=300, **kw),
-         collect_phase_len(1, 300)),
-        (lambda **kw: get_message_length(g, None, {src}, {src: "1"}, dtilde=300, **kw),
-         msglen_phase_len(1, 300)),
+        (lambda **kw: broadcast(g, src, m, **kw), broadcast_rounds, broadcast_rounds),
+        (lambda **kw: elect_leader(g, 40, 1 << 20, **kw), election_len(20, 40), election_len(20, 40)),
+        (lambda **kw: collect_messages(far, None, set(one), one, **kw),
+         collect_rounds(dt), collect_rounds(bound)),
+        (lambda **kw: get_message_length(far, None, set(one), one, **kw),
+         msglen_rounds(dt), msglen_rounds(bound)),
     ]
-    for call, exact in cases:
-        assert exact > 500
+    for call, exact, worst in cases:
+        assert 4 * worst > 2000
         run = call()
         assert run.report.all_passed
-        assert caps == [max(2000, 4 * exact)] and run.report.total_rounds == exact
+        assert caps == [max(2000, 4 * worst)] and run.report.total_rounds == exact
         call(max_rounds=123_456)
-        assert caps == [max(2000, 4 * exact), 123_456]
+        assert caps == [max(2000, 4 * worst), 123_456]
         caps.clear()
 
 
@@ -974,5 +994,3 @@ def test_data_independent_runners_take_exactly_their_phase_lengths(family):
             assert run.report.total_rounds == estimate_len(dt) + collect_phase_len(p, dt)
             run = get_message_length(g, None, sources, msgs)
             assert run.report.total_rounds == estimate_len(dt) + msglen_phase_len(p, dt)
-            run = collect_messages(g, None, sources, msgs, dtilde=dt)
-            assert run.report.total_rounds == collect_phase_len(p, dt)
