@@ -22,18 +22,6 @@ from .waves import (
     msglen_phase_len,
 )
 
-PROTOCOLS = (
-    "broadcast",
-    "elect",
-    "dfs",
-    "gossip",
-    "diameter",
-    "collect",
-    "msglen",
-    "mb-prov",
-    "mb-noprov",
-)
-
 # Frozen regression constants (calibrated at n <= 30, margin ~1.3x).
 FITTED = {
     "dfs": 44.0,

@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Options that ``run`` and ``bench`` share.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--protocol", required=True, choices=bounds.PROTOCOLS)
+    common.add_argument("--protocol", required=True, choices=list(OPTIONS_READ))
     common.add_argument("--message", help="payload bits for broadcast")
     common.add_argument("--messages",
                         help="per-node payloads id=bits,id=bits or 'random'")

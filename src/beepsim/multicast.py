@@ -278,14 +278,9 @@ def multi_broadcast(
     end_round = schedule[-1].end_round if schedule else 0
     report.check("mb_schedule_exact", abs(report.total_rounds - end_round), 0)
     report.extras.update(
-        sources=sorted(sources),
-        k=k,
-        p=p,
         dhat=dhat,
         lhat=lhat,
-        provenance=provenance,
         recorder=recorder,
-        expected=expected,
         schedule=schedule,
     )
     return ProtocolRun(trace, report)

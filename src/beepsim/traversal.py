@@ -327,7 +327,7 @@ def _dfs_non_root(ctx: _DfsShared, my_bits: str, threshold: int) -> Generator[An
 
 @dataclass(frozen=True)
 class GossipOutput:
-    pairs: tuple[tuple[int, str], ...]
+    messages: tuple[str, ...]  # messages[i - 1] is the message of the node numbered i
     decoded_count: int
 
 
@@ -368,7 +368,6 @@ def dfs(
         bit_width=width,
         numbering=numbering,
         recorder=recorder,
-        flood_threshold=threshold,
     )
     return ProtocolRun(trace, report)
 
@@ -477,7 +476,7 @@ def gossip(
     """All-to-all message dissemination: election, DFS, count broadcast,
     then one pipelined wave per node in DFS order.  The run's events are in
     ``report.extras["recorder"]``."""
-    p = _checked_messages(graph, set(graph.nodes), msgs)
+    _checked_messages(graph, set(graph.nodes), msgs)
     dhat, lhat = _bounds(graph, dhat, lhat)
     elect_width = ceil_log2(lhat)
     recorder = ProtocolRecorder()
@@ -493,7 +492,7 @@ def gossip(
             g, n = yield from _gossip_non_root(ctx, codec.fixed_width_bits(u, width), threshold)
         # run from the program itself, so a wave decoder stays two generator frames deep
         messages = yield from _gossip_waves(ctx, g, n, msgs[u])
-        return GossipOutput(tuple(enumerate(messages, 1)), n - 1 if u == leader else n)
+        return GossipOutput(tuple(messages), n - 1 if u == leader else n)
 
     programs = {u: program(u) for u in graph.nodes}
     leader = graph.max_id
@@ -501,10 +500,8 @@ def gossip(
     rounds = gossip_round_count(graph, numbering, msgs, dhat, lhat)
     trace, report = simulate(graph, programs, _cap(rounds, max_rounds))
 
-    expected_pairs = tuple(sorted((num, msgs[u]) for u, num in numbering.items()))
-    ok = all(
-        tuple(sorted(report.outputs[u].pairs)) == expected_pairs for u in graph.nodes
-    )
+    expected = tuple(msgs[u] for u in sorted(numbering, key=numbering.__getitem__))
+    ok = all(report.outputs[u].messages == expected for u in graph.nodes)
     report.check("gossip_outputs_match_oracle", 0 if ok else 1, 0)
     decode_ok = all(
         report.outputs[u].decoded_count == (graph.n - 1 if u == leader else graph.n)
@@ -518,6 +515,5 @@ def gossip(
         lhat=lhat,
         numbering=numbering,
         recorder=recorder,
-        p=p,
     )
     return ProtocolRun(trace, report)

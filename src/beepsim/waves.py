@@ -453,7 +453,6 @@ def broadcast(
     ok = all(report.outputs[u] == BroadcastOutput(message, end + dist[u])
              for u in graph.nodes if u != source)
     report.check("broadcast_exactness", 0 if ok else 1, 0)
-    report.extras.update(source=source, message=message, distances=dist)
     return ProtocolRun(trace, report)
 
 
@@ -532,7 +531,6 @@ def collect_messages(
     report.extras.update(
         leader=leader,
         dtilde=dt,
-        p=p,
         collection_start=rounds(dt) - collection_len(p, dt),
         collection_rounds=collection_len(p, dt),
     )
@@ -566,5 +564,5 @@ def get_message_length(
     values = {report.outputs[u] for u in graph.nodes}
     report.check("msglen_agreement", 0 if values == {pmax} else 1, 0)
     report.check("msglen_round_count", abs(report.total_rounds - rounds(learned[leader])), 0)
-    report.extras.update(leader=leader, p=pmax)
+    report.extras.update(leader=leader)
     return ProtocolRun(trace, report)

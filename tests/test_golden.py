@@ -86,7 +86,7 @@ GOLDEN = {
     "path:n=7 collect": (139, "b1bd377a9ae91c31", "0af8622e12941ceb"),
     "path:n=7 msglen": (184, "d065b4e9ad16579e", "05e9151f4979bce5"),
     "path:n=7 dfs": (967, "af41b064ecc5625b", "659f02d4c99df547", "22cc32452034ba4b"),
-    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "c790edf83d07e9ca", "d95ef4c9fe05bfae"),
+    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "578c5596f54ea77e", "d95ef4c9fe05bfae"),
     "path:n=7 mb-prov": (697, "6d0a8a727fe2c8f9", "c687136fcf1ba941", "4ac312d23c005b77"),
     "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "b20cb31ee1220408", "4ac312d23c005b77"),
     "path:n=7 mb-noprov all": (859, "7b04d732beb36959", "75d5f5c8d079f548", "312ffabcd0e9fade"),
@@ -96,7 +96,7 @@ GOLDEN = {
     "grid:n=9,seed=2 collect": (109, "1f3ae8a6eefaeba9", "8d444df1f6c65aaa"),
     "grid:n=9,seed=2 msglen": (148, "14bc7ac555d38838", "ae8aade6c2d307f6"),
     "grid:n=9,seed=2 dfs": (1333, "5dc378b18c6a2ffa", "9822cee152f98619", "af8bb284d49f360d"),
-    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "6d0498287daf30ee", "1240463b391652dc"),
+    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "5631df05a86e9e02", "1240463b391652dc"),
     "grid:n=9,seed=2 mb-prov": (689, "4cc506644a3dddec", "d645a104e1a6a526", "defcb66cbff23758"),
     "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "3e8afa67ccf2da6e", "defcb66cbff23758"),
     "grid:n=9,seed=2 mb-noprov all": (959, "ec8a18fa795b9946", "3a95e4db581cb500", "4e589a88eaba04b9"),
@@ -106,7 +106,7 @@ GOLDEN = {
     "er:n=16,seed=4,range=64 collect": (97, "3ea3b7876cb6ce25", "3861984df13f2f67"),
     "er:n=16,seed=4,range=64 msglen": (133, "9ee91e7cd8bb239a", "631875f52d1beac6"),
     "er:n=16,seed=4,range=64 dfs": (2855, "1c79230bf8b15f81", "345d5c2727151629", "8a7ea5ca39795611"),
-    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "a6751e4b6cb2cc5c", "0f31f4a5bc63a14e"),
+    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "8b94e38eee4df046", "0f31f4a5bc63a14e"),
     "er:n=16,seed=4,range=64 mb-prov": (877, "d9ede9539f5736b0", "622bc255f5411339", "d39302a5344752df"),
     "er:n=16,seed=4,range=64 mb-noprov": (877, "d9ede9539f5736b0", "99db9fb37121c284", "d39302a5344752df"),
     "er:n=16,seed=4,range=64 mb-noprov all": (1030, "832a44eb2db4ce42", "68a54d1c0ebd847c", "d8b567244673c098"),

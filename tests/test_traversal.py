@@ -194,15 +194,15 @@ def test_dfs_wide_label_range():
 def test_gossip_single_node():
     g = Graph.from_edges([], nodes=[0])
     run = gossip(g, {0: "101"})
-    assert run.report.outputs[0].pairs == ((1, "101"),)
+    assert run.report.outputs[0].messages == ("101",)
 
 
 def test_gossip_path_golden():
     g = Graph.from_edges([(1, 2), (2, 3)])
     run = gossip(g, {1: "0", 2: "1", 3: "0"})
-    expected = ((1, "0"), (2, "1"), (3, "0"))  # numbering {3:1, 2:2, 1:3}
+    expected = ("0", "1", "0")  # numbering {3:1, 2:2, 1:3}
     for u in g.nodes:
-        assert run.report.outputs[u].pairs == expected
+        assert run.report.outputs[u].messages == expected
 
 
 def test_gossip_star_random_messages(rng):
@@ -210,9 +210,9 @@ def test_gossip_star_random_messages(rng):
     msgs = {u: random_bits(rng, 3) for u in g.nodes}
     run = gossip(g, msgs)
     numbering = reference_dfs(g, g.max_id)
-    expected = tuple(sorted((num, msgs[u]) for u, num in numbering.items()))
+    expected = tuple(msgs[u] for u in sorted(numbering, key=numbering.__getitem__))
     for u in g.nodes:
-        assert tuple(sorted(run.report.outputs[u].pairs)) == expected
+        assert run.report.outputs[u].messages == expected
 
 
 def test_gossip_pipelining_decode_counts(rng):
@@ -494,6 +494,9 @@ def assert_exact_gossip_rounds(graph, rng, **bounds):
     assert [c.measured for c in run.report.bound_checks if c.name == "gossip_round_count"] == [0]
     rounds = gossip_round_count(graph, extras["numbering"], msgs, extras["dhat"], extras["lhat"])
     assert rounds == run.report.total_rounds
+    numbering = reference_dfs(graph, graph.max_id)
+    expected = tuple(msgs[u] for u in sorted(numbering, key=numbering.__getitem__))
+    assert all(run.report.outputs[u].messages == expected for u in graph.nodes)
     # n - 1 decodes of the count wave and n - 1 of each of the n message waves
     assert len(extras["recorder"].of_kind("gossip_decode")) == graph.n ** 2 - 1
 
