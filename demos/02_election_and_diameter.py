@@ -46,7 +46,7 @@ msgs = {s: "".join(rng.choice("01") for _ in range(4)) for s in sources}
 leader = g.max_id
 run = collect_messages(g, leader, sources, msgs, p=4)
 print(f"\ncollect from {sorted(sources)}: {dict(sorted(msgs.items()))}")
-print(f"  leader holds {run.report.outputs[leader]['or']} "
+print(f"  leader holds {run.report.outputs[leader][1]} "
       f"(oracle {or_oracle(list(msgs.values()), 4)})")
 
 # When no common length bound is known, the sources first send all-ones
@@ -54,4 +54,4 @@ print(f"  leader holds {run.report.outputs[leader]['or']} "
 ragged = {s: "1" * rng.randint(1, 6) for s in sources}
 run = get_message_length(g, leader, sources, ragged)
 print(f"  max-length determination over {sorted(len(m) for m in ragged.values())}"
-      f" -> every node outputs {run.report.outputs[leader]}")
+      f" -> every node outputs {run.report.outputs[leader][1]}")

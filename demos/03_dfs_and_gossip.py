@@ -26,6 +26,6 @@ run = gossip(g, msgs)
 out = run.report.outputs[g.nodes[0]]
 print(f"\ngossip finished in {run.report.total_rounds} rounds")
 print("(dfs number, message) pairs seen by one node:")
-for num, m in enumerate(out.messages, 1):
+for num, m in enumerate(out, 1):
     print(f"  #{num}: {m}")
 print("every node decoded cleanly:", run.report.all_passed)

@@ -16,7 +16,7 @@ print(f"with provenance: {run.report.total_rounds} rounds")
 for _, node, _, data in rec.of_kind("id_prefixes"):
     if node == 0:
         print(f"  after round {data['round']}: known ID prefixes {data['value']}")
-print("  output everywhere:", sorted(run.report.outputs[0].result))
+print("  output everywhere:", sorted(run.report.outputs[0]))
 
 # Without provenance on a shallow star: the prefix count overtakes the
 # diameter estimate, so the search aborts and re-runs over message bits.
@@ -28,7 +28,7 @@ rec = run.report.extras["recorder"]
 aborted = bool(rec.of_kind("msg_prefixes"))
 print(f"\nwithout provenance on a star (k=8): {run.report.total_rounds} rounds, "
       f"ID search aborted: {aborted}")
-print("  distinct messages recovered:", sorted(run.report.outputs[8].result))
+print("  distinct messages recovered:", sorted(run.report.outputs[8]))
 print("  phase schedule (identical at every node):")
 for span in run.report.extras["schedule"]:
     print(f"    {span.name:<16} rounds {span.start_round:>5}..{span.end_round}")

@@ -26,7 +26,7 @@ from .engine import (
     write_trace,
 )
 from .graphs import generate, parse_graph_spec
-from .multicast import MbOutput, multi_broadcast
+from .multicast import multi_broadcast
 from .traversal import dfs, gossip
 from .waves import (
     ProtocolRun,
@@ -182,8 +182,8 @@ def _print_report(run: ProtocolRun) -> None:
     print(f"totalRounds: {report.total_rounds}")
     for node in sorted(report.outputs):
         out = report.outputs[node]
-        if isinstance(out, MbOutput):  # a frozenset prints in string-hash order
-            out = replace(out, result=sorted(out.result))
+        if isinstance(out, frozenset):  # a frozenset prints in string-hash order
+            out = sorted(out)
         print(f"  node {node}: {out}")
     for chk in report.bound_checks:
         flag = "pass" if chk.passed else "FAIL"

@@ -63,6 +63,7 @@ BEEP: Action = 1
 WAIT: Action = 2
 
 SLOT_PERIOD = 3  # rounds per codeword position of a beep wave
+_NO_DATA: dict[str, Any] = {}  # the data of every recorder event logged without any
 
 # A node program yields Actions and receives heard-feedback each round.
 NodeProgram = Generator[Action, "bool | None", Any]
@@ -352,12 +353,13 @@ class ProtocolRecorder:
     invariant tests (token tenures, decoded words, per-node schedules).
 
     Events are (event, node, round, data) tuples; ``round`` is the round the
-    kernel was running when the node program logged the event."""
+    kernel was running when the node program logged the event.  Events logged
+    without data share one empty dict: no reader may mutate an event's data."""
 
     events: list[tuple] = field(default_factory=list)
 
     def log(self, event: str, node: int, **data: Any) -> None:
-        self.events.append((event, node, _round, data))
+        self.events.append((event, node, _round, data or _NO_DATA))
 
     def of_kind(self, event: str) -> list[tuple]:
         return [e for e in self.events if e[0] == event]

@@ -57,12 +57,6 @@ class PhaseSpan:
         return self.start_round + self.length - 1
 
 
-@dataclass(frozen=True)
-class MbOutput:
-    result: frozenset
-    decode_count: int
-
-
 def lower_bound(task: str, d: int, l: int, m: int, k: int) -> int:
     """Round floors with the explicit constants from the counting arguments.
 
@@ -140,13 +134,12 @@ def _indicator(prefixes: list[str], own: str) -> str:
     return "".join(bits)
 
 
-def _expand(prefixes: tuple[str, ...], z: str, expanded: dict) -> tuple[str, ...]:
-    """The children px + b of prefix j with bit 2j + b of ``z`` set, by the run's table."""
-    key = (prefixes, z)
-    if key not in expanded:
-        expanded[key] = tuple(px + b for j, px in enumerate(prefixes) for b in "01"
-                              if z[2 * j + int(b)] == "1")
-    return expanded[key]
+@lru_cache(maxsize=256)
+def _expand(prefixes: tuple[str, ...], z: str) -> tuple[str, ...]:
+    """The children px + b of prefix j with bit 2j + b of ``z`` set.  Every
+    node of a round expands the same list by the same OR, so it is cached."""
+    return tuple(px + b for j, px in enumerate(prefixes) for b in "01"
+                 if z[2 * j + int(b)] == "1")
 
 
 def _collect_and_share(
@@ -163,7 +156,7 @@ def _collect_and_share(
 
 def _prefix_search(
     node: int, is_leader: bool, dtilde: int, word: str | None, width: int,
-    ks: list[int], recorder: ProtocolRecorder, event: str, expanded: dict, cap: float = math.inf,
+    ks: list[int], recorder: ProtocolRecorder, event: str, cap: float = math.inf,
 ) -> Generator[Any, Any, tuple[str, ...]]:
     """Iterative prefix search over ``width``-bit words, one bit per round.
 
@@ -178,7 +171,7 @@ def _prefix_search(
         ks.append(len(prefixes))
         own = _indicator(prefixes, word[:i]) if word is not None else None
         z = yield from _collect_and_share(is_leader, dtilde, 2 * len(prefixes), own)
-        prefixes = _expand(prefixes, z, expanded)
+        prefixes = _expand(prefixes, z)
         if not 0 < len(prefixes) <= 2 * ks[-1]:
             raise ProtocolError("prefix count outside the doubling cap")
         recorder.log(event, node, round=i, value=prefixes)
@@ -194,8 +187,7 @@ def _mb_program(
     lhat: int,
     provenance: bool,
     recorder: ProtocolRecorder,
-    expanded: dict,
-) -> Generator[Any, Any, MbOutput]:
+) -> Generator[Any, Any, frozenset]:
     """One node's multi-broadcast; ``my_msg`` is None at a non-source.
 
     A source's table row is its message after ``rank * p`` zeros: the
@@ -214,7 +206,7 @@ def _mb_program(
     final_k = None
     prefixes = yield from _prefix_search(
         node, is_leader, dtilde, my_id_bits, id_width, id_ks, recorder, "id_prefixes",
-        expanded, math.inf if provenance else dtilde,
+        math.inf if provenance else dtilde,
     )
     if provenance or len(prefixes) <= dtilde:
         ids = [codec.bits_to_int(px) for px in prefixes] if id_width else [node]
@@ -227,12 +219,12 @@ def _mb_program(
         result = pairs if provenance else frozenset(m for _, m in pairs)
     else:
         distinct = yield from _prefix_search(
-            node, is_leader, dtilde, my_msg, p, msg_ks, recorder, "msg_prefixes", expanded
+            node, is_leader, dtilde, my_msg, p, msg_ks, recorder, "msg_prefixes"
         )
         result = frozenset(distinct)
     spans = compute_schedule(dhat, lhat, dtilde, p, tuple(id_ks), final_k, tuple(msg_ks))
     recorder.log("schedule", node, spans=spans)
-    return MbOutput(result, len(id_ks) + len(msg_ks) + (final_k is not None))
+    return result
 
 
 def multi_broadcast(
@@ -255,8 +247,7 @@ def multi_broadcast(
         )
     dhat, lhat = _bounds(graph, dhat, lhat)
     recorder = ProtocolRecorder()
-    expanded: dict = {}
-    programs = {u: _mb_program(u, msgs.get(u), dhat, lhat, provenance, recorder, expanded)
+    programs = {u: _mb_program(u, msgs.get(u), dhat, lhat, provenance, recorder)
                 for u in graph.nodes}
 
     # Every prefix count is at most k, so this timetable outlasts the run.
@@ -269,7 +260,7 @@ def multi_broadcast(
         expected: frozenset = frozenset((s, msgs[s]) for s in sources)
     else:
         expected = frozenset(msgs.values())
-    ok = all(report.outputs[u].result == expected for u in graph.nodes)
+    ok = all(report.outputs[u] == expected for u in graph.nodes)
     report.check("mb_output_exactness", 0 if ok else 1, 0)
     schedules = [e[3]["spans"] for e in recorder.of_kind("schedule")]
     schedule = schedules[0] if schedules else ()

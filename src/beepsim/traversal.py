@@ -325,12 +325,6 @@ def _dfs_non_root(ctx: _DfsShared, my_bits: str, threshold: int) -> Generator[An
 # Public operations.
 
 
-@dataclass(frozen=True)
-class GossipOutput:
-    messages: tuple[str, ...]  # messages[i - 1] is the message of the node numbered i
-    decoded_count: int
-
-
 def dfs(
     graph: Graph,
     leader: int | None = None,
@@ -473,9 +467,9 @@ def gossip(
     lhat: int | None = None,
     max_rounds: int | None = None,
 ) -> ProtocolRun:
-    """All-to-all message dissemination: election, DFS, count broadcast,
-    then one pipelined wave per node in DFS order.  The run's events are in
-    ``report.extras["recorder"]``."""
+    """All-to-all message dissemination: election, DFS, count broadcast, then
+    one pipelined wave per node in DFS order; every node outputs the n messages
+    in that order.  The run's events are in ``report.extras["recorder"]``."""
     _checked_messages(graph, set(graph.nodes), msgs)
     dhat, lhat = _bounds(graph, dhat, lhat)
     elect_width = ceil_log2(lhat)
@@ -491,8 +485,7 @@ def gossip(
         else:
             g, n = yield from _gossip_non_root(ctx, codec.fixed_width_bits(u, width), threshold)
         # run from the program itself, so a wave decoder stays two generator frames deep
-        messages = yield from _gossip_waves(ctx, g, n, msgs[u])
-        return GossipOutput(tuple(messages), n - 1 if u == leader else n)
+        return tuple((yield from _gossip_waves(ctx, g, n, msgs[u])))
 
     programs = {u: program(u) for u in graph.nodes}
     leader = graph.max_id
@@ -501,13 +494,8 @@ def gossip(
     trace, report = simulate(graph, programs, _cap(rounds, max_rounds))
 
     expected = tuple(msgs[u] for u in sorted(numbering, key=numbering.__getitem__))
-    ok = all(report.outputs[u].messages == expected for u in graph.nodes)
+    ok = all(report.outputs[u] == expected for u in graph.nodes)
     report.check("gossip_outputs_match_oracle", 0 if ok else 1, 0)
-    decode_ok = all(
-        report.outputs[u].decoded_count == (graph.n - 1 if u == leader else graph.n)
-        for u in graph.nodes
-    )
-    report.check("gossip_decode_counts", 0 if decode_ok else 1, 0)
     report.check("gossip_round_count", abs(report.total_rounds - rounds), 0)
     report.extras.update(
         leader=leader,

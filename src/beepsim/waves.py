@@ -504,8 +504,8 @@ def collect_messages(
     max_rounds: int | None = None,
 ) -> ProtocolRun:
     """Leader collects the OR-superimposition of all source messages, each
-    padded to ``p`` bits (default: the longest).  A diameter-estimation
-    phase runs first, exactly as in the composed protocols."""
+    padded to ``p`` bits (default: the longest), after a diameter estimate as
+    in the composed protocols.  A node outputs (D~, the OR at the leader, else None)."""
     leader = _leader(graph, leader)
     sources = set(sources)
     longest = _checked_messages(graph, sources, msgs)
@@ -518,13 +518,11 @@ def collect_messages(
 
     def program(u: int) -> Phase:
         dt = yield from diameter_phase(u == leader)
-        result = yield from collect_phase(dt, p, msgs.get(u), u == leader)
-        return {"or": result, "dtilde": dt} if u == leader else {"dtilde": dt}
+        return dt, (yield from collect_phase(dt, p, msgs.get(u), u == leader))
 
     programs = {u: program(u) for u in graph.nodes}
     trace, report = simulate(graph, programs, _cap(rounds(_dtilde_bound(graph)), max_rounds))
-    dt = report.outputs[leader]["dtilde"]
-    collected = report.outputs[leader]["or"]
+    dt, collected = report.outputs[leader]
     expected = or_oracle([msgs[s] for s in sources], p)
     report.check("collect_equals_or_oracle", 0 if collected == expected else 1, 0)
     report.check("collect_round_count", abs(report.total_rounds - rounds(dt)), 0)
@@ -544,25 +542,24 @@ def get_message_length(
     msgs: dict[int, str],
     max_rounds: int | None = None,
 ) -> ProtocolRun:
-    """Inform every node of p = max source message length.  A
-    diameter-estimation phase runs first, exactly as in the composed
-    protocols."""
+    """Inform every node of p = max source message length, after a diameter
+    estimate as in the composed protocols; every node outputs (D~, p)."""
     leader = _leader(graph, leader)
     sources = set(sources)
     pmax = _checked_messages(graph, sources, msgs)
-    learned: dict[int, int] = {}  # the D~ each node used
 
     def rounds(dt: int) -> int:
         return estimate_len(dt) + msglen_phase_len(pmax, dt)
 
     def program(u: int) -> Phase:
-        dt = learned[u] = yield from diameter_phase(u == leader)
-        return (yield from msglen_phase(dt, len(msgs.get(u, "")), u == leader))
+        dt = yield from diameter_phase(u == leader)
+        return dt, (yield from msglen_phase(dt, len(msgs.get(u, "")), u == leader))
 
     programs = {u: program(u) for u in graph.nodes}
     trace, report = simulate(graph, programs, _cap(rounds(_dtilde_bound(graph)), max_rounds))
-    values = {report.outputs[u] for u in graph.nodes}
+    values = {p for _, p in report.outputs.values()}
     report.check("msglen_agreement", 0 if values == {pmax} else 1, 0)
-    report.check("msglen_round_count", abs(report.total_rounds - rounds(learned[leader])), 0)
+    dt = report.outputs[leader][0]
+    report.check("msglen_round_count", abs(report.total_rounds - rounds(dt)), 0)
     report.extras.update(leader=leader)
     return ProtocolRun(trace, report)

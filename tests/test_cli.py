@@ -45,7 +45,7 @@ def test_run_prints_multi_broadcast_output_the_same_under_any_hash_seed(protocol
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         outs.append(done.stdout)
     assert outs[0] == outs[1]
-    assert "node 0: MbOutput(result=[" in outs[0]
+    assert "node 0: [" in outs[0]
 
 
 def test_run_broadcast_on_path(capsys):
@@ -316,7 +316,7 @@ CHECK_ROWS = {
     "broadcast": ["broadcast_exactness"],
     "elect": ["election_round_count", "leader_is_max_id"],
     "dfs": ["dfs_matches_reference", "dfs_count_equals_n", "dfs_round_count"],
-    "gossip": ["gossip_outputs_match_oracle", "gossip_decode_counts", "gossip_round_count"],
+    "gossip": ["gossip_outputs_match_oracle", "gossip_round_count"],
     "diameter": ["estimate_agreement", "estimate_lower", "estimate_upper",
                  "estimate_round_count"],
     "collect": ["collect_equals_or_oracle", "collect_round_count"],

@@ -83,33 +83,33 @@ GOLDEN = {
     "path:n=7 broadcast": (41, "8c181f79d367cf61", "537beaddb4086c5f"),
     "path:n=7 elect": (24, "70f0b0d90b0e2d8d", "b0a8ba38ba5af299"),
     "path:n=7 diameter": (77, "4899e24401d18fbc", "2862a9a701aa86b9"),
-    "path:n=7 collect": (139, "b1bd377a9ae91c31", "0af8622e12941ceb"),
-    "path:n=7 msglen": (184, "d065b4e9ad16579e", "05e9151f4979bce5"),
+    "path:n=7 collect": (139, "b1bd377a9ae91c31", "f40a6e7d204af294"),
+    "path:n=7 msglen": (184, "d065b4e9ad16579e", "67d85961941b1da0"),
     "path:n=7 dfs": (967, "af41b064ecc5625b", "659f02d4c99df547", "22cc32452034ba4b"),
-    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "578c5596f54ea77e", "d95ef4c9fe05bfae"),
-    "path:n=7 mb-prov": (697, "6d0a8a727fe2c8f9", "c687136fcf1ba941", "4ac312d23c005b77"),
-    "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "b20cb31ee1220408", "4ac312d23c005b77"),
-    "path:n=7 mb-noprov all": (859, "7b04d732beb36959", "75d5f5c8d079f548", "312ffabcd0e9fade"),
+    "path:n=7 gossip": (1322, "4a1d636efd54cb70", "79e6561635984aa1", "d95ef4c9fe05bfae"),
+    "path:n=7 mb-prov": (697, "6d0a8a727fe2c8f9", "ad0db5b2773a500b", "4ac312d23c005b77"),
+    "path:n=7 mb-noprov": (697, "6d0a8a727fe2c8f9", "18e7a181c741211d", "4ac312d23c005b77"),
+    "path:n=7 mb-noprov all": (859, "7b04d732beb36959", "27aaa4ffbb8fa74c", "312ffabcd0e9fade"),
     "grid:n=9,seed=2 broadcast": (40, "39d846f500cf495d", "b79b9c901be80176"),
     "grid:n=9,seed=2 elect": (40, "5fd80d7e43a5a25b", "7b300af0509a0c8d"),
     "grid:n=9,seed=2 diameter": (59, "da303dccf12f4246", "c6d173fa571a6cbc"),
-    "grid:n=9,seed=2 collect": (109, "1f3ae8a6eefaeba9", "8d444df1f6c65aaa"),
-    "grid:n=9,seed=2 msglen": (148, "14bc7ac555d38838", "ae8aade6c2d307f6"),
+    "grid:n=9,seed=2 collect": (109, "1f3ae8a6eefaeba9", "dee1e6b310510ce3"),
+    "grid:n=9,seed=2 msglen": (148, "14bc7ac555d38838", "aab4cb9a32e629cc"),
     "grid:n=9,seed=2 dfs": (1333, "5dc378b18c6a2ffa", "9822cee152f98619", "af8bb284d49f360d"),
-    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "5631df05a86e9e02", "1240463b391652dc"),
-    "grid:n=9,seed=2 mb-prov": (689, "4cc506644a3dddec", "d645a104e1a6a526", "defcb66cbff23758"),
-    "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "3e8afa67ccf2da6e", "defcb66cbff23758"),
-    "grid:n=9,seed=2 mb-noprov all": (959, "ec8a18fa795b9946", "3a95e4db581cb500", "4e589a88eaba04b9"),
+    "grid:n=9,seed=2 gossip": (1946, "1ef0a756b5334c82", "668c27eb6336c2c3", "1240463b391652dc"),
+    "grid:n=9,seed=2 mb-prov": (689, "4cc506644a3dddec", "99bd031bcd9f70fb", "defcb66cbff23758"),
+    "grid:n=9,seed=2 mb-noprov": (689, "4cc506644a3dddec", "b5f658f1f0f07cf8", "defcb66cbff23758"),
+    "grid:n=9,seed=2 mb-noprov all": (959, "ec8a18fa795b9946", "3571ddddee850c14", "4e589a88eaba04b9"),
     "er:n=16,seed=4,range=64 broadcast": (39, "f9132a082ecc8ad8", "52939bbd52586314"),
     "er:n=16,seed=4,range=64 elect": (102, "371c80b96ef6c608", "65e8270e91324d7f"),
     "er:n=16,seed=4,range=64 diameter": (53, "bee84026e350d056", "392d73eda75f33f2"),
-    "er:n=16,seed=4,range=64 collect": (97, "3ea3b7876cb6ce25", "3861984df13f2f67"),
-    "er:n=16,seed=4,range=64 msglen": (133, "9ee91e7cd8bb239a", "631875f52d1beac6"),
+    "er:n=16,seed=4,range=64 collect": (97, "3ea3b7876cb6ce25", "b124aee0288bd4aa"),
+    "er:n=16,seed=4,range=64 msglen": (133, "9ee91e7cd8bb239a", "68f9a9cad0b2d206"),
     "er:n=16,seed=4,range=64 dfs": (2855, "1c79230bf8b15f81", "345d5c2727151629", "8a7ea5ca39795611"),
-    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "8b94e38eee4df046", "0f31f4a5bc63a14e"),
-    "er:n=16,seed=4,range=64 mb-prov": (877, "d9ede9539f5736b0", "622bc255f5411339", "d39302a5344752df"),
-    "er:n=16,seed=4,range=64 mb-noprov": (877, "d9ede9539f5736b0", "99db9fb37121c284", "d39302a5344752df"),
-    "er:n=16,seed=4,range=64 mb-noprov all": (1030, "832a44eb2db4ce42", "68a54d1c0ebd847c", "d8b567244673c098"),
+    "er:n=16,seed=4,range=64 gossip": (4296, "4701389670318283", "2a31df074fdf2604", "0f31f4a5bc63a14e"),
+    "er:n=16,seed=4,range=64 mb-prov": (877, "d9ede9539f5736b0", "812200fec194f6ef", "d39302a5344752df"),
+    "er:n=16,seed=4,range=64 mb-noprov": (877, "d9ede9539f5736b0", "26873114f8b68a7a", "d39302a5344752df"),
+    "er:n=16,seed=4,range=64 mb-noprov all": (1030, "832a44eb2db4ce42", "67fe5ec04f4609c4", "d8b567244673c098"),
 }
 
 

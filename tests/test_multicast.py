@@ -106,7 +106,7 @@ def test_prov_two_source_prefix_walkthrough():
     assert per_round[1] == {("1",)}
     assert per_round[2] == {("10", "11")}
     for u in g.nodes:
-        assert run.report.outputs[u].result == frozenset({(2, "10"), (3, "01")})
+        assert run.report.outputs[u] == frozenset({(2, "10"), (3, "01")})
 
 
 def test_prov_single_source():
@@ -114,7 +114,7 @@ def test_prov_single_source():
     s = g.nodes[0]
     run = multi_broadcast(g, {s}, {s: "1011"})
     assert run.report.all_passed
-    assert run.report.outputs[g.max_id].result == frozenset({(s, "1011")})
+    assert run.report.outputs[g.max_id] == frozenset({(s, "1011")})
 
 
 def test_prov_random_tree_prefix_oracle(rng):
@@ -184,14 +184,14 @@ def test_noprov_duplicate_collapse():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     run = multi_broadcast(g, {2, 3}, {2: "101", 3: "101"}, provenance=False)
     assert run.report.all_passed
-    assert run.report.outputs[0].result == frozenset({"101"})
+    assert run.report.outputs[0] == frozenset({"101"})
 
 
 def test_noprov_two_bits_on_path():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     run = multi_broadcast(g, {0, 2}, {0: "0", 2: "1"}, provenance=False)
     assert run.report.all_passed
-    assert run.report.outputs[1].result == frozenset({"0", "1"})
+    assert run.report.outputs[1] == frozenset({"0", "1"})
 
 
 def test_noprov_abort_runs_message_search(rng):
@@ -201,7 +201,7 @@ def test_noprov_abort_runs_message_search(rng):
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     assert rec.of_kind("msg_prefixes"), "abort branch should have run"
-    assert run.report.outputs[8].result == frozenset(msgs.values())
+    assert run.report.outputs[8] == frozenset(msgs.values())
     width = 4  # p
     rounds = {d["round"] for _, _, _, d in rec.of_kind("msg_prefixes")}
     assert rounds == set(range(1, width + 1))
@@ -215,7 +215,7 @@ def test_noprov_without_abort_projects_prov(rng):
     rec = run.report.extras["recorder"]
     assert run.report.all_passed
     assert not rec.of_kind("msg_prefixes")
-    assert run.report.outputs[g.nodes[0]].result == frozenset(msgs.values())
+    assert run.report.outputs[g.nodes[0]] == frozenset(msgs.values())
 
 
 def test_schedule_agreement_recorded(rng):

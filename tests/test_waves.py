@@ -275,11 +275,12 @@ def test_estimate_sandwich_across_families(rng):
 def test_collect_examples():
     g = Graph.from_edges([(2, 1), (1, 0)])
     run = collect_messages(g, 2, {1, 0}, {1: "10", 0: "01"}, p=2)
-    assert run.report.outputs[2]["or"] == "11"
+    assert run.report.outputs[2][1] == "11"
     run = collect_messages(g, 2, {2}, {2: "1101"}, p=4)
-    assert run.report.outputs[2]["or"] == "1101"
+    assert run.report.outputs[2][1] == "1101"
     run = collect_messages(g, 2, {0, 1}, {0: "101", 1: "011"}, p=3)
-    assert run.report.outputs[2]["or"] == "111"
+    assert run.report.outputs[2][1] == "111"
+    assert run.report.outputs[0] == run.report.outputs[1] == (run.report.extras["dtilde"], None)
 
 
 def test_collect_rejects_oversized_message():
@@ -297,10 +298,10 @@ def test_collect_randomized_or_and_residue_rule(rng):
         p = max(len(m) for m in msgs.values())
         leader = g.max_id
         run = collect_messages(g, leader, sources, msgs, p)
-        assert run.report.outputs[leader]["or"] == or_oracle(list(msgs.values()), p)
+        dt, collected = run.report.outputs[leader]
+        assert collected == or_oracle(list(msgs.values()), p)
         # residue rule: during collection, a node at distance d beeps only in
         # the class of distance d, never in the class of distance d + 1
-        dt = run.report.extras["dtilde"]
         start = run.report.extras["collection_start"]
         length = run.report.extras["collection_rounds"]
         dist = distances(g, leader)
@@ -331,9 +332,9 @@ def test_collect_phase_budget(rng):
 def test_msglen_examples():
     star = Graph.from_edges([(9, 1), (9, 2), (9, 3), (9, 4)])
     run = get_message_length(star, 9, {1, 2, 3}, {1: "11", 2: "11", 3: "1111"})
-    assert set(run.report.outputs.values()) == {4}
+    assert {p for _, p in run.report.outputs.values()} == {4}
     run = get_message_length(star, 9, {4}, {4: "1"})
-    assert set(run.report.outputs.values()) == {1}
+    assert {p for _, p in run.report.outputs.values()} == {1}
 
 
 def test_msglen_mixed_lengths(rng):
@@ -343,7 +344,7 @@ def test_msglen_mixed_lengths(rng):
         sources = set(rng.sample(list(g.nodes), k))
         msgs = {s: random_bits(rng, rng.randint(1, 7)) for s in sources}
         run = get_message_length(g, g.max_id, sources, msgs)
-        assert set(run.report.outputs.values()) == {max(len(m) for m in msgs.values())}
+        assert {p for _, p in run.report.outputs.values()} == {max(len(m) for m in msgs.values())}
 
 
 # --- error location ------------------------------------------------------------
@@ -791,10 +792,10 @@ def test_collect_and_msglen_default_leader_is_max_id():
     g = Graph.from_edges([(0, 1), (1, 2)])
     run = collect_messages(g, None, {0}, {0: "101"})
     assert run.report.extras["leader"] == 2
-    assert run.report.outputs[2]["or"] == "101"
+    assert run.report.outputs[2][1] == "101"
     run = get_message_length(g, None, {0}, {0: "101"})
     assert run.report.extras["leader"] == 2
-    assert set(run.report.outputs.values()) == {3}
+    assert {p for _, p in run.report.outputs.values()} == {3}
 
 
 @pytest.mark.parametrize(
