@@ -14,6 +14,7 @@ never occur at a pair boundary of a well-formed codeword.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 START_MARKER = "10"
 END_MARKER = "10"
@@ -110,9 +111,11 @@ def _parse_at(s: str, start: int) -> tuple[str, int]:
     raise DecodeError("no terminating 10 at pair boundary", len(s))
 
 
+@lru_cache(maxsize=256)
 def match_word(s: str) -> str | None:
     """The payload if ``s`` is exactly one codeword, else None: the whole
-    word in one match, where CodewordParser takes a push per position."""
+    word in one match, where CodewordParser takes a push per position.
+    Memoized: every relay of a wave reads back the same word."""
     return s[2:-2:2] if _WORD.fullmatch(s) else None
 
 

@@ -50,6 +50,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from inspect import CO_GENERATOR
 from types import MappingProxyType
 from typing import Any, Generator, Iterable, Iterator, Mapping, TextIO
 
@@ -77,19 +78,22 @@ class ProtocolError(SimulationError):
     """A node program observed something its protocol forbids.
 
     Programs raise it with a reason only; ``simulate`` fills in the node
-    whose program raised it and the round the kernel was running.
+    whose program raised it, the round the kernel was running and ``phase``,
+    the generators the node was in, outermost first.
     """
 
     def __init__(self, reason: str):
         self.reason = reason
         self.node: int | None = None
         self.round: int | None = None
+        self.phase = ""
         super().__init__(reason)
 
     def __str__(self) -> str:
         if self.node is None:
             return self.reason
-        return f"node {self.node}, round {self.round}: {self.reason}"
+        where = f" (in {self.phase})" if self.phase else ""
+        return f"node {self.node}, round {self.round}: {self.reason}{where}"
 
 
 class SimulationTimeout(SimulationError):
@@ -103,12 +107,7 @@ class SimulationTimeout(SimulationError):
         self.max_rounds = max_rounds
         self.trace = trace
         self.live = set(programs)
-        self.phases: dict[int, str] = {}
-        for u, program in programs.items():  # follow each yield from chain to its end
-            name = type(program).__name__
-            while hasattr(program, "gi_code"):
-                name, program = program.gi_code.co_name, program.gi_yieldfrom
-            self.phases[u] = name
+        self.phases = {u: (_chain(p) or [type(p).__name__])[-1] for u, p in programs.items()}
         super().__init__(
             f"{len(self.live)} node(s) still running after {max_rounds} rounds: "
             f"{sorted(self.live)[:8]}{'...' if len(self.live) > 8 else ''}; "
@@ -553,6 +552,7 @@ def simulate(
                     del live[i]
                 except ProtocolError as err:
                     err.node, err.round = nodes[i], round_no
+                    err.phase = _phase(err, live[i])
                     raise
             if echoing:
                 relays = echo_at[round_no % 3] & heard & ~(rounds[-2][0] if round_no > 1 else 0)
@@ -618,6 +618,29 @@ def simulate(
 
     report.total_rounds = round_no
     return trace, report
+
+
+def _phase(err: ProtocolError, program: NodeProgram) -> str:
+    """The generators a node was in when ``err`` was raised, outermost first:
+    the generator frames of its traceback if the node's program raised it,
+    else the ``yield from`` chain of the program whose action was refused."""
+    names = []
+    tb = err.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_flags & CO_GENERATOR:
+            names.append(code.co_name)
+        tb = tb.tb_next
+    return " > ".join(names or _chain(program))
+
+
+def _chain(program: Any) -> list[str]:
+    """The generators of a program's ``yield from`` chain, outermost first."""
+    names = []
+    while hasattr(program, "gi_code"):
+        names.append(program.gi_code.co_name)
+        program = program.gi_yieldfrom
+    return names
 
 
 def _deadline(action: Any, round_no: int) -> int:

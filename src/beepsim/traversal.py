@@ -34,6 +34,8 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Any, Generator, Mapping
 
 from . import codec
@@ -97,7 +99,10 @@ def control_word(kind: str, bit_width: int = 0, sender: int | None = None,
     return codec.encode(payload)
 
 
-def parse_control_payload(payload: str, bit_width: int) -> tuple[str, dict[str, int]]:
+@lru_cache(maxsize=256)
+def parse_control_payload(payload: str, bit_width: int) -> tuple[str, MappingProxyType[str, int]]:
+    """(kind, fields) of a control payload.  Memoized, since every neighbour
+    of the token holder parses the same word, so the fields are read-only."""
     if len(payload) < 3:
         raise ValueError(f"control payload too short: {payload!r}")
     kind = _KIND_OF.get(payload[:3])
@@ -107,21 +112,21 @@ def parse_control_payload(payload: str, bit_width: int) -> tuple[str, dict[str, 
     if kind == "HANDOFF":
         if len(rest) < 2 * bit_width + 1:
             raise ValueError("handoff payload truncated")
-        return kind, {
+        return kind, MappingProxyType({
             "sender": codec.bits_to_int(rest[:bit_width]),
             "target": codec.bits_to_int(rest[bit_width : 2 * bit_width]),
             "count": codec.bits_to_int(rest[2 * bit_width :]),
-        }
+        })
     if kind == "RETURN":
         if len(rest) < bit_width + 1:
             raise ValueError("return payload truncated")
-        return kind, {
+        return kind, MappingProxyType({
             "sender": codec.bits_to_int(rest[:bit_width]),
             "count": codec.bits_to_int(rest[bit_width:]),
-        }
+        })
     if rest:
         raise ValueError(f"{kind} carries unexpected payload bits")
-    return kind, {}
+    return kind, MappingProxyType({})
 
 
 def _transmit(bits: str) -> Phase:
@@ -129,14 +134,14 @@ def _transmit(bits: str) -> Phase:
         yield BEEP if b == "1" else LISTEN
 
 
-def _parsed(payload: str, bit_width: int) -> tuple[str, dict[str, int]]:
+def _parsed(payload: str, bit_width: int) -> tuple[str, MappingProxyType[str, int]]:
     try:
         return parse_control_payload(payload, bit_width)
     except ValueError as bad:
         raise ProtocolError(str(bad)) from None
 
 
-def _listen_word(bit_width: int) -> Generator[Any, Any, tuple[str, dict[str, int]]]:
+def _listen_word(bit_width: int) -> Generator[Any, Any, tuple[str, MappingProxyType[str, int]]]:
     """Decode one control word that is guaranteed to start next round: the
     ``10`` start marker, then one payload pair per two rounds up to the
     ``10`` end marker.  A bad position raises in the round it is heard."""
@@ -159,7 +164,7 @@ def _listen_word(bit_width: int) -> Generator[Any, Any, tuple[str, dict[str, int
 
 def _overheard_word(
     ctx: _DfsShared, flood: int | None = None
-) -> Generator[Any, Any, tuple[str, dict[str, int]] | None]:
+) -> Generator[Any, Any, tuple[str, MappingProxyType[str, int]] | None]:
     """Listen until an overheard control word completes, log and return it.
 
     Locks on the first heard beep.  A 1 at position 2 or a ``01`` pair
@@ -196,7 +201,8 @@ def _overheard_word(
             payload += "1" if heard else "0"
         elif first:
             kind, fields = _parsed(payload, ctx.bit_width)
-            ctx.recorder.log("word", ctx.node, kind=kind, **fields)
+            # ** takes a dict's fast path and a read-only proxy's slow one.
+            ctx.recorder.log("word", ctx.node, kind=kind, **fields.copy())
             return kind, fields
         else:
             pos = 0
@@ -276,7 +282,7 @@ def _candidate_block(ctx: _DfsShared, my_bits: str) -> Generator[Any, Any, tuple
     kind, fields = yield from _listen_word(ctx.bit_width)
     if kind != "HANDOFF":
         raise ProtocolError(f"expected HANDOFF, got {kind}")
-    ctx.recorder.log("word", ctx.node, kind=kind, **fields)
+    ctx.recorder.log("word", ctx.node, kind=kind, **fields.copy())
     won = fields["target"] == ctx.node
     if won != in_running:
         raise ProtocolError("handoff target disagrees with bidding")

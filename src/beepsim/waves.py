@@ -23,6 +23,7 @@ Slot arithmetic in phase rounds (same-round OR reception):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Generator
 
 from . import codec
@@ -243,8 +244,11 @@ def diameter_phase(is_leader: bool) -> Generator[Action, "bool | None", int]:
 # Message collection (fixed width) and message length determination.
 
 
-def _collection_slots(bits: str, dtilde: int, dist: int) -> set[int]:
-    return {3 * i + dtilde - dist for i, b in enumerate(bits, 1) if b == "1"}
+@lru_cache(maxsize=256)
+def _collection_slots(bits: str, dtilde: int, dist: int) -> frozenset[int]:
+    """A node's collection slots.  Memoized: nodes at one distance with the
+    same bits share them."""
+    return frozenset(3 * i + dtilde - dist for i, b in enumerate(bits, 1) if b == "1")
 
 
 def _calibrate(dtilde: int, is_leader: bool) -> Generator[Action, "bool | None", int]:
@@ -528,7 +532,6 @@ def collect_messages(
     report.check("collect_round_count", abs(report.total_rounds - rounds(dt)), 0)
     report.extras.update(
         leader=leader,
-        dtilde=dt,
         collection_start=rounds(dt) - collection_len(p, dt),
         collection_rounds=collection_len(p, dt),
     )

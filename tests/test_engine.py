@@ -448,6 +448,7 @@ def test_invalid_action_names_the_node_and_round(action, reason):
     with pytest.raises(ProtocolError) as err:
         simulate(g, {0: beeper_at(5), 1: faulty()}, 10)
     assert (err.value.node, err.value.round, err.value.reason) == (1, 2, reason)
+    assert err.value.phase == "faulty"  # the kernel refused it, so no program frame raised
 
 
 def test_a_deadline_action_kept_past_its_round_is_invalid():
@@ -677,7 +678,7 @@ def test_an_armed_echo_length_without_a_phase_end_is_named():
     g = Graph.from_edges([(0, 1)])
     with pytest.raises(ProtocolError) as err:
         simulate(g, {0: beeper_at(5), 1: armed_window(4, None, LISTEN, LISTEN)}, 10)
-    assert str(err.value) == "node 1, round 2: armed echo length 4 without a phase end"
+    assert str(err.value) == "node 1, round 2: armed echo length 4 without a phase end (in gen)"
 
 
 def test_armed_echo_slots_or_the_heard_bits_of_each_period(rng):
@@ -764,7 +765,7 @@ def test_a_window_that_passes_its_phase_end_names_the_node_and_round():
     g = Graph.from_edges([(0, 1), (1, 2)])
     with pytest.raises(ProtocolError) as err:
         simulate(g, {0: beeper_at(5), 1: armed_window(4, 7), 2: listener(8)}, 20)
-    assert str(err.value) == "node 1, round 7: armed window end 9 passes its phase end 7"
+    assert str(err.value) == "node 1, round 7: armed window end 9 passes its phase end 7 (in gen)"
     _, report = simulate(g, {0: beeper_at(5), 1: armed_window(4, 9), 2: listener(8)}, 20)
     assert report.outputs[1] == (9, 9, "10")
 

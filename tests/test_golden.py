@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import io
 
+from beepsim import codec, traversal, waves
 from beepsim.engine import verify_reception, write_trace
 from beepsim.graphs import generate, parse_graph_spec
 from beepsim.multicast import multi_broadcast
@@ -128,6 +129,19 @@ def test_every_runner_matches_its_golden_digest():
         verify_reception(run.trace, graph)
         got[key] = fingerprint(run)
     assert got == GOLDEN
+
+
+def test_the_word_caches_change_no_digest():
+    # Decoded words, control-word parses and collection slots are memoized
+    # across nodes and runs: every digest is the same with caches that are
+    # warm from the runs before and with caches cleared before each run.
+    warm = {key: fingerprint(thunk()) for key, _, thunk in _cases()}
+    cold = {}
+    for key, _, thunk in _cases():
+        for cached in (codec.match_word, traversal.parse_control_payload, waves._collection_slots):
+            cached.cache_clear()
+        cold[key] = fingerprint(thunk())
+    assert warm == cold == GOLDEN
 
 
 if __name__ == "__main__":

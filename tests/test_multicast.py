@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from beepsim import codec, multicast
+from beepsim import codec, multicast, waves
 from beepsim.engine import Graph, ProtocolError, SimulationTimeout, simulate
 from beepsim.graphs import GraphSpec, generate
 from beepsim.multicast import (
@@ -163,7 +163,24 @@ def test_a_leader_with_bits_wider_than_the_collection_names_its_node_and_round()
 
     with pytest.raises(ProtocolError) as err:
         simulate(g, {u: program(u) for u in g.nodes}, 1000)
-    assert str(err.value) == "node 2, round 53: transmit bits wider than collection width"
+    assert str(err.value) == (
+        "node 2, round 53: transmit bits wider than collection width"
+        " (in program > _collect_and_share > collect_phase)")
+
+
+def test_a_collection_beep_out_of_its_slot_names_the_collect_phase(monkeypatch):
+    # Every collection slot of a word with a 0 moves one round late (msglen's
+    # all-ones slots stay), so the leader hears the first ID collection's
+    # beeps outside its residue class.
+    real = waves._collection_slots
+    monkeypatch.setattr(waves, "_collection_slots", lambda bits, dtilde, dist: frozenset(
+        s + ("0" in bits) for s in real(bits, dtilde, dist)))
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    with pytest.raises(ProtocolError) as err:
+        multi_broadcast(g, {0, 1}, {0: "01", 1: "10"})
+    assert str(err.value) == (
+        "node 2, round 176: collection beep outside leader class"
+        " (in _mb_program > _prefix_search > _collect_and_share > collect_phase)")
 
 
 def test_mb_input_validation():

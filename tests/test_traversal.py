@@ -125,6 +125,22 @@ def test_parse_control_payload_rejects_malformed_payloads(payload, reason):
     assert str(err.value) == reason
 
 
+def test_a_parsed_control_word_is_shared_read_only_and_a_bad_one_raises_each_time():
+    # Every neighbour of the token holder gets the one cached parse of its word.
+    payload = codec.decode(control_word("HANDOFF", 4, sender=9, target=3, count=6))
+    kind, fields = parse_control_payload(payload, 4)
+    assert parse_control_payload(payload, 4)[1] is fields
+    with pytest.raises(TypeError):
+        fields["target"] = 4
+    assert dict(**fields) == {"sender": 9, "target": 3, "count": 6}
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            parse_control_payload("111", 4)
+        texts.append(str(err.value))
+    assert texts == ["unknown opcode 111"] * 2
+
+
 def test_a_wrong_control_word_names_the_listening_node_and_round(monkeypatch):
     # The token sends ACK0 where CHILD_SEARCH belongs; the candidate that
     # answered its probe rejects the word in the round it ends.
@@ -136,7 +152,8 @@ def test_a_wrong_control_word_names_the_listening_node_and_round(monkeypatch):
     monkeypatch.setattr(traversal, "control_word", swapped)
     with pytest.raises(ProtocolError) as err:
         dfs(Graph.from_edges([(0, 1), (1, 2)]))
-    assert str(err.value) == "node 1, round 22: expected CHILD_SEARCH, got ACK0"
+    assert str(err.value) == (
+        "node 1, round 22: expected CHILD_SEARCH, got ACK0 (in _dfs_non_root > _candidate_block)")
 
 
 def test_a_dfs_timeout_names_the_generator_each_live_node_is_in():

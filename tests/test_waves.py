@@ -280,7 +280,14 @@ def test_collect_examples():
     assert run.report.outputs[2][1] == "1101"
     run = collect_messages(g, 2, {0, 1}, {0: "101", 1: "011"}, p=3)
     assert run.report.outputs[2][1] == "111"
-    assert run.report.outputs[0] == run.report.outputs[1] == (run.report.extras["dtilde"], None)
+    assert run.report.outputs[0] == run.report.outputs[1] == (run.report.outputs[2][0], None)
+
+
+def test_collection_slots_are_one_frozen_set_per_input():
+    # Nodes at one distance with the same bits share one cached slot set.
+    slots = waves._collection_slots("1011", 7, 2)
+    assert type(slots) is frozenset and slots == {8, 14, 17}
+    assert waves._collection_slots("1011", 7, 2) is slots
 
 
 def test_collect_rejects_oversized_message():
@@ -320,7 +327,7 @@ def test_collect_phase_budget(rng):
         sources = {g.nodes[0]}
         msgs = {g.nodes[0]: random_bits(rng, 4)}
         run = collect_messages(g, g.max_id, sources, msgs, 4)
-        dt = run.report.extras["dtilde"]
+        dt = run.report.outputs[g.max_id][0]
         assert run.report.total_rounds == estimate_len(dt) + collect_phase_len(4, dt)
         start = run.report.extras["collection_start"]
         end = start + run.report.extras["collection_rounds"]
@@ -730,7 +737,8 @@ def test_relay_decode_takes_a_width_and_a_phase_end_together():
         with pytest.raises(ProtocolError) as err:
             simulate(g, {0: beeper_at(3), 1: relay_decode(width, until)}, 20)
         assert str(err.value) == (
-            "node 1, round 0: relay_decode takes a width with a phase end, or neither")
+            "node 1, round 0: relay_decode takes a width with a phase end, or neither"
+            " (in relay_decode)")
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -743,8 +751,9 @@ def test_a_known_width_wave_with_one_flipped_bit_raises(width, rng):
             bad = codeword[:k] + "10"[int(codeword[k])] + codeword[k + 1:]
             programs = {u: broadcast_value_phase(10, width, None) for u in g.nodes}
             programs[1] = slot_sender(bad, 0)
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ProtocolError) as err:
                 simulate(g, programs, 1000)
+            assert err.value.phase == "broadcast_value_phase > relay_decode"
 
 
 # --- runner preamble -----------------------------------------------------------
@@ -770,10 +779,12 @@ def test_a_dtilde_below_the_leader_eccentricity_fails_at_the_calibration_end():
     # Node 0, 4 hops from leader 4, is armed in round 6, and its 17-round
     # calibration window would pass the phase end, calibration_len(2) = 21.
     g = Graph.from_edges([(i, i + 1) for i in range(4)])
-    for programs in phases_given_dtilde(g, 2, leader=4, source=0):
+    for phase, programs in zip(("collect_phase", "msglen_phase"),
+                               phases_given_dtilde(g, 2, leader=4, source=0)):
         with pytest.raises(ProtocolError) as err:
             simulate(g, programs, 2000)
-        assert str(err.value) == "node 0, round 21: armed window end 23 passes its phase end 21"
+        assert str(err.value) == (
+            f"node 0, round 21: armed window end 23 passes its phase end 21 (in {phase} > _calibrate)")
 
 
 def test_collect_and_msglen_phases_take_their_length_under_a_loose_dtilde():
